@@ -22,7 +22,7 @@ out = sc.forward_finite(spec, 3, np.random.default_rng(0))
 print("one realization, 3 output channels, shape:", out.fields.shape)
 print("channel 0, input 0:", np.round(out.fields[0, :, 0], 3))
 
-# replica sets are keyed by (seed, replica index): reruns are bit-identical
+# replica blocks are keyed by (seed, block index): reruns are bit-identical
 a = sc.sample_replicas(spec, 5)
 b = sc.sample_replicas(spec, 5)
 print("\nbit-identical reruns:", np.array_equal(a.outputs, b.outputs))

@@ -43,6 +43,7 @@ from .network import (
     forward_finite,
     get_activation,
     load_replicas,
+    replica_block_size,
     sample_replicas,
     save_replicas,
 )

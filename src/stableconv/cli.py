@@ -21,13 +21,19 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, load_config
 from .limits import limit_measures, mixture_measure
-from .network import load_replicas, sample_replicas, save_replicas
+from .network import (
+    load_replicas,
+    replica_block_size,
+    sample_replicas,
+    save_replicas,
+)
 from .stable import cf_multivariate, read_measure, save_measure
 from .verify import (
     CSV_HEADER,
@@ -79,10 +85,19 @@ def cmd_limit(cfg: RunConfig, run: Path) -> int:
 def cmd_simulate(cfg: RunConfig, run: Path, channels: int | None, replicas: int | None) -> int:
     spec = cfg.build_spec(channels=channels)
     n = cfg.n_replicas if replicas is None else replicas
+    t0 = time.perf_counter()
     reps = sample_replicas(spec, n, n_channels=2, workers=cfg.workers)
+    seconds = time.perf_counter() - t0
     path = run / f"replicas_C{spec.channels}.bin"
     save_replicas(path, reps)
-    log.info("wrote %d replicas at C=%d to %s", n, spec.channels, path)
+    log.info(
+        "wrote %d replicas at C=%d to %s (block=%d, %.0f replicas/s)",
+        n,
+        spec.channels,
+        path,
+        replica_block_size(spec, 2),
+        n / seconds,
+    )
     return 0
 
 
@@ -125,11 +140,13 @@ def cmd_verify(cfg: RunConfig, run: Path) -> int:
     (run / "sweep.csv").write_text(report.to_csv(timing=cfg.timing_in_csv))
     for row in report.rows:
         log.info(
-            "C=%d sup=%.4f mean=%.4f (%.1fs)",
+            "C=%d sup=%.4f mean=%.4f (%.1fs, block=%d, %.0f replicas/s)",
             row.channels,
             row.sup_cf_dist,
             row.mean_cf_dist,
             row.seconds,
+            replica_block_size(spec.with_channels(row.channels)),
+            row.n_replicas / row.seconds,
         )
     failures = []
     final = report.rows[-1]

@@ -4,12 +4,20 @@ simulated jointly over several inputs.
 Weights and biases are drawn iid symmetric stable with scales sigma_w and
 sigma_b.  The first layer applies the convolution as-is; deeper layers divide
 the weight term by C^(1/alpha), where C is the channel count shared by all
-hidden layers.  The activation is applied to extracted patches, so padding
-slots feed phi(0) into the next contraction.
+hidden layers.  The activation is applied to each hidden field before patch
+extraction, and padding slots are then set to phi(0): the patches equal the
+activated zero-padded patches, so padding feeds phi(0) into the next
+contraction.
 
-Replica sampling derives one independent generator per replica from
-(seed, replica index); replica sets are therefore order-independent and can
-be produced by a worker pool without changing any draw.
+Replicas are simulated in blocks: one block pushes B network realizations
+through the stack together, with one weight draw, one bias draw and one
+batched matmul per layer.  Each block draws from its own generator, keyed by
+(seed, block index).  B is derived from the spec and the number of output
+channels alone (see :func:`replica_block_size`), and every block draws all B
+replicas even when only part of the last one is kept.  A replica's values
+therefore depend only on (seed, spec, channels, index): the first k replicas
+do not depend on the total, and a worker pool given whole blocks reproduces
+the serial draws exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import numpy as np
 
 from .stable import sample_standard
 from .tensors import (
+    OUT_OF_BOUNDS,
     ConvLayerConfig,
     ROLE_INPUT,
     ROLE_POSITION,
@@ -36,6 +45,11 @@ RNG_DOMAIN_REPLICA = 1
 RNG_DOMAIN_LIMIT = 2
 RNG_DOMAIN_PROBES = 3
 RNG_DOMAIN_INPUTS = 4
+
+# a replica block's per-layer working set stays within this many bytes,
+# and no block holds more than _MAX_BLOCK replicas
+_BLOCK_BYTES = 1 << 20
+_MAX_BLOCK = 1024
 
 _ENVELOPE_GRID = None
 
@@ -228,6 +242,44 @@ class FiniteOutputs:
         return Tensor(self.fields[c], roles)
 
 
+def _forward_block(
+    spec: NetworkSpec, n_channels_out: int, batch: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Push ``batch`` fresh network realizations through the stack together.
+
+    Each layer takes one weight draw of shape (batch, m_out, c_in * n_off),
+    then one bias draw of shape (batch, m_out), then one batched matmul.  The
+    inputs are fixed, so the first layer's patches are shared by the block.
+    Returns the output fields (batch, n_channels_out, positions*K) and the
+    last layer's biases (batch, n_channels_out).
+    """
+    scale = spec.channels ** (-1.0 / spec.alpha)
+    k = spec.n_inputs
+    phi0 = spec.activation(np.zeros(1))[0]
+    field = spec.inputs.data.reshape(spec.in_channels, -1, k)
+    biases = None
+    for l, cfg in enumerate(spec.layers):
+        pm = patch_map_for(cfg)
+        if l > 0:
+            # activating the field, not its patches, evaluates phi once per
+            # value instead of once per patch slot
+            field = spec.activation(field)
+        patches = pm.gather(field, axis=-2)  # (..., C_in, n_off, n_pos, K)
+        if l > 0:
+            patches[..., pm.indices.T == OUT_OF_BOUNDS, :] = phi0
+        fan_in = patches.shape[-4] * cfg.n_offsets
+        n_pos = cfg.n_positions_out
+        m_out = n_channels_out if l == spec.n_layers - 1 else spec.channels
+        w = spec.sigma_w * sample_standard(spec.alpha, (batch, m_out, fan_in), rng)
+        biases = spec.sigma_b * sample_standard(spec.alpha, (batch, m_out), rng)
+        field = w @ patches.reshape(patches.shape[:-4] + (fan_in, n_pos * k))
+        if l > 0:
+            field *= scale
+        field += biases[..., None]
+        field = field.reshape(batch, m_out, n_pos, k)
+    return field.reshape(batch, n_channels_out, -1), biases
+
+
 def forward_finite(
     spec: NetworkSpec, n_channels_out: int, rng: np.random.Generator
 ) -> FiniteOutputs:
@@ -235,37 +287,38 @@ def forward_finite(
 
     Only the channels actually consumed are materialized: C at hidden layers,
     ``n_channels_out`` at the last.  Draw order is fixed (weights then bias,
-    layer by layer), so equal seeds give bit-identical outputs.
+    layer by layer), so equal seeds give bit-identical outputs.  This is the
+    one-replica case of the block kernel behind :func:`sample_replicas`.
     """
     if n_channels_out < 1:
         raise ValueError("n_channels_out must be >= 1")
-    scale = spec.channels ** (-1.0 / spec.alpha)
+    fields, biases = _forward_block(spec, n_channels_out, 1, rng)
+    out_shape = (n_channels_out,) + spec.out_spatial + (spec.n_inputs,)
+    return FiniteOutputs(fields=fields[0].reshape(out_shape), last_biases=biases[0])
+
+
+def replica_block_size(spec: NetworkSpec, n_channels: int = 1) -> int:
+    """Replicas per block in :func:`sample_replicas`.
+
+    A fixed byte budget divided by the largest per-replica working set over
+    the layers (patches, weights and output field), capped at a fixed
+    maximum.  It depends on nothing but the spec's geometry and
+    ``n_channels``, so the block partition, and with it every draw, is the
+    same for any worker count.
+    """
     k = spec.n_inputs
-    field = spec.inputs.data.reshape(spec.in_channels, -1, k)
-    biases = None
+    worst = 1
     for l, cfg in enumerate(spec.layers):
-        pm = patch_map_for(cfg)
-        patches = pm.gather(field, axis=1)  # (C_in, n_off, n_pos, K)
-        if l > 0:
-            patches = spec.activation(patches)
-        c_in = patches.shape[0]
-        n_pos = cfg.n_positions_out
-        m_out = n_channels_out if l == spec.n_layers - 1 else spec.channels
-        w = spec.sigma_w * sample_standard(
-            spec.alpha, (m_out, c_in * cfg.n_offsets), rng
-        )
-        biases = spec.sigma_b * sample_standard(spec.alpha, m_out, rng)
-        field = w @ patches.reshape(c_in * cfg.n_offsets, n_pos * k)
-        if l > 0:
-            field *= scale
-        field += biases[:, None]
-        field = field.reshape(m_out, n_pos, k)
-    out_shape = (field.shape[0],) + spec.layers[-1].spatial_out + (k,)
-    return FiniteOutputs(fields=field.reshape(out_shape), last_biases=biases)
+        c_in = spec.in_channels if l == 0 else spec.channels
+        m_out = n_channels if l == spec.n_layers - 1 else spec.channels
+        fan_in = c_in * cfg.n_offsets
+        n_out = cfg.n_positions_out * k
+        worst = max(worst, fan_in * n_out + m_out * fan_in + m_out * n_out)
+    return max(1, min(_MAX_BLOCK, _BLOCK_BYTES // (8 * worst)))
 
 
 def replica_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one replica, keyed by (seed, index)."""
+    """Independent stream for one replica block, keyed by (seed, index)."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(RNG_DOMAIN_REPLICA, index))
     )
@@ -288,14 +341,18 @@ class ReplicaSet:
         return self.outputs[:, c, :]
 
 
-def _replica_block(args) -> tuple[np.ndarray, np.ndarray]:
-    spec, seed, start, stop, n_channels = args
+def _replica_blocks(args) -> tuple[np.ndarray, np.ndarray]:
+    """Replicas of the blocks [lo, hi), stopping at replica ``n_replicas``."""
+    spec, seed, n_channels, size, lo, hi, n_replicas = args
+    start, stop = lo * size, min(hi * size, n_replicas)
     out = np.empty((stop - start, n_channels, spec.out_dim))
     bias = np.empty((stop - start, n_channels))
-    for i in range(start, stop):
-        res = forward_finite(spec, n_channels, replica_rng(seed, i))
-        out[i - start] = res.flat
-        bias[i - start] = res.last_biases
+    for block in range(lo, hi):
+        fields, b = _forward_block(spec, n_channels, size, replica_rng(seed, block))
+        first = block * size
+        keep = min(size, stop - first)
+        out[first - start : first - start + keep] = fields[:keep]
+        bias[first - start : first - start + keep] = b[:keep]
     return out, bias
 
 
@@ -306,27 +363,34 @@ def sample_replicas(
     seed: int | None = None,
     workers: int = 1,
 ) -> ReplicaSet:
-    """Independent forward runs with per-replica generator streams.
+    """Independent forward runs, simulated in blocks of replicas.
 
     Channels within one replica come from the same network realization (they
     are exchangeable, not independent, at finite C); across replicas
-    everything is independent.  ``workers`` > 1 distributes replica blocks
-    over a process pool; the results do not depend on the worker count.
+    everything is independent.  Block b holds replicas [b*B, (b+1)*B) with
+    B = :func:`replica_block_size`, and draws from ``replica_rng(seed, b)``.
+    Every block draws all B replicas, so the first k replicas do not depend
+    on ``n_replicas``.  ``workers`` > 1 gives each pool job a contiguous range
+    of whole blocks; the results do not depend on the worker count.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
+    if n_channels < 1:
+        raise ValueError("n_channels must be >= 1")
     seed = spec.seed if seed is None else int(seed)
-    if workers <= 1:
-        out, bias = _replica_block((spec, seed, 0, n_replicas, n_channels))
+    size = replica_block_size(spec, n_channels)
+    n_blocks = -(-n_replicas // size)
+    n_jobs = max(1, min(workers, n_blocks))
+    bounds = np.linspace(0, n_blocks, n_jobs + 1).astype(int)
+    jobs = [
+        (spec, seed, n_channels, size, int(lo), int(hi), n_replicas)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    if n_jobs == 1:
+        out, bias = _replica_blocks(jobs[0])
     else:
-        bounds = np.linspace(0, n_replicas, workers + 1).astype(int)
-        jobs = [
-            (spec, seed, int(a), int(b), n_channels)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_replica_block, jobs))
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            parts = list(pool.map(_replica_blocks, jobs))
         out = np.concatenate([p[0] for p in parts])
         bias = np.concatenate([p[1] for p in parts])
     return ReplicaSet(outputs=out, biases=bias, alpha=spec.alpha, seed=seed)

@@ -198,7 +198,6 @@ def convergence_sweep(
     probes: ProbeSet | None = None,
     n_probes: int = 20,
     workers: int = 1,
-    parallel_points: bool = False,
     target: SpectralMeasure | None = None,
     metadata: dict | None = None,
 ) -> ConvergenceReport:
@@ -207,9 +206,8 @@ def convergence_sweep(
     The limiting measure of the last layer is computed once (or supplied as
     ``target``, e.g. from a cache); every channel count then contributes one
     row with the sup and mean CF distance of its replica estimate against
-    that fixed target.  Sweep points run sequentially by default to bound
-    memory; ``parallel_points`` fans them out over processes instead
-    (replica streams are keyed by index, so the distances do not change).
+    that fixed target.  Sweep points run one after another, which bounds
+    memory; ``workers`` parallelizes the replica sampling within each point.
     """
     counts = [int(c) for c in channel_counts]
     if any(b <= a for a, b in zip(counts, counts[1:])) or not counts:
@@ -223,14 +221,7 @@ def convergence_sweep(
         (spec, c, n_replicas, limit_cfg.mc_samples, probes.probes, theo, workers)
         for c in counts
     ]
-    if parallel_points:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
-    else:
-        rows = [_sweep_point(job) for job in jobs]
-    rows.sort(key=lambda r: r.channels)
+    rows = [_sweep_point(job) for job in jobs]
     meta = {
         "seed": spec.seed,
         "alpha": spec.alpha,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,8 @@ class TestCommands:
         run = run_dir_of(config_file, out)
         reps = sc.load_replicas(run / "replicas_C4.bin")
         assert reps.outputs.shape == (50, 2, 8)
+        log = (run / "run.log").read_text()
+        assert re.search(r"wrote 50 replicas at C=4 .*\(block=\d+, \d+ replicas/s\)", log)
 
     def test_verify_passes_and_is_reproducible(self, config_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -126,6 +130,8 @@ class TestCommands:
         # the zero probe reports a theoretical CF of exactly 1
         first = probes_a.splitlines()[1].split(",")
         assert first[1] == "0" and first[2] == "1"
+        rows = re.findall(r"C=\d+ sup=.*, block=\d+, \d+ replicas/s\)", (run_a / "run.log").read_text())
+        assert len(rows) == len(sweep_a.decode().splitlines()) - 1
 
     def test_verify_uses_cached_measures(self, config_file, tmp_path):
         out = tmp_path / "runs"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,95 @@ class TestForwardFinite:
         with pytest.raises(ValueError):
             sc.forward_finite(toy_spec(), 0, np.random.default_rng(0))
 
+    # SHA-256 of fields then last_biases.  The values were recorded before
+    # forward_finite became the one-replica case of the block kernel, and any
+    # change to its draws or arithmetic must be deliberate.
+    @pytest.mark.parametrize(
+        "case, n_out, seed, digest",
+        [
+            ("toy", 2, 0, "60ba9f1c786d0ee8e3f3c7ab3059c6a83f905338847805eb06c263d2fec6478a"),
+            ("three_layers", 3, 1, "d860c39bec8330c8d810c65f5c17d8af20934c43c25ea98311564468355de350"),
+            ("three_layers_cauchy", 1, 2, "bcdb92290dca78b8d662b46ed955db459f4d4b00cd1ed135db1f7f010098268b"),
+            ("three_layers_gauss", 2, 3, "fb62f34c3544a1b16f4ffe3d9951e56ac01e98ff0b89777e5b71f8febcf7f4f7"),
+            ("strided_2d", 2, 4, "1a0b7b2a93243e13d895b6f95c585b1d2db2e300c67268ef2b1e326ba015abc3"),
+        ],
+    )
+    def test_outputs_pinned(self, case, n_out, seed, digest):
+        out = sc.forward_finite(_pinned_spec(case), n_out, np.random.default_rng(seed))
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(out.fields).tobytes())
+        h.update(np.ascontiguousarray(out.last_biases).tobytes())
+        assert h.hexdigest() == digest
+
+    def test_padding_reads_activation_at_zero(self):
+        # phi(0) = 0.5: activating before the gather must still put phi(0),
+        # not 0, into the padded patch slots
+        spec = _shifted_tanh_spec()
+        out = sc.forward_finite(spec, 2, np.random.default_rng(0))
+        fields, biases = _gather_then_activate(spec, 2, 1, np.random.default_rng(0))
+        assert np.array_equal(out.flat, fields[0])
+        assert np.array_equal(out.last_biases, biases[0])
+
+    def test_padding_reads_activation_at_zero_in_blocks(self):
+        spec = _shifted_tanh_spec()
+        size = sc.replica_block_size(spec, 2)
+        reps = sc.sample_replicas(spec, 5, n_channels=2)
+        rng = sc.network.replica_rng(spec.seed, 0)
+        fields, biases = _gather_then_activate(spec, 2, size, rng)
+        assert np.array_equal(reps.outputs, fields[:5])
+        assert np.array_equal(reps.biases, biases[:5])
+
+
+def _pinned_spec(case):
+    if case == "toy":
+        return toy_spec()
+    if case == "three_layers":
+        return toy_spec(n_layers=3, channels=8, seed=4)
+    if case == "three_layers_cauchy":
+        return toy_spec(alpha=1.0, n_layers=3, channels=5)
+    if case == "three_layers_gauss":
+        return toy_spec(alpha=2.0, n_layers=3, channels=16)
+    l1 = sc.ConvLayerConfig(spatial_in=(5, 5), filter_shape=3, stride=2, padding=1)
+    l2 = sc.ConvLayerConfig(spatial_in=(3, 3), filter_shape=2, stride=1, padding=0)
+    return sc.NetworkSpec(
+        alpha=1.2, sigma_w=1.0, sigma_b=0.5, layers=(l1, l2),
+        activation=sc.get_activation("signed_power"), channels=6,
+        inputs=toy_inputs(in_channels=2, spatial=(5, 5)), seed=0,
+    )
+
+
+def _shifted_tanh_spec():
+    act = sc.ActivationSpec("tanh_shift", lambda s: np.tanh(s) + 0.5, a=2.0, b=1.0, beta=0.0)
+    return sc.NetworkSpec(
+        alpha=1.5, sigma_w=1.0, sigma_b=1.0, layers=(toy_layer(), toy_layer()),
+        activation=act, channels=4, inputs=toy_inputs(), seed=11,
+    )
+
+
+def _gather_then_activate(spec, n_out, batch, rng):
+    """Reference forward pass: same draws as the block kernel, but each
+    replica gathers its patches first and activates them afterwards."""
+    k = spec.n_inputs
+    fields = [spec.inputs.data.reshape(spec.in_channels, -1, k)] * batch
+    for l, cfg in enumerate(spec.layers):
+        c_in = fields[0].shape[0]
+        fan_in = c_in * cfg.n_offsets
+        m_out = n_out if l == spec.n_layers - 1 else spec.channels
+        w = spec.sigma_w * sc.sample_standard(spec.alpha, (batch, m_out, fan_in), rng)
+        b = spec.sigma_b * sc.sample_standard(spec.alpha, (batch, m_out), rng)
+        nxt = []
+        for i in range(batch):
+            patches = sc.patch_map_for(cfg).gather(fields[i], axis=1)
+            if l > 0:
+                patches = spec.activation(patches)
+            f = w[i] @ patches.reshape(fan_in, -1)
+            if l > 0:
+                f *= spec.channels ** (-1.0 / spec.alpha)
+            f += b[i][:, None]
+            nxt.append(f.reshape(m_out, -1, k))
+        fields = nxt
+    return np.stack([f.reshape(n_out, -1) for f in fields]), b
+
 
 class TestSampleReplicas:
     def test_reproducible_from_seed(self):
@@ -124,7 +215,7 @@ class TestSampleReplicas:
         assert reps.outputs.shape == (1, 1, 8)
 
     def test_replicas_are_prefix_stable(self):
-        # per-replica streams: the first k replicas do not depend on the total
+        # blocks always draw in full: the first k replicas do not depend on the total
         spec = toy_spec(channels=4)
         small = sc.sample_replicas(spec, 4)
         large = sc.sample_replicas(spec, 8)
@@ -136,6 +227,26 @@ class TestSampleReplicas:
         pooled = sc.sample_replicas(spec, 12, n_channels=2, workers=3)
         assert np.array_equal(serial.outputs, pooled.outputs)
         assert np.array_equal(serial.biases, pooled.biases)
+
+    def test_block_size_follows_byte_budget(self):
+        # the block partition fixes every replica draw, so pin it
+        sizes = [sc.replica_block_size(toy_spec(channels=c)) for c in (4, 64, 256)]
+        assert sizes == [1024, 75, 18]
+        assert sc.replica_block_size(toy_spec(channels=256), 2) == 17
+
+    def test_block_boundaries(self):
+        # about 2.5 blocks, so the pool splits inside the replica range and
+        # the last block is cut
+        spec = toy_spec(channels=256)
+        size = sc.replica_block_size(spec, 2)
+        n = 5 * size // 2
+        runs = [sc.sample_replicas(spec, n, n_channels=2, workers=w) for w in (1, 2, 3)]
+        for run in runs[1:]:
+            assert run.outputs.tobytes() == runs[0].outputs.tobytes()
+            assert run.biases.tobytes() == runs[0].biases.tobytes()
+        head = sc.sample_replicas(spec, size + 1, n_channels=2)
+        assert np.array_equal(head.outputs, runs[0].outputs[: size + 1])
+        assert np.array_equal(head.biases, runs[0].biases[: size + 1])
 
     def test_layer_one_law_matches_exact_measure(self):
         # the first layer's law is exact at any channel count

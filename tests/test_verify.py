@@ -120,13 +120,6 @@ class TestConvergenceSweep:
         assert report.to_csv().splitlines()[1].endswith(",0.000")
         assert report.rows[0].seconds > 0.0
 
-    def test_parallel_points_match_serial(self):
-        spec = toy_spec(seed=29)
-        lcfg = sc.LimitConfig(mc_samples=200, seed=2)
-        serial = sc.convergence_sweep(spec, [2, 4], 300, lcfg)
-        parallel = sc.convergence_sweep(spec, [2, 4], 300, lcfg, parallel_points=True)
-        assert serial.to_csv() == parallel.to_csv()
-
 
 class TestIndependence:
     def test_negative_control_fails_factorization(self, toy_limit, rng):
