@@ -73,11 +73,15 @@ def _measure_path(run: Path, layer: int) -> Path:
     return d / f"layer_{layer:02d}.txt"
 
 
-def cmd_limit(cfg: RunConfig, run: Path) -> int:
-    spec = cfg.build_spec()
-    measures = limit_measures(spec, cfg.limit_config())
+def _compute_and_save_limit(cfg: RunConfig, run: Path):
+    measures = limit_measures(cfg.build_spec(), cfg.limit_config())
     for layer, measure in enumerate(measures, start=1):
         save_measure(measure, _measure_path(run, layer))
+    return measures
+
+
+def cmd_limit(cfg: RunConfig, run: Path) -> int:
+    measures = _compute_and_save_limit(cfg, run)
     log.info("cached %d layer measures under %s", len(measures), run / "measures")
     return 0
 
@@ -106,11 +110,7 @@ def _load_or_compute_target(cfg: RunConfig, run: Path):
     if last.exists():
         log.info("using cached limit measure %s", last)
         return read_measure(last)
-    spec = cfg.build_spec()
-    measures = limit_measures(spec, cfg.limit_config())
-    for layer, measure in enumerate(measures, start=1):
-        save_measure(measure, _measure_path(run, layer))
-    return measures[-1]
+    return _compute_and_save_limit(cfg, run)[-1]
 
 
 def _write_probe_csv(run: Path, probes, theo) -> None:

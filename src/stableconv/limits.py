@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import resource
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +45,9 @@ log = logging.getLogger(__name__)
 class LimitConfig:
     """Monte Carlo budget of the layer recursion.
 
-    ``mc_samples`` fields are drawn per layer.  ``atom_cap`` bounds the atom
-    count kept after each layer; None leaves compression off for shallow
-    stacks and applies the default cap (10 * mc_samples * n_offsets) once the
-    stack has three or more layers, where atom growth would otherwise
-    compound.
+    ``mc_samples`` fields are drawn per layer.  ``atom_cap``, when set,
+    compresses each Monte Carlo layer to at most that many atoms; None keeps
+    all of a layer's at most mc_samples * n_offsets Monte Carlo atoms.
     """
 
     mc_samples: int = 10_000
@@ -369,14 +369,6 @@ def _layer_rng(limit_cfg: LimitConfig, layer: int) -> np.random.Generator:
     )
 
 
-def _effective_cap(limit_cfg: LimitConfig, cfg: ConvLayerConfig, n_layers: int) -> int | None:
-    if limit_cfg.atom_cap is not None:
-        return limit_cfg.atom_cap
-    if n_layers >= 3:
-        return 10 * limit_cfg.mc_samples * cfg.n_offsets
-    return None
-
-
 def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMeasure]:
     """Propagate the limiting spectral measure through every layer.
 
@@ -384,39 +376,41 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
     dedicated substream of the configured seed, so any single layer can be
     replayed.  Returns one measure per layer and logs a summary line each.
     """
-    measures = []
+    t0 = time.perf_counter()
     current = gamma_first(
         spec.inputs, spec.layers[0], spec.alpha, spec.sigma_w, spec.sigma_b
     )
-    measures.append(current)
-    _log_layer(1, current)
+    measures = [current]
+    _log_layer(1, current, t0)
     for l in range(2, spec.n_layers + 1):
-        cfg = spec.layers[l - 1]
-        layer_cfg = dataclasses.replace(
-            limit_cfg, atom_cap=_effective_cap(limit_cfg, cfg, spec.n_layers)
-        )
+        t0 = time.perf_counter()
         current = gamma_next_mc(
             current,
-            cfg,
+            spec.layers[l - 1],
             spec.alpha,
             spec.sigma_w,
             spec.sigma_b,
             spec.activation,
-            layer_cfg,
+            limit_cfg,
             _layer_rng(limit_cfg, l),
         )
         measures.append(current)
-        _log_layer(l, current)
+        _log_layer(l, current, t0)
     return measures
 
 
-def _log_layer(layer: int, measure: SpectralMeasure) -> None:
+def _log_layer(layer: int, measure: SpectralMeasure, t0: float) -> None:
+    """One summary line per layer.  ``peak_rss_mb`` is this process's
+    ru_maxrss so far, so the layer that raises it shows; on Linux it starts
+    from the peak of the process that launched this one."""
     log.info(
-        "layer=%d atoms=%d total_mass=%.6g bias_mass=%.6g",
+        "layer=%d atoms=%d total_mass=%.6g bias_mass=%.6g seconds=%.3f peak_rss_mb=%.1f",
         layer,
         measure.n_atoms,
         measure.total_mass,
         measure.bias_mass,
+        time.perf_counter() - t0,
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     )
 
 
@@ -443,17 +437,7 @@ def readout_limit(spec: NetworkSpec, u, limit_cfg: LimitConfig) -> SpectralMeasu
             spec.alpha, k, _bias_atom(spec.sigma_b, k, spec.alpha), weights, dirs
         )
     prev = limit_measures(
-        NetworkSpec(
-            alpha=spec.alpha,
-            sigma_w=spec.sigma_w,
-            sigma_b=spec.sigma_b,
-            layers=spec.layers[:-1],
-            activation=spec.activation,
-            channels=spec.channels,
-            inputs=spec.inputs,
-            seed=spec.seed,
-        ),
-        limit_cfg,
+        dataclasses.replace(spec, layers=spec.layers[:-1]), limit_cfg
     )[-1]
     return readout_measure(
         prev,

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stable import sample_standard
+from .stable import _BLOCK_BYTES, sample_standard
 from .tensors import (
     OUT_OF_BOUNDS,
     ConvLayerConfig,
@@ -46,9 +46,8 @@ RNG_DOMAIN_LIMIT = 2
 RNG_DOMAIN_PROBES = 3
 RNG_DOMAIN_INPUTS = 4
 
-# a replica block's per-layer working set stays within this many bytes,
-# and no block holds more than _MAX_BLOCK replicas
-_BLOCK_BYTES = 1 << 20
+# a replica block's per-layer working set stays within _BLOCK_BYTES, and no
+# block holds more than _MAX_BLOCK replicas
 _MAX_BLOCK = 1024
 
 _ENVELOPE_GRID = None

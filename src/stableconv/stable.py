@@ -23,6 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# working-set budget of one block of bulk draws, shared by the replica blocks
+# of :mod:`stableconv.network` and the row blocks of sample_multivariate
+_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class StableParams:
@@ -199,15 +203,28 @@ def sample_multivariate(
     Each atom pair contributes an independent symmetric stable coefficient
     scaled by weight^(1/alpha) along its direction; the characteristic
     function of the sum telescopes to :func:`cf_multivariate`.
+
+    Draws are made in row blocks of ``_BLOCK_BYTES // (8 * n_atoms)`` rows
+    (at least one): each block draws its (rows, n_atoms) coefficients in one
+    call and projects them straight into the output.  Memory is therefore
+    bounded by one block plus the (size, dimension) output, not by
+    size * n_atoms.  Because each block draws all its uniforms before its
+    exponentials, the values depend on the block partition; that partition
+    depends only on the atom count, so equal seeds still give equal draws,
+    and a request that fits in one block equals a single whole draw.
     """
     n = 1 if size is None else int(size)
+    out = np.zeros((n, measure.dimension))
     if measure.n_atoms == 0:
         warnings.warn("sampling an empty spectral measure: draws are all zero")
-        out = np.zeros((n, measure.dimension))
         return out[0] if size is None else out
-    z = sample_standard(measure.alpha, (n, measure.n_atoms), rng)
     scales = measure.weights ** (1.0 / measure.alpha)
-    out = (z * scales) @ measure.directions
+    rows = max(1, _BLOCK_BYTES // (8 * measure.n_atoms))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        z = sample_standard(measure.alpha, (stop - start, measure.n_atoms), rng)
+        z *= scales
+        np.matmul(z, measure.directions, out=out[start:stop])
     return out[0] if size is None else out
 
 

@@ -273,8 +273,14 @@ class TestLimitPipeline:
         spec = toy_spec(n_layers=3)
         measures = sc.limit_measures(spec, sc.LimitConfig(mc_samples=500, seed=4))
         assert [m.dimension for m in measures] == [8, 8, 8]
-        # the default atom cap kicks in for stacks of three or more layers
-        assert measures[-1].n_atoms <= 10 * 500 * 3 + 1
+        assert measures[-1].n_atoms == 500 * 3 + 1
+
+    def test_no_default_cap_on_deep_stacks(self):
+        # with no atom_cap every Monte Carlo layer keeps one atom per
+        # (sample, offset) plus the bias atom, however deep the stack
+        m, n_off = 200, toy_layer().n_offsets
+        measures = sc.limit_measures(toy_spec(n_layers=4), sc.LimitConfig(mc_samples=m, seed=3))
+        assert [x.n_atoms for x in measures[1:]] == [m * n_off + 1] * 3
 
     def test_replayable_per_layer_streams(self):
         spec = toy_spec()
@@ -288,8 +294,13 @@ class TestLimitPipeline:
     def test_summary_lines_logged(self, caplog):
         with caplog.at_level(logging.INFO, logger="stableconv.limits"):
             sc.limit_measures(toy_spec(), sc.LimitConfig(mc_samples=100, seed=1))
-        lines = [r.message for r in caplog.records]
-        assert any("atoms=" in ln and "total_mass=" in ln for ln in lines)
+        lines = [r.message for r in caplog.records if r.message.startswith("layer=")]
+        assert len(lines) == 2
+        for ln in lines:
+            fields = dict(tok.split("=", 1) for tok in ln.split())
+            assert {"atoms", "total_mass", "bias_mass"} <= fields.keys()
+            assert float(fields["seconds"]) >= 0.0
+            assert float(fields["peak_rss_mb"]) > 0.0
 
     def test_readout_limit_single_layer_exact(self, rng):
         spec = toy_spec(n_layers=1)

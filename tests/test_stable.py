@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,83 @@ class TestMultivariateSampler:
         with pytest.warns(UserWarning):
             draws = sc.sample_multivariate(m, rng, size=10)
         assert np.all(draws == 0.0)
+
+
+def _one_shot(measure, n, rng):
+    """The whole (n, n_atoms) coefficient draw projected in one product."""
+    z = sc.sample_standard(measure.alpha, (n, measure.n_atoms), rng)
+    return (z * measure.weights ** (1.0 / measure.alpha)) @ measure.directions
+
+
+class TestBlockedSampler:
+    # 1000 atoms give blocks of (1 << 20) // 8000 = 131 rows
+    N_ATOMS, ROWS = 1000, 131
+
+    def test_memory_bounded_by_block(self):
+        # 2000 draws over 10k atoms: one whole (2000, 10k) CMS draw and its
+        # temporaries need about 800 MB; blocked draws stay near the
+        # interpreter's own footprint.  The fresh process reports the peak of
+        # its own address space (VmHWM): its ru_maxrss would start from this
+        # test process's peak, which is what the rest of the suite left.
+        code = (
+            "import numpy as np, stableconv as sc\n"
+            "rng = np.random.default_rng(0)\n"
+            "d = rng.standard_normal((10_000, 8))\n"
+            "d /= np.linalg.norm(d, axis=1, keepdims=True)\n"
+            "m = sc.SpectralMeasure(1.5, rng.uniform(0.1, 1.0, 10_000), d)\n"
+            "x = sc.sample_multivariate(m, rng, size=2000)\n"
+            "assert x.shape == (2000, 8) and np.isfinite(x).all()\n"
+            "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')]\n"
+            "print(int(hwm[0].split()[1]) / 1024.0)\n"
+        )
+        src = str(Path(sc.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert float(done.stdout) < 150.0
+
+    def test_partition_follows_atom_count(self, rng):
+        m = make_measure(rng, dim=3, n_atoms=self.N_ATOMS)
+        n = 2 * self.ROWS + 5
+        draws = sc.sample_multivariate(m, np.random.default_rng(7), size=n)
+        ref_rng = np.random.default_rng(7)
+        ref = np.vstack([_one_shot(m, rows, ref_rng) for rows in (self.ROWS, self.ROWS, 5)])
+        assert draws.shape == (n, 3)
+        assert np.array_equal(draws, ref)
+        # a block draws all its uniforms before its exponentials, so the
+        # whole draw at once is a different (equally valid) sample
+        assert not np.allclose(draws, _one_shot(m, n, np.random.default_rng(7)))
+
+    def test_size_none_and_zero(self, rng):
+        m = make_measure(rng, dim=3, n_atoms=self.N_ATOMS)
+        one = sc.sample_multivariate(m, np.random.default_rng(3))
+        assert one.shape == (3,)
+        assert np.array_equal(one, sc.sample_multivariate(m, np.random.default_rng(3), size=1)[0])
+        assert sc.sample_multivariate(m, rng, size=0).shape == (0, 3)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n_atoms,n", [(6, 5000), (N_ATOMS, ROWS)])
+    def test_single_block_equals_one_shot(self, rng, alpha, n_atoms, n):
+        m = make_measure(rng, n_atoms=n_atoms, alpha=alpha)
+        draws = sc.sample_multivariate(m, np.random.default_rng(11), size=n)
+        assert np.array_equal(draws, _one_shot(m, n, np.random.default_rng(11)))
+
+    def test_multi_block_empirical_cf(self, rng):
+        m = make_measure(rng, dim=3, n_atoms=500, alpha=1.5)
+        m = sc.SpectralMeasure(1.5, m.weights / m.total_mass, m.directions)
+        n = 20_000  # 77 blocks of 262 rows
+        draws = sc.sample_multivariate(m, rng, size=n)
+        probes = rng.standard_normal((20, 3)) * np.linspace(0.3, 2.0, 20)[:, None]
+        cos = np.cos(draws @ probes.T)
+        se = cos.std(axis=0, ddof=1) / np.sqrt(n)
+        theo = sc.cf_multivariate(m, probes)
+        assert theo.min() < 0.5 < theo.max()
+        # 5 standard errors: a family-wise false-alarm rate near 1e-5 over 20 probes
+        assert np.all(np.abs(cos.mean(axis=0) - theo) < 5.0 * se)
 
 
 class TestPsiAtom:
