@@ -399,10 +399,24 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
     return measures
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident memory: VmHWM from /proc/self/status
+    where it exists, which an exec'd process starts afresh.  Elsewhere
+    ru_maxrss, which on Linux starts from the peak of the launching process."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _log_layer(layer: int, measure: SpectralMeasure, t0: float) -> None:
-    """One summary line per layer.  ``peak_rss_mb`` is this process's
-    ru_maxrss so far, so the layer that raises it shows; on Linux it starts
-    from the peak of the process that launched this one."""
+    """One summary line per layer.  ``peak_rss_mb`` is this process's own
+    peak resident memory so far (:func:`_peak_rss_mb`), so the layer that
+    raises it shows."""
     log.info(
         "layer=%d atoms=%d total_mass=%.6g bias_mass=%.6g seconds=%.3f peak_rss_mb=%.1f",
         layer,
@@ -410,7 +424,7 @@ def _log_layer(layer: int, measure: SpectralMeasure, t0: float) -> None:
         measure.total_mass,
         measure.bias_mass,
         time.perf_counter() - t0,
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        _peak_rss_mb(),
     )
 
 

@@ -13,12 +13,23 @@ row-major convention (see :mod:`stableconv.tensors`).
 
 Univariate sampling uses the Chambers-Mallows-Stuck transform (Chambers,
 Mallows & Stuck 1976; Weron 1996), with the Gaussian and Cauchy endpoints
-special-cased to avoid the trigonometric singularities there.
+special-cased to avoid the trigonometric singularities there.  The uniform
+and exponential inputs of the transform are drawn serially from the caller's
+generator; the elementwise transform of a large draw is split into
+contiguous chunks, one per available core, on a private thread pool created
+on first use.  Elementwise ufuncs give the same bits on any chunk, so the
+values do not depend on the thread count.  A process forked from this one
+(such as a replica pool worker) transforms serially, so a process pool runs
+one transforming thread per worker.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +37,31 @@ import numpy as np
 # working-set budget of one block of bulk draws, shared by the replica blocks
 # of :mod:`stableconv.network` and the row blocks of sample_multivariate
 _BLOCK_BYTES = 1 << 20
+
+# a thread's share of one CMS transform is at least this many variates, so a
+# draw is split only where the hand-off to the pool costs little against it
+_MIN_CHUNK = 4096
+
+# atoms formatted per block of measure text; bounds the Python floats held
+# at once (a whole 45k-atom measure would take about 130 MB of them)
+_TEXT_ROWS = 256
+
+# cores this process may run on; a forked child sets it to 1
+_THREADS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _serial_after_fork() -> None:
+    # a forked child inherits the pool object but none of its threads, so
+    # work submitted to it would wait forever
+    global _THREADS, _pool, _pool_lock
+    _THREADS, _pool, _pool_lock = 1, None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_serial_after_fork)
 
 
 @dataclass(frozen=True)
@@ -78,12 +114,44 @@ def cf_univariate(params: StableParams, t):
     return complex(out) if np.isscalar(t) else out
 
 
+def _cms_transform(alpha: float, v: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """The CMS transform into ``out``, elementwise:
+    sin(a v) / cos(v)^(1/a) * (cos((1 - a) v) / w)^((1 - a)/a) for a = alpha,
+    with the operations of that expression in its order (the in-place powers
+    take numpy's same scalar-exponent paths) and one temporary.  ``w`` is
+    overwritten: its zeros become ``tiny``."""
+    w[w == 0.0] = np.finfo(np.float64).tiny
+    np.multiply(v, alpha, out=out)
+    np.sin(out, out=out)
+    tmp = np.cos(v)
+    tmp **= 1.0 / alpha
+    out /= tmp
+    np.multiply(v, 1.0 - alpha, out=tmp)
+    np.cos(tmp, out=tmp)
+    tmp /= w
+    tmp **= (1.0 - alpha) / alpha
+    out *= tmp
+
+
+def _thread_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _THREADS - 1), thread_name_prefix="stableconv-cms")
+        return _pool
+
+
 def sample_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
     """Draws with characteristic function exp(-|t|^alpha), i.e. symmetric
     stable with unit scale.
 
     Gaussian (alpha = 2) and Cauchy (alpha = 1) use their closed forms; other
-    indices use the Chambers-Mallows-Stuck transform.
+    indices use the Chambers-Mallows-Stuck transform.  Its uniform and then
+    its exponential inputs are drawn serially from ``rng``; a draw of at
+    least ``2 * _MIN_CHUNK`` variates is transformed in contiguous chunks of
+    at least ``_MIN_CHUNK``, one per available core, the calling thread
+    taking the first.  The values do not depend on the thread count, and a
+    forked process (a replica pool worker) transforms serially.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
@@ -93,12 +161,27 @@ def sample_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_cauchy(size)
     v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     w = rng.standard_exponential(size)
-    w = np.where(w == 0.0, np.finfo(np.float64).tiny, w)
-    return (
-        np.sin(alpha * v)
-        / np.cos(v) ** (1.0 / alpha)
-        * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
-    )
+    if size is None:
+        # numpy's scalar power is libm's pow, which its array loop need not
+        # match bit for bit, so a single variate keeps scalar arithmetic
+        w = w if w != 0.0 else np.finfo(np.float64).tiny
+        return (
+            np.sin(alpha * v)
+            / np.cos(v) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
+        )
+    out = np.empty_like(v)
+    parts = min(_THREADS, v.size // _MIN_CHUNK)
+    if parts < 2:
+        _cms_transform(alpha, v, w, out)
+        return out
+    pool = _thread_pool()
+    jobs = list(zip(*(np.array_split(a.reshape(-1), parts) for a in (v, w, out))))
+    futures = [pool.submit(_cms_transform, alpha, *job) for job in jobs[1:]]
+    _cms_transform(alpha, *jobs[0])
+    for future in futures:
+        future.result()
+    return out
 
 
 def sample_univariate(params: StableParams, rng: np.random.Generator, size=None):
@@ -317,20 +400,29 @@ def compress_measure(
     return SpectralMeasure(measure.alpha, weights, measure.directions[idx])
 
 
-def dump_measure(measure: SpectralMeasure) -> str:
-    """Serialize to the flat text format: a header with dimension, alpha and
-    total mass (plus the bias tag when present), then one atom per line as
-    weight followed by the direction components, 17 significant digits."""
+def _measure_text(measure: SpectralMeasure) -> Iterator[str]:
+    """The text of :func:`dump_measure` in pieces: the header line, then the
+    atom lines of ``_TEXT_ROWS`` atoms at a time, so that only one block of
+    atoms is ever held as Python floats."""
     header = (
         f"dimension={measure.dimension} alpha={measure.alpha:.17g} "
         f"total_mass={measure.total_mass:.17g}"
     )
     if measure.bias_index is not None:
         header += f" bias_index={measure.bias_index}"
-    lines = [header]
-    for w, s in zip(measure.weights, measure.directions):
-        lines.append(" ".join(f"{v:.17g}" for v in (w, *s)))
-    return "\n".join(lines) + "\n"
+    yield header + "\n"
+    line = " ".join(["%.17g"] * (measure.dimension + 1)) + "\n"
+    for start in range(0, measure.n_atoms, _TEXT_ROWS):
+        stop = start + _TEXT_ROWS
+        rows = np.column_stack([measure.weights[start:stop], measure.directions[start:stop]])
+        yield "".join([line % tuple(row) for row in rows.tolist()])
+
+
+def dump_measure(measure: SpectralMeasure) -> str:
+    """Serialize to the flat text format: a header with dimension, alpha and
+    total mass (plus the bias tag when present), then one atom per line as
+    weight followed by the direction components, 17 significant digits."""
+    return "".join(_measure_text(measure))
 
 
 def load_measure(text: str) -> SpectralMeasure:
@@ -358,8 +450,9 @@ def load_measure(text: str) -> SpectralMeasure:
 
 
 def save_measure(measure: SpectralMeasure, path) -> None:
+    """Write :func:`dump_measure`'s text block by block."""
     with open(path, "w") as fh:
-        fh.write(dump_measure(measure))
+        fh.writelines(_measure_text(measure))
 
 
 def read_measure(path) -> SpectralMeasure:

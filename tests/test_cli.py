@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +110,31 @@ class TestCommands:
         m2 = sc.read_measure(run / "measures" / "layer_02.txt")
         assert m1.dimension == m2.dimension == 8
         assert m1.bias_index == 0
+
+    def test_layer_peak_memory_is_the_runs_own(self, config_file, tmp_path):
+        # A launcher holding about 300 MB runs `limit` in a child.  On Linux
+        # the child's ru_maxrss starts from the launcher's peak; the logged
+        # peak must be the child's own, far below that.
+        out = tmp_path / "runs"
+        code = (
+            "import subprocess, sys\n"
+            "import numpy as np\n"
+            "ballast = np.ones(300 * 2**20 // 8)\n"
+            "subprocess.run([sys.executable, '-m', 'stableconv.cli', 'limit',\n"
+            f"                '-c', {str(config_file)!r}, '-o', {str(out)!r}], check=True)\n"
+            "print(ballast.sum())\n"
+        )
+        src = str(Path(sc.__file__).resolve().parents[1])
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            check=True,
+        )
+        log = (run_dir_of(config_file, out) / "run.log").read_text()
+        peaks = [float(v) for v in re.findall(r"^.*layer=\d+ .*peak_rss_mb=([\d.]+)", log, re.M)]
+        assert len(peaks) == 2
+        assert max(peaks) < 150.0
 
     def test_simulate_cache_round_trip(self, config_file, tmp_path):
         out = tmp_path / "runs"

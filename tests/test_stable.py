@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import stableconv as sc
+import stableconv.stable as stable_module
 
 from conftest import toy_inputs, toy_layer
 
@@ -238,6 +240,43 @@ class TestBlockedSampler:
         assert np.all(np.abs(cos.mean(axis=0) - theo) < 5.0 * se)
 
 
+# around the two-thread split threshold (2 x 4096 variates), plus a 2-D draw
+# that splits three ways on three threads
+_DRAW_SIZES = [None, 0, 1, 8191, 8193, (5, 4099)]
+# SHA-256 of _draw_digest's stream, computed before the transform was
+# threaded: any change to the draws shows here
+_DRAW_PINS = {
+    0.7: "da82fdbcd6667ae1eda934429d8d7ab4ed336629d67ed0a5b3ab7f612bc83822",
+    1.5: "86c404bdac5cd13044a6c335453f5ad583e8a3aad989c3e498a95f1d5527d61c",
+    1.9: "102c08e8bda3612cfa15798693be1e42fc641ffbdf526bd2b5561f9b9d2f501f",
+}
+
+
+def _draw_digest(alpha):
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    for size in _DRAW_SIZES:
+        h.update(np.asarray(sc.sample_standard(alpha, size, rng)).tobytes())
+    # 1000 atoms: three row blocks of 131 x 1000 variates each
+    m = make_measure(np.random.default_rng(5), dim=3, n_atoms=1000, alpha=alpha)
+    h.update(sc.sample_multivariate(m, rng, size=2 * 131 + 5).tobytes())
+    return h.hexdigest()
+
+
+class TestThreadedTransform:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", sorted(_DRAW_PINS))
+    def test_draws_pinned_for_any_thread_count(self, monkeypatch, alpha, threads):
+        monkeypatch.setattr(stable_module, "_THREADS", threads)
+        assert _draw_digest(alpha) == _DRAW_PINS[alpha]
+
+    def test_scalar_and_empty_draws(self, rng):
+        one = sc.sample_standard(1.5, None, rng)
+        assert type(one) is np.float64
+        none = sc.sample_standard(1.5, 0, rng)
+        assert isinstance(none, np.ndarray) and none.shape == (0,)
+
+
 class TestPsiAtom:
     def test_zero_gives_nothing(self):
         assert sc.psi_atom(np.zeros(4)) is None
@@ -367,6 +406,26 @@ class TestSerialization:
         sc.save_measure(m, path)
         again = sc.read_measure(path)
         assert np.array_equal(again.weights, m.weights)
+
+    def test_atom_lines_match_per_value_formatting(self, rng, tmp_path):
+        edge = sc.SpectralMeasure(
+            1.5,
+            [1e308, 1.0 / 3.0, 5e-324],
+            [[1.0, -0.0, 5e-324], [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], [-0.0, 1.0, 0.0]],
+            bias_index=1,
+        )
+        # 600 atoms span three blocks of text
+        for m in (edge, make_measure(rng, dim=5, n_atoms=600, bias=True)):
+            text = sc.dump_measure(m)
+            expected = [
+                " ".join(f"{v:.17g}" for v in (w, *d))
+                for w, d in zip(m.weights, m.directions)
+            ]
+            assert text.splitlines()[1:] == expected
+            sc.save_measure(m, tmp_path / "m.txt")
+            assert (tmp_path / "m.txt").read_text() == text
+        assert "bias_index=1" in sc.dump_measure(edge).splitlines()[0]
+        assert sc.dump_measure(edge).splitlines()[1].startswith("1e+308 1 -0 4.9406564584124654e-324")
 
     def test_corrupt_header_rejected(self):
         with pytest.raises(ValueError):
