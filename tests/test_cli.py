@@ -99,6 +99,16 @@ class TestConfig:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["limit", "-c", str(tmp_path / "nope.ini"), "-o", str(tmp_path)]) == 2
 
+    # recorded before the schema was declared once per key; a moved hash
+    # would move every run directory
+    @pytest.mark.parametrize("name, digest", [
+        ("toy.ini", "a1913ed748e63378"),
+        ("gauss.ini", "14eb251892c6cc65"),
+    ])
+    def test_demo_config_hash_pinned(self, name, digest):
+        demos = Path(__file__).resolve().parents[1] / "demos"
+        assert load_config(demos / name).config_hash == digest
+
 
 class TestCommands:
     def test_limit_writes_loadable_measures(self, config_file, tmp_path):

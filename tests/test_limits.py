@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -344,3 +345,76 @@ class TestLimitPipeline:
         probes = rng.standard_normal((50, 8))
         vals = sc.cf_multivariate(out, probes)
         assert np.all(vals > 0.0) and np.all(vals <= 1.0)
+
+
+def _pinned_case(case):
+    """The measures of one pinned constructor case, in order."""
+    u = np.array([0.1, 0.2, 0.3, 0.4])
+    l1 = sc.ConvLayerConfig(spatial_in=(5, 4), filter_shape=(3, 2), stride=(2, 1), padding=(1, 0))
+    x = sc.input_tensor(np.random.default_rng(3).standard_normal((2, 5, 4, 2)))
+    prev = sc.gamma_first(toy_inputs(seed=4), toy_layer(), 1.5, 1.0, 1.0)
+    if case == "first":
+        return [sc.gamma_first(x, l1, 1.5, 0.9, 0.7)]
+    if case == "first_no_bias":
+        # a zero channel: its slices carry no atoms
+        x = sc.input_tensor(x.data * np.array([1.0, 0.0])[:, None, None, None])
+        return [sc.gamma_first(x, l1, 1.5, 0.9, 0.0)]
+    if case == "conditional":
+        real = sc.Tensor(np.random.default_rng(5).standard_normal((3, 4, 2)),
+                         ("channel", "spatial", "input"))
+        return [sc.gamma_conditional(real, toy_layer(), 1.3, 0.8, 0.5, TANH)]
+    if case in ("next_mc", "next_mc_cap"):
+        cap = 50 if case == "next_mc_cap" else None
+        lcfg = sc.LimitConfig(mc_samples=300, atom_cap=cap)
+        return [sc.gamma_next_mc(prev, toy_layer(), 1.5, 1.0, 1.0, TANH, lcfg,
+                                 np.random.default_rng(6))]
+    if case in ("readout", "readout_cap"):
+        cap = 50 if case == "readout_cap" else None
+        lcfg = sc.LimitConfig(mc_samples=300, atom_cap=cap)
+        return [sc.readout_measure(prev, toy_layer(), 1.5, 1.0, 1.0, TANH, u, lcfg,
+                                   np.random.default_rng(7))]
+    if case in ("readout_limit_1", "readout_limit_3"):
+        spec = toy_spec(n_layers=int(case[-1]))
+        return [sc.readout_limit(spec, u, sc.LimitConfig(mc_samples=300, seed=2))]
+    if case == "stack_4":
+        return sc.limit_measures(toy_spec(n_layers=4), sc.LimitConfig(mc_samples=300, seed=3))
+    if case == "sigma_w_zero":
+        lcfg = sc.LimitConfig(mc_samples=300, seed=3)
+        stack = sc.limit_measures(toy_spec(n_layers=2, sigma_w=0.0), lcfg)
+        readout = sc.readout_measure(stack[-1], toy_layer(), 1.5, 0.0, 1.0, TANH, u, lcfg,
+                                     np.random.default_rng(8))
+        return stack + [readout]
+    raise AssertionError(case)
+
+
+class TestMeasurePins:
+    # SHA-256 of the dump_measure text of every measure a constructor case
+    # builds.  Recorded before the constructors shared one slice builder;
+    # any change to atoms, weights, their order or the bias atom shows here.
+    @pytest.mark.parametrize("case, digest", [
+        ("first",
+         "97af5cb9aa41ecbe6d0555b2967abe6b8bdc4b975b8f8358ed10cec51d2f24be"),
+        ("first_no_bias",
+         "3b3c5613ad5221d82bbb6011a92a04a10a15680435e786a051fee594403c2275"),
+        ("conditional",
+         "2180cf03675aea4b18ae885ece066ecaf92904b23e179ed299a8f9665de3f3aa"),
+        ("next_mc",
+         "13759afda93c270de1580bac234409928350e298e76624c6c23d0999e42fdd0d"),
+        ("next_mc_cap",
+         "63d34e0714250b4e8f6aa04a3068f05614dab6310156bfcd5d20e04d07cf223d"),
+        ("readout",
+         "ec1fd11b5a7b006c568ce016b3e8206b3d488e09b6b1e236c77c6b59d03c95b6"),
+        ("readout_cap",
+         "bf0fcc872614ae267edbe643993ff3f90dcc80ce9f8d2833cd58dc7e708408cc"),
+        ("readout_limit_1",
+         "2fef46ebe9b3d8a871cf92474d284c4346bc72e7546720786c8ab870f0a84a18"),
+        ("readout_limit_3",
+         "6ab0ddf3dd8e8c46561838411e2ac559374bf4ab56d4952bd20c86ae88afaaba"),
+        ("stack_4",
+         "0eb9f4c6d6e81c7bfb77e8f9ffda299301b3ae08e7630a5db0d57ff8fc34f758"),
+        ("sigma_w_zero",
+         "2d9ea136b3b2641c454dd5b96d34ef521039fb5620f21fa3e9bfbfb6a635280e"),
+    ])
+    def test_dump_pinned(self, case, digest):
+        text = "".join(sc.dump_measure(m) for m in _pinned_case(case))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
