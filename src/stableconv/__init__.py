@@ -7,13 +7,9 @@ from .tensors import (
     ConvLayerConfig,
     PatchMap,
     Tensor,
-    bias_product,
     build_patch_map,
-    extract_patches,
-    frobenius,
     input_tensor,
     patch_map_for,
-    square_product,
 )
 from .stable import (
     ProjectedStableParams,

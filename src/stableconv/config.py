@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +33,42 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split())
 
 
+def _bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# how an option's value is parsed from INI text and written back
+_Kind = namedtuple("_Kind", "parse show")
+
+_FLOAT = _Kind(float, lambda v: f"{v:.17g}")
+_INT = _Kind(int, str)
+_STR = _Kind(str, str)
+_INTS = _Kind(_ints, lambda v: " ".join(map(str, v)))
+_BOOL = _Kind(_bool, lambda v: str(v).lower())
+_OPTIONAL_INT = _Kind(
+    lambda text: int(text) if text.strip() else None,
+    lambda v: "" if v is None else str(v),
+)
+
+
+def _option(section: str, kind: _Kind, default=MISSING, key: str | None = None):
+    """A RunConfig field read from ``key`` of ``[section]`` (the field's own
+    name by default), with the value taken when the key is absent."""
+    return field(metadata={"section": section, "key": key, "kind": kind, "default": default})
+
+
+def _options():
+    """(field name, section, key, kind, default) of every RunConfig field, in
+    the order of the canonical text.  ``layers``, filled from the
+    ``[layer.N]`` sections, is the one field without a section."""
+    for f in fields(RunConfig):
+        m = f.metadata
+        yield f.name, m.get("section"), m.get("key") or f.name, m.get("kind"), m.get("default")
+
+
 @dataclass(frozen=True)
 class LayerGeometry:
     filter_shape: tuple[int, ...]
@@ -39,84 +76,59 @@ class LayerGeometry:
     padding: tuple[int, ...]
 
 
+# [layer.N] keys: (key, LayerGeometry attribute, per-axis default)
+_LAYER_KEYS = (("filter", "filter_shape", 1), ("stride", "stride", 1), ("padding", "padding", 0))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    alpha: float
-    sigma_w: float
-    sigma_b: float
-    channels: int
-    activation: str
-    seed: int
-    in_channels: int
-    spatial: tuple[int, ...]
-    n_inputs: int
-    input_kind: str
-    input_path: str
+    """A parsed run configuration.  Each field but ``layers`` is one INI
+    option, declared here once with its section, key and default; the
+    ``[layer.N]`` sections fill ``layers``, in the canonical text between
+    ``[input]`` and ``[limit]``."""
+
+    alpha: float = _option("network", _FLOAT)
+    sigma_w: float = _option("network", _FLOAT, 1.0)
+    sigma_b: float = _option("network", _FLOAT, 1.0)
+    channels: int = _option("network", _INT, 64)
+    activation: str = _option("network", _STR, "tanh")
+    seed: int = _option("network", _INT, 0)
+    in_channels: int = _option("input", _INT, 1, key="channels")
+    spatial: tuple[int, ...] = _option("input", _INTS)
+    n_inputs: int = _option("input", _INT, 1, key="num_inputs")
+    input_kind: str = _option("input", _STR, "gaussian", key="kind")
+    input_path: str = _option("input", _STR, "", key="path")
     layers: tuple[LayerGeometry, ...]
-    mc_samples: int
-    atom_cap: int | None
-    limit_seed: int
-    channel_counts: tuple[int, ...]
-    n_replicas: int
-    n_probes: int
-    max_sup_dist: float
-    require_decreasing: bool
-    timing_in_csv: bool
-    workers: int
-    max_factorization_defect: float
-    max_mixture_dist: float
-    oracle_mc_samples: int
-    oracle_max_diag_rel_err: float
+    mc_samples: int = _option("limit", _INT, 10_000)
+    atom_cap: int | None = _option("limit", _OPTIONAL_INT, None)
+    limit_seed: int = _option("limit", _INT, 0, key="seed")
+    channel_counts: tuple[int, ...] = _option("verify", _INTS, (4, 16, 64))
+    n_replicas: int = _option("verify", _INT, 2000)
+    n_probes: int = _option("verify", _INT, 20)
+    max_sup_dist: float = _option("verify", _FLOAT, 0.05)
+    require_decreasing: bool = _option("verify", _BOOL, True)
+    timing_in_csv: bool = _option("verify", _BOOL, False)
+    workers: int = _option("verify", _INT, 1)
+    max_factorization_defect: float = _option("verify", _FLOAT, 0.07)
+    max_mixture_dist: float = _option("verify", _FLOAT, 0.05)
+    oracle_mc_samples: int = _option("oracle", _INT, 10_000, key="mc_samples")
+    oracle_max_diag_rel_err: float = _option("oracle", _FLOAT, 0.05, key="max_diag_rel_err")
 
     def resolved_text(self) -> str:
         """Canonical rendering; the basis of the configuration hash."""
-        lines = [
-            "[network]",
-            f"alpha = {self.alpha:.17g}",
-            f"sigma_w = {self.sigma_w:.17g}",
-            f"sigma_b = {self.sigma_b:.17g}",
-            f"channels = {self.channels}",
-            f"activation = {self.activation}",
-            f"seed = {self.seed}",
-            "",
-            "[input]",
-            f"channels = {self.in_channels}",
-            f"spatial = {' '.join(map(str, self.spatial))}",
-            f"num_inputs = {self.n_inputs}",
-            f"kind = {self.input_kind}",
-            f"path = {self.input_path}",
-        ]
-        for i, layer in enumerate(self.layers, start=1):
-            lines += [
-                "",
-                f"[layer.{i}]",
-                f"filter = {' '.join(map(str, layer.filter_shape))}",
-                f"stride = {' '.join(map(str, layer.stride))}",
-                f"padding = {' '.join(map(str, layer.padding))}",
-            ]
-        lines += [
-            "",
-            "[limit]",
-            f"mc_samples = {self.mc_samples}",
-            f"atom_cap = {'' if self.atom_cap is None else self.atom_cap}",
-            f"seed = {self.limit_seed}",
-            "",
-            "[verify]",
-            f"channel_counts = {' '.join(map(str, self.channel_counts))}",
-            f"n_replicas = {self.n_replicas}",
-            f"n_probes = {self.n_probes}",
-            f"max_sup_dist = {self.max_sup_dist:.17g}",
-            f"require_decreasing = {str(self.require_decreasing).lower()}",
-            f"timing_in_csv = {str(self.timing_in_csv).lower()}",
-            f"workers = {self.workers}",
-            f"max_factorization_defect = {self.max_factorization_defect:.17g}",
-            f"max_mixture_dist = {self.max_mixture_dist:.17g}",
-            "",
-            "[oracle]",
-            f"mc_samples = {self.oracle_mc_samples}",
-            f"max_diag_rel_err = {self.oracle_max_diag_rel_err:.17g}",
-        ]
-        return "\n".join(lines) + "\n"
+        lines = []
+        current = None
+        for name, section, key, kind, _ in _options():
+            if section is None:
+                for i, layer in enumerate(self.layers, start=1):
+                    lines += ["", f"[layer.{i}]"]
+                    lines += [f"{k} = {_INTS.show(getattr(layer, a))}" for k, a, _ in _LAYER_KEYS]
+            else:
+                if section != current:
+                    lines += ["", f"[{section}]"]
+                    current = section
+                lines.append(f"{key} = {kind.show(getattr(self, name))}")
+        return "\n".join(lines[1:]) + "\n"
 
     @property
     def config_hash(self) -> str:
@@ -126,14 +138,8 @@ class RunConfig:
         configs = []
         spatial = self.spatial
         for layer in self.layers:
-            cfg = ConvLayerConfig(
-                spatial_in=spatial,
-                filter_shape=layer.filter_shape,
-                stride=layer.stride,
-                padding=layer.padding,
-            )
-            configs.append(cfg)
-            spatial = cfg.spatial_out
+            configs.append(ConvLayerConfig(spatial_in=spatial, **asdict(layer)))
+            spatial = configs[-1].spatial_out
         return tuple(configs)
 
     def make_inputs(self):
@@ -172,74 +178,48 @@ class RunConfig:
         )
 
 
+def _layer(section, n_axes: int) -> LayerGeometry:
+    """One [layer.N] section; a single value applies to every spatial axis."""
+    values = {}
+    for key, attr, default in _LAYER_KEYS:
+        raw = section.get(key, fallback=None)
+        vals = (default,) if raw is None else _ints(raw)
+        values[attr] = vals * n_axes if len(vals) == 1 and n_axes > 1 else vals
+    return LayerGeometry(**values)
+
+
 def load_config(path) -> RunConfig:
+    """Parse an INI file.  Booleans take configparser's spellings (true/false,
+    yes/no, on/off, 1/0); an unknown section or key is an error."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(path)
-    net = parser["network"]
-    inp = parser["input"]
-    layer_sections = sorted(
-        (s for s in parser.sections() if s.startswith("layer.")),
-        key=lambda s: int(s.split(".", 1)[1]),
-    )
+    if parser.defaults():
+        raise ValueError("unknown section [DEFAULT]")
+    values = {}
+    known = {"layer.N": {key for key, _, _ in _LAYER_KEYS}}
+    for name, section, key, kind, default in _options():
+        if section is None:
+            continue
+        known.setdefault(section, set()).add(key)
+        raw = parser.get(section, key, fallback=None)
+        if raw is not None:
+            values[name] = kind.parse(raw)
+        elif default is MISSING:
+            raise ValueError(f"[{section}] {key} is required")
+        else:
+            values[name] = default
+    layer_sections = [s for s in parser.sections() if s.startswith("layer.")]
+    for section in parser.sections():
+        allowed = known.get("layer.N" if section in layer_sections else section)
+        if allowed is None:
+            raise ValueError(f"unknown section [{section}]")
+        unknown = set(parser[section]) - allowed
+        if unknown:
+            raise ValueError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
     if not layer_sections:
         raise ValueError("at least one [layer.N] section is required")
-    spatial = _ints(inp.get("spatial"))
-    layers = []
-    for section in layer_sections:
-        sec = parser[section]
-        n = len(spatial)
-
-        def axis_vals(key, default):
-            raw = sec.get(key, fallback=None)
-            if raw is None:
-                return (default,) * n
-            vals = _ints(raw)
-            return vals * n if len(vals) == 1 and n > 1 else vals
-
-        layers.append(
-            LayerGeometry(
-                filter_shape=axis_vals("filter", 1),
-                stride=axis_vals("stride", 1),
-                padding=axis_vals("padding", 0),
-            )
-        )
-    lim = parser["limit"] if parser.has_section("limit") else {}
-    ver = parser["verify"] if parser.has_section("verify") else {}
-    ora = parser["oracle"] if parser.has_section("oracle") else {}
-    atom_cap_raw = lim.get("atom_cap", "") if lim else ""
-    return RunConfig(
-        alpha=net.getfloat("alpha"),
-        sigma_w=net.getfloat("sigma_w", fallback=1.0),
-        sigma_b=net.getfloat("sigma_b", fallback=1.0),
-        channels=net.getint("channels", fallback=64),
-        activation=net.get("activation", fallback="tanh"),
-        seed=net.getint("seed", fallback=0),
-        in_channels=inp.getint("channels", fallback=1),
-        spatial=spatial,
-        n_inputs=inp.getint("num_inputs", fallback=1),
-        input_kind=inp.get("kind", fallback="gaussian"),
-        input_path=inp.get("path", fallback=""),
-        layers=tuple(layers),
-        mc_samples=int(lim.get("mc_samples", 10_000)) if lim else 10_000,
-        atom_cap=int(atom_cap_raw) if str(atom_cap_raw).strip() else None,
-        limit_seed=int(lim.get("seed", 0)) if lim else 0,
-        channel_counts=_ints(ver.get("channel_counts", "4 16 64")) if ver else (4, 16, 64),
-        n_replicas=int(ver.get("n_replicas", 2000)) if ver else 2000,
-        n_probes=int(ver.get("n_probes", 20)) if ver else 20,
-        max_sup_dist=float(ver.get("max_sup_dist", 0.05)) if ver else 0.05,
-        require_decreasing=str(ver.get("require_decreasing", "true")).lower() == "true"
-        if ver
-        else True,
-        timing_in_csv=str(ver.get("timing_in_csv", "false")).lower() == "true"
-        if ver
-        else False,
-        workers=int(ver.get("workers", 1)) if ver else 1,
-        max_factorization_defect=float(ver.get("max_factorization_defect", 0.07))
-        if ver
-        else 0.07,
-        max_mixture_dist=float(ver.get("max_mixture_dist", 0.05)) if ver else 0.05,
-        oracle_mc_samples=int(ora.get("mc_samples", 10_000)) if ora else 10_000,
-        oracle_max_diag_rel_err=float(ora.get("max_diag_rel_err", 0.05)) if ora else 0.05,
-    )
+    layer_sections.sort(key=lambda s: int(s.split(".", 1)[1]))
+    n_axes = len(values["spatial"])
+    values["layers"] = tuple(_layer(parser[s], n_axes) for s in layer_sections)
+    return RunConfig(**values)

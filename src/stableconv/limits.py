@@ -18,10 +18,12 @@ Zero slices contribute no atom.  All atom weights use the Euclidean norm of
 the flattened slice raised to the alpha power; directions are the
 Euclidean-normalized slices.
 
+That rule and the bias atom are written once, in the builder
+:func:`_slice_measure`; every measure constructor is a thin wrapper over it.
 The closed-form characteristic functions (``cf_layer1_closed_form`` and
 ``cf_conditional_closed_form``) evaluate the same laws by a direct product
-formula with their own index arithmetic; they share no code with the measure
-constructors and serve as exact oracles for them.
+formula with their own index arithmetic; they share no code with the
+builder and serve as exact oracles for it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ import logging
 import resource
 import time
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .network import NetworkSpec, RNG_DOMAIN_LIMIT, ActivationSpec
-from .stable import SpectralMeasure, compress_measure, sample_multivariate
+from .stable import _BLOCK_BYTES, SpectralMeasure, compress_measure, empty_measure, sample_multivariate
 from .tensors import ConvLayerConfig, Tensor, patch_map_for
 
 log = logging.getLogger(__name__)
@@ -61,33 +64,99 @@ class LimitConfig:
             raise ValueError("atom_cap must be >= 1")
 
 
-def _bias_atom(sigma_b: float, dim: int, alpha: float):
-    """Weight and direction of the bias atom pair over a flat space of the
-    given dimension, or None when sigma_b is zero."""
-    if sigma_b == 0.0:
-        return None
-    weight = sigma_b**alpha * dim ** (alpha / 2.0)
-    direction = np.full(dim, 1.0 / np.sqrt(dim))
-    return weight, direction
+def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndarray:
+    """The fields a layer's measure is built from, as (n, input positions, K).
+
+    ``source`` is data or a realization with (channel, *spatial, K) axes, one
+    field per channel, or the previous layer's measure, from which
+    ``n_draws`` flat fields are drawn with ``rng``.  A measure is checked
+    against the layer's input positions before anything is drawn.
+    """
+    n_in = cfg.n_positions_in
+    if isinstance(source, SpectralMeasure):
+        if source.n_atoms == 0:
+            raise ValueError("previous layer's measure is empty")
+        if source.dimension % n_in != 0:
+            raise ValueError(
+                f"measure dimension {source.dimension} is not a multiple of "
+                f"the layer's {n_in} input positions"
+            )
+        draws = sample_multivariate(source, rng, size=n_draws)
+        return draws.reshape(n_draws, n_in, source.dimension // n_in)
+    if source.shape[1:-1] != cfg.spatial_in:
+        raise ValueError("fields must have (channel, *spatial, input) axes matching the layer")
+    return source.data.reshape(source.shape[0], n_in, source.shape[-1])
 
 
-def _atoms_from_slices(slices: np.ndarray, sigma_w: float, alpha: float):
-    """Atom pairs from flat slices: weight sigma_w^alpha * ||v||^alpha at
-    direction v/||v||; zero-norm or zero-weight slices are dropped."""
-    norms = np.linalg.norm(slices, axis=1)
+def _readout_weights(u, cfg: ConvLayerConfig) -> np.ndarray:
+    """Flat readout weights over the layer's output positions; they must
+    contract the all-ones position tensor to 1."""
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    if u.shape[0] != cfg.n_positions_out:
+        raise ValueError(
+            f"u has {u.shape[0]} entries, layer has {cfg.n_positions_out} output positions"
+        )
+    if abs(u.sum() - 1.0) > 1e-12:
+        raise ValueError("u must contract the all-ones position tensor to 1")
+    return u
+
+
+def _slice_measure(
+    fields: np.ndarray,
+    cfg: ConvLayerConfig,
+    alpha: float,
+    sigma_w: float,
+    sigma_b: float,
+    activation: ActivationSpec | None = None,
+    u: np.ndarray | None = None,
+    atom_cap: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> SpectralMeasure:
+    """A layer's spectral measure from the patch slices of n ``fields``.
+
+    The (filter offset, output position) patches of every field are
+    activated when ``activation`` is given (hidden layers), and their output
+    positions are contracted against ``u`` when readout weights are given.
+    Each nonzero slice v then carries one atom pair of weight
+    sigma_w^alpha * ||v||^alpha, divided by n on hidden layers, at direction
+    v / ||v||.  ``atom_cap`` compresses those atoms with ``rng``.  The exact
+    bias atom, sigma_b^alpha * dim^(alpha/2) along the all-ones direction,
+    goes first.
+    """
+    n = fields.shape[0]
+    slices = patch_map_for(cfg).gather(fields, axis=1)  # (n, n_off, n_pos, K)
+    if activation is not None:
+        slices = activation(slices)
+    if u is not None:
+        slices = np.einsum("p,ngpk->ngk", u, slices)
+    dim = prod(slices.shape[2:])
+    slices = slices.reshape(n * cfg.n_offsets, dim)
+    # No full-size temporary is made from here on: one freed below the
+    # measure's directions would stay resident, and forked replica workers
+    # would inherit it.  Norms by row blocks equal those of one whole call.
+    rows = max(1, _BLOCK_BYTES // (8 * dim))
+    norms = np.empty(len(slices))
+    for start in range(0, len(slices), rows):
+        norms[start : start + rows] = np.linalg.norm(slices[start : start + rows], axis=1)
     weights = sigma_w**alpha * norms**alpha
     keep = weights > 0.0
-    if not np.any(keep):
-        return np.zeros(0), np.zeros((0, slices.shape[1]))
-    return weights[keep], slices[keep] / norms[keep, None]
-
-
-def _assemble(alpha, dim, bias, weights, directions) -> SpectralMeasure:
-    if bias is None:
-        return SpectralMeasure(alpha, weights, directions, bias_index=None)
-    w = np.concatenate([[bias[0]], weights])
-    d = np.vstack([bias[1][None, :], directions])
-    return SpectralMeasure(alpha, w, d, bias_index=0)
+    n_bias = 0 if sigma_b == 0.0 else 1
+    # take buffers its output unless mode is "clip"; every index is in range
+    directions = np.empty((n_bias + np.count_nonzero(keep), dim))
+    directions[:n_bias] = 1.0 / np.sqrt(dim)
+    atoms = directions[n_bias:]
+    np.take(slices, np.flatnonzero(keep), axis=0, out=atoms, mode="clip")
+    atoms /= norms[keep, None]
+    weights = weights[keep]
+    if activation is not None:
+        weights = weights / n
+    if atom_cap is not None:
+        capped = compress_measure(SpectralMeasure(alpha, weights, atoms), atom_cap, rng)
+        weights = capped.weights
+        directions = np.concatenate([directions[:n_bias], capped.directions])
+    if n_bias:
+        weights = np.concatenate([[sigma_b**alpha * dim ** (alpha / 2.0)], weights])
+    return SpectralMeasure(alpha, weights, directions, bias_index=0 if n_bias else None)
 
 
 def gamma_first(
@@ -100,19 +169,7 @@ def gamma_first(
     filter offset) carries the normalized patch slice of the data, weighted
     by sigma_w^alpha times its norm to the alpha.  Deterministic.
     """
-    pm = patch_map_for(cfg)
-    s_dim = len(cfg.spatial_in)
-    if x.data.ndim != s_dim + 2:
-        raise ValueError("inputs must have (channel, *spatial, input) axes")
-    if x.shape[1 : 1 + s_dim] != cfg.spatial_in:
-        raise ValueError("input spatial extents do not match the layer")
-    c0 = x.shape[0]
-    k = x.shape[-1]
-    dim = cfg.n_positions_out * k
-    patches = pm.gather(x.data.reshape(c0, -1, k), axis=1)  # (C0, n_off, n_pos, K)
-    slices = patches.reshape(c0 * cfg.n_offsets, dim)
-    weights, dirs = _atoms_from_slices(slices, sigma_w, alpha)
-    return _assemble(alpha, dim, _bias_atom(sigma_b, dim, alpha), weights, dirs)
+    return _slice_measure(_fields(x, cfg), cfg, alpha, sigma_w, sigma_b)
 
 
 def _patch_value(x: np.ndarray, cfg: ConvLayerConfig, c, p_multi, g_multi, k):
@@ -191,22 +248,7 @@ def gamma_conditional(
     Same structure as the first layer with data replaced by activated patch
     slices of the realization and each slice weight divided by C.
     """
-    pm = patch_map_for(cfg)
-    s_dim = len(cfg.spatial_in)
-    if prev.data.ndim != s_dim + 2:
-        raise ValueError("realization must have (channel, *spatial, input) axes")
-    if prev.shape[1 : 1 + s_dim] != cfg.spatial_in:
-        raise ValueError("realization spatial extents do not match the layer")
-    c = prev.shape[0]
-    k = prev.shape[-1]
-    dim = cfg.n_positions_out * k
-    patches = pm.gather(prev.data.reshape(c, -1, k), axis=1)
-    acts = activation(patches)
-    slices = acts.reshape(c * cfg.n_offsets, dim)
-    weights, dirs = _atoms_from_slices(slices, sigma_w, alpha)
-    return _assemble(
-        alpha, dim, _bias_atom(sigma_b, dim, alpha), weights / c, dirs
-    )
+    return _slice_measure(_fields(prev, cfg), cfg, alpha, sigma_w, sigma_b, activation)
 
 
 def cf_conditional_closed_form(
@@ -236,32 +278,6 @@ def cf_conditional_closed_form(
     return float(out[0]) if single else out
 
 
-def _mc_activated_slices(
-    prev_measure: SpectralMeasure,
-    cfg: ConvLayerConfig,
-    activation: ActivationSpec,
-    m_samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Activated patch slices of ``m_samples`` fields drawn from the previous
-    layer's law: returns (m_samples, n_offsets, n_positions_out, K).
-
-    All offsets of one sample come from the same field draw.
-    """
-    n_in = cfg.n_positions_in
-    if prev_measure.dimension % n_in != 0:
-        raise ValueError(
-            f"measure dimension {prev_measure.dimension} is not a multiple of "
-            f"the layer's {n_in} input positions"
-        )
-    k = prev_measure.dimension // n_in
-    fields = sample_multivariate(prev_measure, rng, size=m_samples)
-    fields = fields.reshape(m_samples, n_in, k)
-    pm = patch_map_for(cfg)
-    patches = pm.gather(fields, axis=1)  # (M, n_off, n_pos, K)
-    return activation(patches)
-
-
 def gamma_next_mc(
     prev_measure: SpectralMeasure,
     cfg: ConvLayerConfig,
@@ -278,27 +294,12 @@ def gamma_next_mc(
     of fields drawn from the previous layer's limit law, one atom pair per
     (sample, offset) at weight sigma_w^alpha * ||slice||^alpha / M.
     """
-    if prev_measure.n_atoms == 0:
-        raise ValueError("previous layer's measure is empty")
-    n_in = cfg.n_positions_in
-    if prev_measure.dimension % n_in != 0:
-        raise ValueError(
-            f"measure dimension {prev_measure.dimension} is not a multiple of "
-            f"the layer's {n_in} input positions"
-        )
-    k = prev_measure.dimension // n_in
-    dim = cfg.n_positions_out * k
-    bias = _bias_atom(sigma_b, dim, alpha)
-    if sigma_w == 0.0:
-        return _assemble(alpha, dim, bias, np.zeros(0), np.zeros((0, dim)))
-    m = limit_cfg.mc_samples
-    acts = _mc_activated_slices(prev_measure, cfg, activation, m, rng)
-    slices = acts.reshape(m * cfg.n_offsets, dim)
-    weights, dirs = _atoms_from_slices(slices, sigma_w, alpha)
-    mc = SpectralMeasure(alpha, weights / m, dirs)
-    if limit_cfg.atom_cap is not None:
-        mc = compress_measure(mc, limit_cfg.atom_cap, rng)
-    return _assemble(alpha, dim, bias, mc.weights, mc.directions)
+    return _slice_measure(
+        _fields(prev_measure, cfg, limit_cfg.mc_samples, rng),
+        cfg, alpha, sigma_w, sigma_b, activation,
+        atom_cap=limit_cfg.atom_cap,
+        rng=rng,
+    )
 
 
 def mixture_measure(base: SpectralMeasure, z, alpha: float | None = None) -> SpectralMeasure:
@@ -314,9 +315,7 @@ def mixture_measure(base: SpectralMeasure, z, alpha: float | None = None) -> Spe
     z_norm = float(np.sum(np.abs(z) ** alpha))
     keep = np.arange(base.n_atoms) != base.bias_index
     if z_norm == 0.0:
-        return SpectralMeasure(
-            alpha, np.zeros(0), np.zeros((0, base.dimension)), bias_index=None
-        )
+        return empty_measure(alpha, base.dimension)
     return SpectralMeasure(
         alpha, base.weights[keep] * z_norm, base.directions[keep], bias_index=None
     )
@@ -339,28 +338,13 @@ def readout_measure(
     Each Monte Carlo atom is the u-contraction of an activated patch slice;
     zero contractions contribute nothing.
     """
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    if u.shape[0] != cfg.n_positions_out:
-        raise ValueError(
-            f"u has {u.shape[0]} entries, layer has {cfg.n_positions_out} output positions"
-        )
-    if abs(u.sum() - 1.0) > 1e-12:
-        raise ValueError("u must contract the all-ones position tensor to 1")
-    if prev_measure.n_atoms == 0:
-        raise ValueError("previous layer's measure is empty")
-    n_in = cfg.n_positions_in
-    k = prev_measure.dimension // n_in
-    bias = _bias_atom(sigma_b, k, alpha)
-    if sigma_w == 0.0:
-        return _assemble(alpha, k, bias, np.zeros(0), np.zeros((0, k)))
-    m = limit_cfg.mc_samples
-    acts = _mc_activated_slices(prev_measure, cfg, activation, m, rng)
-    contracted = np.einsum("p,mgpk->mgk", u, acts).reshape(m * cfg.n_offsets, k)
-    weights, dirs = _atoms_from_slices(contracted, sigma_w, alpha)
-    mc = SpectralMeasure(alpha, weights / m, dirs)
-    if limit_cfg.atom_cap is not None:
-        mc = compress_measure(mc, limit_cfg.atom_cap, rng)
-    return _assemble(alpha, k, bias, mc.weights, mc.directions)
+    u = _readout_weights(u, cfg)
+    return _slice_measure(
+        _fields(prev_measure, cfg, limit_cfg.mc_samples, rng),
+        cfg, alpha, sigma_w, sigma_b, activation, u,
+        atom_cap=limit_cfg.atom_cap,
+        rng=rng,
+    )
 
 
 def _layer_rng(limit_cfg: LimitConfig, layer: int) -> np.random.Generator:
@@ -437,18 +421,9 @@ def readout_limit(spec: NetworkSpec, u, limit_cfg: LimitConfig) -> SpectralMeasu
     """
     last = spec.layers[-1]
     if spec.n_layers == 1:
-        u_arr = np.asarray(u, dtype=np.float64).reshape(-1)
-        if u_arr.shape[0] != last.n_positions_out:
-            raise ValueError("u does not match the output positions")
-        if abs(u_arr.sum() - 1.0) > 1e-12:
-            raise ValueError("u must contract the all-ones position tensor to 1")
-        k = spec.n_inputs
-        pm = patch_map_for(last)
-        patches = pm.gather(spec.inputs.data.reshape(spec.in_channels, -1, k), axis=1)
-        contracted = np.einsum("p,cgpk->cgk", u_arr, patches).reshape(-1, k)
-        weights, dirs = _atoms_from_slices(contracted, spec.sigma_w, spec.alpha)
-        return _assemble(
-            spec.alpha, k, _bias_atom(spec.sigma_b, k, spec.alpha), weights, dirs
+        return _slice_measure(
+            _fields(spec.inputs, last), last, spec.alpha, spec.sigma_w, spec.sigma_b,
+            u=_readout_weights(u, last),
         )
     prev = limit_measures(
         dataclasses.replace(spec, layers=spec.layers[:-1]), limit_cfg

@@ -34,8 +34,6 @@ from .stable import _BLOCK_BYTES, sample_standard
 from .tensors import (
     OUT_OF_BOUNDS,
     ConvLayerConfig,
-    ROLE_INPUT,
-    ROLE_POSITION,
     Tensor,
     patch_map_for,
 )
@@ -234,11 +232,6 @@ class FiniteOutputs:
     def flat(self) -> np.ndarray:
         """(n_channels_out, positions*K), row-major position-major layout."""
         return self.fields.reshape(self.n_channels, -1)
-
-    def channel(self, c: int) -> Tensor:
-        s_dim = self.fields.ndim - 2
-        roles = (ROLE_POSITION,) * s_dim + (ROLE_INPUT,)
-        return Tensor(self.fields[c], roles)
 
 
 def _forward_block(

@@ -159,17 +159,12 @@ def sample_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
         return np.sqrt(2.0) * rng.standard_normal(size)
     if alpha == 1.0:
         return rng.standard_cauchy(size)
-    v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
-    w = rng.standard_exponential(size)
     if size is None:
         # numpy's scalar power is libm's pow, which its array loop need not
-        # match bit for bit, so a single variate keeps scalar arithmetic
-        w = w if w != 0.0 else np.finfo(np.float64).tiny
-        return (
-            np.sin(alpha * v)
-            / np.cos(v) ** (1.0 / alpha)
-            * (np.cos((1.0 - alpha) * v) / w) ** ((1.0 - alpha) / alpha)
-        )
+        # match bit for bit: one transform keeps size None equal to size 1
+        return sample_standard(alpha, 1, rng)[0]
+    v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
+    w = rng.standard_exponential(size)
     out = np.empty_like(v)
     parts = min(_THREADS, v.size // _MIN_CHUNK)
     if parts < 2:
@@ -222,7 +217,8 @@ class SpectralMeasure:
         if w.size and not np.all(w > 0.0):
             raise ValueError("atom weights must be positive")
         if d.size:
-            norms = np.linalg.norm(d, axis=1)
+            # einsum sums the squares without a full-size temporary
+            norms = np.sqrt(np.einsum("ij,ij->i", d, d))
             if np.max(np.abs(norms - 1.0)) > self._UNIT_TOL:
                 raise ValueError("atom directions must be unit vectors")
         if self.bias_index is not None and not 0 <= self.bias_index < w.shape[0]:

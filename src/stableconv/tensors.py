@@ -1,16 +1,17 @@
-"""Dense tensors with named axis roles, plus the contraction, outer-product
-and patch-extraction operations used by the convolutional stack.
+"""Role-tagged input tensors, layer geometry and the precomputed patch
+gather used by the convolutional stack.
 
-Axis roles tell the channel, spatial, filter-offset, output-position and
-input-index axes apart.  Everything in this package flattens arrays in
-row-major (C) order over the declared axes; in particular a field over output
-positions and inputs embeds into flat coordinates position-major,
-input-minor.  All modules share that single convention.
+Axis roles tell the channel, spatial and input-index axes of the inputs
+apart.  Everything in this package flattens arrays in row-major (C) order
+over the declared axes; in particular a field over output positions and
+inputs embeds into flat coordinates position-major, input-minor.  All modules
+share that single convention.
 
 Patch extraction is precomputed: a :class:`PatchMap` turns a layer
 configuration into an index table from (output position, filter offset) to a
 flat input position, with out-of-bounds slots marked.  Extraction itself is a
-gather; out-of-bounds slots read as zero (zero padding).
+gather; out-of-bounds slots read as zero (zero padding).  A convolution is
+that gather followed by one matmul against the flattened filters.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ OUT_OF_BOUNDS = -1
 
 ROLE_CHANNEL = "channel"
 ROLE_SPATIAL = "spatial"
-ROLE_FILTER = "filter"
-ROLE_POSITION = "position"
 ROLE_INPUT = "input"
 
 
@@ -53,16 +52,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def axes(self) -> tuple[tuple[str, int], ...]:
-        """(role, extent) pairs in declaration order."""
-        return tuple(zip(self.roles, self.data.shape))
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Row-major flat view of the entries."""
-        return self.data.reshape(-1)
-
 
 def input_tensor(data) -> Tensor:
     """Wrap an input array of shape (channels, *spatial, inputs)."""
@@ -71,50 +60,6 @@ def input_tensor(data) -> Tensor:
         raise ValueError("inputs need at least (channel, spatial, input) axes")
     roles = (ROLE_CHANNEL,) + (ROLE_SPATIAL,) * (arr.ndim - 2) + (ROLE_INPUT,)
     return Tensor(arr, roles)
-
-
-def frobenius(a: Tensor, b: Tensor) -> float:
-    """Entrywise product summed over all axes of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a.data * b.data))
-
-
-def square_product(a: Tensor, b: Tensor, contracted_axes=None) -> Tensor:
-    """Batched contraction: free axes of ``a`` index independent full
-    contractions against ``b``.
-
-    ``contracted_axes`` names the axes of ``a`` (by position) that must match
-    ``b``'s shape exactly, in order; it defaults to the trailing axes.  With a
-    single free axis and a single contracted axis this is the ordinary
-    matrix-vector product.
-    """
-    nb = b.data.ndim
-    if contracted_axes is None:
-        contracted_axes = tuple(range(a.data.ndim - nb, a.data.ndim))
-    contracted_axes = tuple(int(i) for i in contracted_axes)
-    if (
-        len(contracted_axes) != nb
-        or any(i < 0 or i >= a.data.ndim for i in contracted_axes)
-        or tuple(a.shape[i] for i in contracted_axes) != b.shape
-    ):
-        raise ValueError(
-            "contracted axes of the left tensor must match the right tensor's shape"
-        )
-    keep = set(contracted_axes)
-    free_axes = tuple(i for i in range(a.data.ndim) if i not in keep)
-    free_shape = tuple(a.shape[i] for i in free_axes)
-    # row-major reduction over the flattened contracted axes, kept deterministic
-    moved = np.transpose(a.data, free_axes + contracted_axes)
-    prods = moved.reshape(-1, b.data.size) * b.flat
-    out = prods.sum(axis=1).reshape(free_shape)
-    roles = tuple(a.roles[i] for i in free_axes)
-    return Tensor(out, roles)
-
-
-def bias_product(a: Tensor, b: Tensor) -> Tensor:
-    """Outer product: entry at (d, e) is ``a_d * b_e``."""
-    return Tensor(np.multiply.outer(a.data, b.data), a.roles + b.roles)
 
 
 def _as_axis_tuple(value, ndim: int, name: str) -> tuple[int, ...]:
@@ -262,38 +207,3 @@ def patch_map_for(config: ConvLayerConfig) -> PatchMap:
     """Cached :func:`build_patch_map`; layer configs are reused heavily."""
     return build_patch_map(config)
 
-
-def extract_patches(x: Tensor, pmap: PatchMap) -> Tensor:
-    """Extract all moving-window patches of ``x``.
-
-    ``x`` has axes (channel, *spatial) or (channel, *spatial, input); the
-    result has axes (channel, *filter offset, *output position[, input]).
-    """
-    cfg = pmap.config
-    s_dim = len(cfg.spatial_in)
-    if x.data.ndim == s_dim + 1:
-        has_input = False
-    elif x.data.ndim == s_dim + 2:
-        has_input = True
-    else:
-        raise ValueError(
-            f"expected {s_dim + 1} or {s_dim + 2} axes, got {x.data.ndim}"
-        )
-    if x.shape[1 : 1 + s_dim] != cfg.spatial_in:
-        raise ValueError(
-            f"spatial extents {x.shape[1:1 + s_dim]} do not match {cfg.spatial_in}"
-        )
-    channels = x.shape[0]
-    k = x.shape[-1] if has_input else 1
-    flat = x.data.reshape(channels, cfg.n_positions_in, k)
-    gathered = pmap.gather(flat, axis=1)  # (C, n_off, n_pos, K)
-    out_shape = (channels,) + cfg.filter_shape + cfg.spatial_out
-    roles = (
-        (ROLE_CHANNEL,)
-        + (ROLE_FILTER,) * s_dim
-        + (ROLE_POSITION,) * s_dim
-    )
-    if has_input:
-        out_shape = out_shape + (k,)
-        roles = roles + (ROLE_INPUT,)
-    return Tensor(gathered.reshape(out_shape), roles)

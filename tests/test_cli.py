@@ -109,6 +109,36 @@ class TestConfig:
         demos = Path(__file__).resolve().parents[1] / "demos"
         assert load_config(demos / name).config_hash == digest
 
+    @pytest.mark.parametrize("key", ["require_decreasing", "timing_in_csv"])
+    @pytest.mark.parametrize("raw, value", [
+        ("true", True), ("yes", True), ("1", True), ("on", True), ("True", True),
+        ("false", False), ("no", False), ("0", False), ("off", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, key, raw, value):
+        text = TINY_CONFIG.replace("require_decreasing = false\n", "")
+        path = tmp_path / "bool.ini"
+        path.write_text(text.replace("n_probes = 20", f"n_probes = 20\n{key} = {raw}"))
+        cfg = load_config(path)
+        assert getattr(cfg, key) is value
+        # the canonical text spells booleans one way, so the hash does not move
+        assert f"{key} = {str(value).lower()}\n" in cfg.resolved_text()
+
+    @pytest.mark.parametrize("edit", [
+        ("require_decreasing = false", "require_decreasing = ture"),
+        ("require_decreasing = false", "require_decreasing = false\ntiming_in_csv = maybe"),
+        ("n_replicas = 3000", "n_replica = 10000"),
+        ("[oracle]", "[oracle]\nmc_sample = 5"),
+        ("[layer.2]", "[layer.2]\nfilters = 3"),
+        ("[oracle]", "[verfiy]\nn_probes = 5\n\n[oracle]"),
+        ("[network]", "[DEFAULT]\nseed = 1\n\n[network]"),
+    ])
+    def test_bad_input_rejected(self, tmp_path, edit):
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace(*edit))
+        with pytest.raises(ValueError):
+            load_config(path)
+        assert main(["limit", "-c", str(path), "-o", str(tmp_path / "runs")]) == 2
+
 
 class TestCommands:
     def test_limit_writes_loadable_measures(self, config_file, tmp_path):

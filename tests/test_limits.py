@@ -247,6 +247,15 @@ class TestReadoutMeasure:
             sc.readout_measure(prev, toy_layer(), 1.5, 1.0, 1.0, TANH,
                                np.full(4, 0.3), sc.LimitConfig(mc_samples=10), rng)
 
+    def test_dimension_checked_without_weights(self, rng):
+        # sigma_w = 0 draws nothing, but a measure that does not fit the
+        # layer's input positions is still rejected
+        bad = sc.SpectralMeasure(1.5, np.ones(1), np.full((1, 7), 1 / np.sqrt(7)))
+        for sigma_w in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                sc.readout_measure(bad, toy_layer(), 1.5, sigma_w, 1.0, TANH,
+                                   np.full(4, 0.25), sc.LimitConfig(mc_samples=10), rng)
+
     def test_indicator_u_marginalizes_exactly(self):
         # contracting with a one-position indicator must match probing the
         # full measure only at that position, given the same field draws

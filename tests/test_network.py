@@ -107,12 +107,6 @@ class TestForwardFinite:
         for c in range(3):
             assert np.all(out.fields[c] == out.last_biases[c])
 
-    def test_channel_accessor(self):
-        out = sc.forward_finite(toy_spec(), 2, np.random.default_rng(0))
-        chan = out.channel(1)
-        assert chan.shape == (4, 2)
-        assert np.array_equal(chan.data, out.fields[1])
-
     def test_bad_channel_count(self):
         with pytest.raises(ValueError):
             sc.forward_finite(toy_spec(), 0, np.random.default_rng(0))
