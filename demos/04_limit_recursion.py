@@ -32,7 +32,7 @@ print(f"layer 1: {g1.n_atoms} atom pairs, total mass {g1.total_mass:.4f}, "
       f"closed-form gap {gap:.2e}")
 
 # --- conditional on a realization: exact again --------------------------------
-real = sc.Tensor(rng.standard_normal((8, 4, 2)), ("channel", "spatial", "input"))
+real = rng.standard_normal((8, 4, 2))  # (channel, position, input)
 cond = sc.gamma_conditional(real, layer, alpha, sigma_w, sigma_b, tanh)
 gap = np.abs(
     sc.cf_multivariate(cond, probes)

@@ -2,17 +2,8 @@
 simulation, infinite-channel limit laws via spectral-measure recursion, and
 characteristic-function verification of the convergence."""
 
-from .tensors import (
-    OUT_OF_BOUNDS,
-    ConvLayerConfig,
-    PatchMap,
-    Tensor,
-    build_patch_map,
-    input_tensor,
-    patch_map_for,
-)
+from .tensors import OUT_OF_BOUNDS, ConvLayerConfig, PatchMap, input_tensor, patch_map_for
 from .stable import (
-    ProjectedStableParams,
     SpectralMeasure,
     StableParams,
     cf_multivariate,
@@ -22,7 +13,6 @@ from .stable import (
     empty_measure,
     load_measure,
     project_1d,
-    psi_atom,
     read_measure,
     sample_multivariate,
     sample_standard,

@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .limits import limit_measures, mixture_measure
+from .limits import LimitConfig, limit_measures, mixture_measure
 from .network import (
+    NetworkSpec,
     load_replicas,
     replica_block_size,
     sample_replicas,
@@ -73,21 +74,20 @@ def _measure_path(run: Path, layer: int) -> Path:
     return d / f"layer_{layer:02d}.txt"
 
 
-def _compute_and_save_limit(cfg: RunConfig, run: Path):
-    measures = limit_measures(cfg.build_spec(), cfg.limit_config())
+def _compute_and_save_limit(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path):
+    measures = limit_measures(spec, limit_cfg)
     for layer, measure in enumerate(measures, start=1):
         save_measure(measure, _measure_path(run, layer))
     return measures
 
 
-def cmd_limit(cfg: RunConfig, run: Path) -> int:
-    measures = _compute_and_save_limit(cfg, run)
+def cmd_limit(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path) -> int:
+    measures = _compute_and_save_limit(spec, limit_cfg, run)
     log.info("cached %d layer measures under %s", len(measures), run / "measures")
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, run: Path, channels: int | None, replicas: int | None) -> int:
-    spec = cfg.build_spec(channels=channels)
+def cmd_simulate(cfg: RunConfig, spec: NetworkSpec, run: Path, replicas: int | None) -> int:
     n = cfg.n_replicas if replicas is None else replicas
     t0 = time.perf_counter()
     reps = sample_replicas(spec, n, n_channels=2, workers=cfg.workers)
@@ -105,12 +105,12 @@ def cmd_simulate(cfg: RunConfig, run: Path, channels: int | None, replicas: int 
     return 0
 
 
-def _load_or_compute_target(cfg: RunConfig, run: Path):
-    last = _measure_path(run, len(cfg.layers))
+def _load_or_compute_target(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path):
+    last = _measure_path(run, spec.n_layers)
     if last.exists():
         log.info("using cached limit measure %s", last)
         return read_measure(last)
-    return _compute_and_save_limit(cfg, run)[-1]
+    return _compute_and_save_limit(spec, limit_cfg, run)[-1]
 
 
 def _write_probe_csv(run: Path, probes, theo) -> None:
@@ -121,9 +121,8 @@ def _write_probe_csv(run: Path, probes, theo) -> None:
     (run / "probes.csv").write_text("\n".join(lines) + "\n")
 
 
-def cmd_verify(cfg: RunConfig, run: Path) -> int:
-    target = _load_or_compute_target(cfg, run)
-    spec = cfg.build_spec()
+def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: Path) -> int:
+    target = _load_or_compute_target(spec, limit_cfg, run)
     probes = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed)
     theo = cf_multivariate(target, probes.probes)
     _write_probe_csv(run, probes, theo)
@@ -131,7 +130,7 @@ def cmd_verify(cfg: RunConfig, run: Path) -> int:
         spec,
         cfg.channel_counts,
         cfg.n_replicas,
-        cfg.limit_config(),
+        limit_cfg,
         probes=probes,
         workers=cfg.workers,
         target=target,
@@ -208,12 +207,11 @@ def _independence_from_cache(cfg: RunConfig, run: Path, target) -> list[str]:
     return failures
 
 
-def cmd_oracle(cfg: RunConfig, run: Path) -> int:
+def cmd_oracle(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: Path) -> int:
     if cfg.alpha != 2.0:
         log.error("the oracle command requires alpha = 2 in the configuration")
         return 2
-    spec = cfg.build_spec()
-    result = gaussian_oracle_check(spec, cfg.limit_config(cfg.oracle_mc_samples))
+    result = gaussian_oracle_check(spec, limit_cfg)
     lines = [
         "metric,value",
         f"max_diag_rel_err,{result.max_diag_rel_err:.12g}",
@@ -231,7 +229,7 @@ def cmd_oracle(cfg: RunConfig, run: Path) -> int:
     return 0
 
 
-def cmd_report(cfg: RunConfig, run: Path) -> int:
+def cmd_report(run: Path) -> int:
     sweep = run / "sweep.csv"
     if not sweep.exists():
         log.error("no sweep.csv in %s; run `verify` first", run)
@@ -278,22 +276,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # everything a command builds from the file is built here, so a bad
+        # value exits before the run directory exists
         cfg = load_config(args.config)
+        spec = cfg.build_spec(getattr(args, "channels", None))
+        limit_cfg = cfg.limit_config(cfg.oracle_mc_samples if args.command == "oracle" else None)
     except Exception as exc:  # bad config is a usage error, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
     run = _run_dir(cfg, args.out)
     _setup_logging(run)
     if args.command == "limit":
-        return cmd_limit(cfg, run)
+        return cmd_limit(spec, limit_cfg, run)
     if args.command == "simulate":
-        return cmd_simulate(cfg, run, args.channels, args.replicas)
+        return cmd_simulate(cfg, spec, run, args.replicas)
     if args.command == "verify":
-        return cmd_verify(cfg, run)
+        return cmd_verify(cfg, spec, limit_cfg, run)
     if args.command == "oracle":
-        return cmd_oracle(cfg, run)
+        return cmd_oracle(cfg, spec, limit_cfg, run)
     if args.command == "report":
-        return cmd_report(cfg, run)
+        return cmd_report(run)
     raise AssertionError(f"unhandled command {args.command}")
 
 

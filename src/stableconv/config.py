@@ -16,7 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 from collections import namedtuple
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .network import (
     get_activation,
 )
 from .tensors import ConvLayerConfig, input_tensor
+from .verify import RADIUS_FACTORS
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -69,14 +70,7 @@ def _options():
         yield f.name, m.get("section"), m.get("key") or f.name, m.get("kind"), m.get("default")
 
 
-@dataclass(frozen=True)
-class LayerGeometry:
-    filter_shape: tuple[int, ...]
-    stride: tuple[int, ...]
-    padding: tuple[int, ...]
-
-
-# [layer.N] keys: (key, LayerGeometry attribute, per-axis default)
+# [layer.N] keys: (key, ConvLayerConfig attribute, per-axis default)
 _LAYER_KEYS = (("filter", "filter_shape", 1), ("stride", "stride", 1), ("padding", "padding", 0))
 
 
@@ -84,8 +78,9 @@ _LAYER_KEYS = (("filter", "filter_shape", 1), ("stride", "stride", 1), ("padding
 class RunConfig:
     """A parsed run configuration.  Each field but ``layers`` is one INI
     option, declared here once with its section, key and default; the
-    ``[layer.N]`` sections fill ``layers``, in the canonical text between
-    ``[input]`` and ``[limit]``."""
+    ``[layer.N]`` sections fill ``layers`` with chained layer geometries
+    (each one's input extents are the previous one's output), in the
+    canonical text between ``[input]`` and ``[limit]``."""
 
     alpha: float = _option("network", _FLOAT)
     sigma_w: float = _option("network", _FLOAT, 1.0)
@@ -98,7 +93,7 @@ class RunConfig:
     n_inputs: int = _option("input", _INT, 1, key="num_inputs")
     input_kind: str = _option("input", _STR, "gaussian", key="kind")
     input_path: str = _option("input", _STR, "", key="path")
-    layers: tuple[LayerGeometry, ...]
+    layers: tuple[ConvLayerConfig, ...]
     mc_samples: int = _option("limit", _INT, 10_000)
     atom_cap: int | None = _option("limit", _OPTIONAL_INT, None)
     limit_seed: int = _option("limit", _INT, 0, key="seed")
@@ -113,6 +108,17 @@ class RunConfig:
     max_mixture_dist: float = _option("verify", _FLOAT, 0.05)
     oracle_mc_samples: int = _option("oracle", _INT, 10_000, key="mc_samples")
     oracle_max_diag_rel_err: float = _option("oracle", _FLOAT, 0.05, key="max_diag_rel_err")
+
+    def __post_init__(self):
+        if self.n_replicas < 1:
+            raise ValueError("[verify] n_replicas must be >= 1")
+        if self.n_probes < len(RADIUS_FACTORS):
+            # fewer probes leave radius factors unused, and the probe set
+            # then rarely reaches both a small and a large CF value
+            raise ValueError(f"[verify] n_probes must be >= {len(RADIUS_FACTORS)}")
+        counts = self.channel_counts
+        if not counts or counts[0] < 1 or any(b <= a for a, b in zip(counts, counts[1:])):
+            raise ValueError("[verify] channel_counts must be positive and strictly increasing")
 
     def resolved_text(self) -> str:
         """Canonical rendering; the basis of the configuration hash."""
@@ -135,12 +141,7 @@ class RunConfig:
         return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:16]
 
     def layer_configs(self) -> tuple[ConvLayerConfig, ...]:
-        configs = []
-        spatial = self.spatial
-        for layer in self.layers:
-            configs.append(ConvLayerConfig(spatial_in=spatial, **asdict(layer)))
-            spatial = configs[-1].spatial_out
-        return tuple(configs)
+        return self.layers
 
     def make_inputs(self):
         shape = (self.in_channels, *self.spatial, self.n_inputs)
@@ -178,14 +179,15 @@ class RunConfig:
         )
 
 
-def _layer(section, n_axes: int) -> LayerGeometry:
-    """One [layer.N] section; a single value applies to every spatial axis."""
+def _layer(section, spatial_in: tuple[int, ...]) -> ConvLayerConfig:
+    """One [layer.N] section over the given input extents; a single value
+    applies to every spatial axis."""
     values = {}
     for key, attr, default in _LAYER_KEYS:
         raw = section.get(key, fallback=None)
         vals = (default,) if raw is None else _ints(raw)
-        values[attr] = vals * n_axes if len(vals) == 1 and n_axes > 1 else vals
-    return LayerGeometry(**values)
+        values[attr] = vals[0] if len(vals) == 1 else vals
+    return ConvLayerConfig(spatial_in=spatial_in, **values)
 
 
 def load_config(path) -> RunConfig:
@@ -220,6 +222,8 @@ def load_config(path) -> RunConfig:
     if not layer_sections:
         raise ValueError("at least one [layer.N] section is required")
     layer_sections.sort(key=lambda s: int(s.split(".", 1)[1]))
-    n_axes = len(values["spatial"])
-    values["layers"] = tuple(_layer(parser[s], n_axes) for s in layer_sections)
+    layers = []
+    for s in layer_sections:
+        layers.append(_layer(parser[s], layers[-1].spatial_out if layers else values["spatial"]))
+    values["layers"] = tuple(layers)
     return RunConfig(**values)

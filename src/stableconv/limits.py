@@ -11,8 +11,11 @@ inputs).  Its spectral measure obeys a backward recursion over layers:
   activated patch slice at weight 1/C each;
 * the unconditional limit integrates activated patch slices of a field drawn
   from the previous layer's limit law.  That integral is estimated here by
-  Monte Carlo: each sample draws ONE full field and slices every filter
-  offset from it, because the offsets are coupled through the same draw.
+  Monte Carlo: each sample draws one full field and slices every filter
+  offset from it.  Each offset's term depends only on the marginal law of
+  its own slice, so slicing the offsets from separate draws would give the
+  same expected measure; sharing one draw changes only the Monte Carlo
+  variance, and costs one field draw per sample instead of one per offset.
 
 Zero slices contribute no atom.  All atom weights use the Euclidean norm of
 the flattened slice raised to the alpha power; directions are the
@@ -39,7 +42,7 @@ import numpy as np
 
 from .network import NetworkSpec, RNG_DOMAIN_LIMIT, ActivationSpec
 from .stable import _BLOCK_BYTES, SpectralMeasure, compress_measure, empty_measure, sample_multivariate
-from .tensors import ConvLayerConfig, Tensor, patch_map_for
+from .tensors import ConvLayerConfig, patch_map_for
 
 log = logging.getLogger(__name__)
 
@@ -83,9 +86,10 @@ def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndar
             )
         draws = sample_multivariate(source, rng, size=n_draws)
         return draws.reshape(n_draws, n_in, source.dimension // n_in)
+    source = np.asarray(source, dtype=np.float64)
     if source.shape[1:-1] != cfg.spatial_in:
         raise ValueError("fields must have (channel, *spatial, input) axes matching the layer")
-    return source.data.reshape(source.shape[0], n_in, source.shape[-1])
+    return source.reshape(source.shape[0], n_in, source.shape[-1])
 
 
 def _readout_weights(u, cfg: ConvLayerConfig) -> np.ndarray:
@@ -160,7 +164,7 @@ def _slice_measure(
 
 
 def gamma_first(
-    x: Tensor, cfg: ConvLayerConfig, alpha: float, sigma_w: float, sigma_b: float
+    x: np.ndarray, cfg: ConvLayerConfig, alpha: float, sigma_w: float, sigma_b: float
 ) -> SpectralMeasure:
     """Exact spectral measure of a first-layer output channel, jointly over
     output positions and inputs.
@@ -207,7 +211,7 @@ def _oracle_slices(x: np.ndarray, cfg: ConvLayerConfig):
 
 
 def cf_layer1_closed_form(
-    x: Tensor,
+    x: np.ndarray,
     cfg: ConvLayerConfig,
     alpha: float,
     sigma_w: float,
@@ -228,14 +232,14 @@ def cf_layer1_closed_form(
     if probes.shape[1] != dim:
         raise ValueError(f"probe dimension {probes.shape[1]} != {dim}")
     expo = sigma_b**alpha * np.abs(probes.sum(axis=1)) ** alpha
-    for vec in _oracle_slices(x.data, cfg):
+    for vec in _oracle_slices(x, cfg):
         expo = expo + sigma_w**alpha * np.abs(probes @ vec) ** alpha
     out = np.exp(-expo)
     return float(out[0]) if single else out
 
 
 def gamma_conditional(
-    prev: Tensor,
+    prev: np.ndarray,
     cfg: ConvLayerConfig,
     alpha: float,
     sigma_w: float,
@@ -252,7 +256,7 @@ def gamma_conditional(
 
 
 def cf_conditional_closed_form(
-    prev: Tensor,
+    prev: np.ndarray,
     cfg: ConvLayerConfig,
     alpha: float,
     sigma_w: float,
@@ -271,7 +275,7 @@ def cf_conditional_closed_form(
     if probes.shape[1] != dim:
         raise ValueError(f"probe dimension {probes.shape[1]} != {dim}")
     expo = sigma_b**alpha * np.abs(probes.sum(axis=1)) ** alpha
-    for vec in _oracle_slices(prev.data, cfg):
+    for vec in _oracle_slices(prev, cfg):
         phi_vec = activation(vec)
         expo = expo + sigma_w**alpha / c * np.abs(probes @ phi_vec) ** alpha
     out = np.exp(-expo)
@@ -302,13 +306,13 @@ def gamma_next_mc(
     )
 
 
-def mixture_measure(base: SpectralMeasure, z, alpha: float | None = None) -> SpectralMeasure:
+def mixture_measure(base: SpectralMeasure, z) -> SpectralMeasure:
     """Spectral measure of a bias-stripped channel mixture with weights z.
 
     Drops the tagged bias atom and multiplies the remaining weights by
     sum_c |z_c|^alpha.  The base measure must carry its bias tag.
     """
-    alpha = base.alpha if alpha is None else float(alpha)
+    alpha = base.alpha
     if base.bias_index is None:
         raise ValueError("base measure has no tagged bias atom")
     z = np.asarray(z, dtype=np.float64)

@@ -31,12 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .stable import _BLOCK_BYTES, sample_standard
-from .tensors import (
-    OUT_OF_BOUNDS,
-    ConvLayerConfig,
-    Tensor,
-    patch_map_for,
-)
+from .tensors import OUT_OF_BOUNDS, ConvLayerConfig, input_tensor, patch_map_for
 
 # spawn-key domains keep replica, limit-recursion and probe streams disjoint
 RNG_DOMAIN_REPLICA = 1
@@ -130,9 +125,10 @@ def get_activation(name: str) -> ActivationSpec:
 class NetworkSpec:
     """Configuration of one stable-parameter network over K inputs.
 
-    ``inputs`` has axes (input channels, *spatial, K).  Layer configs must
-    chain spatially, and all hidden layers share the channel count
-    ``channels``.  ``sigma_w`` and ``sigma_b`` may be zero (degenerate draws).
+    ``inputs`` is an array with axes (input channels, *spatial, K), checked
+    and stored as float64.  Layer configs must chain spatially, and all
+    hidden layers share the channel count ``channels``.  ``sigma_w`` and
+    ``sigma_b`` may be zero (degenerate draws).
     """
 
     alpha: float
@@ -141,7 +137,7 @@ class NetworkSpec:
     layers: tuple[ConvLayerConfig, ...]
     activation: ActivationSpec
     channels: int
-    inputs: Tensor
+    inputs: np.ndarray
     seed: int = 0
 
     def __post_init__(self):
@@ -159,26 +155,11 @@ class NetworkSpec:
                 raise ValueError(
                     f"layers do not chain: {prev.spatial_out} -> {nxt.spatial_in}"
                 )
-        for i, cfg in enumerate(layers):
-            expect_in = self.inputs.shape[0] if i == 0 else self.channels
-            if cfg.channels_in is not None and cfg.channels_in != expect_in:
-                raise ValueError(
-                    f"layer {i + 1} declares {cfg.channels_in} input channels, "
-                    f"network provides {expect_in}"
-                )
-            if (
-                cfg.channels_out is not None
-                and i < len(layers) - 1
-                and cfg.channels_out != self.channels
-            ):
-                raise ValueError(
-                    f"hidden layer {i + 1} declares {cfg.channels_out} output "
-                    f"channels, network uses {self.channels}"
-                )
+        inputs = input_tensor(self.inputs)
         s_dim = len(layers[0].spatial_in)
-        if self.inputs.data.ndim != s_dim + 2:
+        if inputs.ndim != s_dim + 2:
             raise ValueError("inputs must have (channel, *spatial, input) axes")
-        if self.inputs.shape[1 : 1 + s_dim] != layers[0].spatial_in:
+        if inputs.shape[1 : 1 + s_dim] != layers[0].spatial_in:
             raise ValueError("input spatial extents do not match the first layer")
         if self.alpha < 2.0 and self.activation.beta >= 1.0:
             raise ValueError(
@@ -186,6 +167,7 @@ class NetworkSpec:
                 f"{self.activation.beta} >= 1, not admissible for alpha < 2"
             )
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "inputs", inputs)
 
     @property
     def n_layers(self) -> int:
@@ -248,7 +230,7 @@ def _forward_block(
     scale = spec.channels ** (-1.0 / spec.alpha)
     k = spec.n_inputs
     phi0 = spec.activation(np.zeros(1))[0]
-    field = spec.inputs.data.reshape(spec.in_channels, -1, k)
+    field = spec.inputs.reshape(spec.in_channels, -1, k)
     biases = None
     for l, cfg in enumerate(spec.layers):
         pm = patch_map_for(cfg)
@@ -412,6 +394,7 @@ def channel_mixture(outputs, z, biases, channels=None) -> np.ndarray:
 
 
 _CACHE_MAGIC = b"SCREPL1\x00"
+_CACHE_HEADER = struct.Struct("<dqQQQ")  # alpha, seed, n, c, d
 
 
 def save_replicas(path, reps: ReplicaSet) -> None:
@@ -420,22 +403,32 @@ def save_replicas(path, reps: ReplicaSet) -> None:
     n, c, d = reps.outputs.shape
     with open(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<dqQQQ", reps.alpha, reps.seed, n, c, d))
+        fh.write(_CACHE_HEADER.pack(reps.alpha, reps.seed, n, c, d))
         fh.write(reps.outputs.astype("<f8").tobytes())
         fh.write(reps.biases.astype("<f8").tobytes())
 
 
 def load_replicas(path) -> ReplicaSet:
+    """Read a :func:`save_replicas` file.  Its length must be exactly the
+    header plus the 8 * (n*c*d + n*c) data bytes that header declares."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"{path}: not a replica cache file")
-        alpha, seed, n, c, d = struct.unpack("<dqQQQ", fh.read(8 * 5))
-        out = np.frombuffer(fh.read(8 * n * c * d), dtype="<f8").reshape(n, c, d)
-        bias = np.frombuffer(fh.read(8 * n * c), dtype="<f8").reshape(n, c)
+        raw = fh.read()
+    if raw[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
+        raise ValueError(f"{path}: not a replica cache file")
+    start = len(_CACHE_MAGIC) + _CACHE_HEADER.size
+    if len(raw) < start:
+        raise ValueError(f"{path}: replica cache header is truncated")
+    alpha, seed, n, c, d = _CACHE_HEADER.unpack_from(raw, len(_CACHE_MAGIC))
+    expected = 8 * (n * c * d + n * c)
+    if len(raw) - start != expected:
+        raise ValueError(
+            f"{path}: replica cache has {len(raw) - start} data bytes, its header "
+            f"(n={n}, c={c}, d={d}) declares {expected}"
+        )
+    values = np.frombuffer(raw, dtype="<f8", offset=start).astype(np.float64)
     return ReplicaSet(
-        outputs=out.astype(np.float64),
-        biases=bias.astype(np.float64),
+        outputs=values[: n * c * d].reshape(n, c, d),
+        biases=values[n * c * d :].reshape(n, c),
         alpha=alpha,
         seed=seed,
     )

@@ -66,52 +66,27 @@ os.register_at_fork(after_in_child=_serial_after_fork)
 
 @dataclass(frozen=True)
 class StableParams:
-    """Parameters of a univariate stable law.
-
-    ``alpha`` is the stability index in (0, 2], ``sigma`` the scale,
-    ``tau`` the skewness in [-1, 1] and ``mu`` the shift.  Only the symmetric
-    case (tau = mu = 0) is ever sampled from; the characteristic function is
-    evaluated for all parameter values.
-    """
+    """Parameters of a symmetric univariate stable law: the stability index
+    ``alpha`` in (0, 2] and the scale ``sigma`` >= 0.  sigma = 0 is the point
+    mass at zero, the law of a projection orthogonal to every atom."""
 
     alpha: float
     sigma: float
-    tau: float = 0.0
-    mu: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not -1.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [-1, 1], got {self.tau}")
-
-
-def _cf_exponent(alpha, sigma, tau, mu, t):
-    t = np.asarray(t, dtype=np.float64)
-    at = np.abs(t)
-    if alpha == 1.0:
-        with np.errstate(divide="ignore"):
-            logterm = np.where(at > 0.0, np.log(np.where(at > 0.0, at, 1.0)), 0.0)
-        skew = 1.0 + 1j * tau * (2.0 / np.pi) * np.sign(t) * logterm
-        psi = -sigma * at * skew + 1j * mu * t
-    else:
-        tan_half = 0.0 if alpha == 2.0 else np.tan(np.pi * alpha / 2.0)
-        skew = 1.0 + 1j * tau * tan_half * np.sign(t)
-        psi = -(sigma**alpha) * at**alpha * skew + 1j * mu * t
-    return psi
+        if not self.sigma >= 0.0:
+            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
 
 def cf_univariate(params: StableParams, t):
-    """Characteristic function of a univariate stable law.
-
-    Real-valued when tau = mu = 0; always 1 at t = 0.  ``t`` may be a scalar
-    or an array.
-    """
-    psi = _cf_exponent(params.alpha, params.sigma, params.tau, params.mu, t)
-    out = np.exp(psi)
-    return complex(out) if np.isscalar(t) else out
+    """Characteristic function exp(-sigma^alpha |t|^alpha) of a symmetric
+    stable law: real, 1 at t = 0, and identically 1 when sigma = 0.  ``t``
+    may be a scalar or an array."""
+    at = np.abs(np.asarray(t, dtype=np.float64))
+    out = np.exp(-(params.sigma**params.alpha) * at**params.alpha)
+    return float(out) if np.isscalar(t) else out
 
 
 def _cms_transform(alpha: float, v: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
@@ -180,10 +155,8 @@ def sample_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_univariate(params: StableParams, rng: np.random.Generator, size=None):
-    """Sample a symmetric stable law (tau must be 0; mu shifts the draw)."""
-    if params.tau != 0.0:
-        raise NotImplementedError("only symmetric laws are sampled")
-    draws = params.mu + params.sigma * sample_standard(params.alpha, size, rng)
+    """Sample a symmetric stable law: ``sigma`` times standard draws."""
+    draws = params.sigma * sample_standard(params.alpha, size, rng)
     return float(draws) if size is None else draws
 
 
@@ -307,70 +280,22 @@ def sample_multivariate(
     return out[0] if size is None else out
 
 
-def psi_atom(z) -> tuple[np.ndarray, float] | None:
-    """Normalize a vector to the unit sphere, returning (direction, norm);
-    the zero vector contributes nothing and returns None."""
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    norm = float(np.linalg.norm(z))
-    if norm == 0.0:
-        return None
-    return z / norm, norm
-
-
-@dataclass(frozen=True)
-class ProjectedStableParams:
-    """Univariate stable parameters of a one-dimensional projection <u, X>."""
-
-    alpha: float
-    sigma: float
-    tau: float
-    mu: float
-
-    def cf(self, t):
-        """Characteristic function; handles the degenerate sigma = 0 case."""
-        if self.sigma == 0.0:
-            t = np.asarray(t, dtype=np.float64)
-            out = np.exp(1j * self.mu * t)
-            return complex(out) if out.ndim == 0 else out
-        return cf_univariate(
-            StableParams(self.alpha, self.sigma, self.tau, self.mu), t
-        )
-
-
-def project_1d(measure: SpectralMeasure, u, alpha: float | None = None) -> ProjectedStableParams:
+def project_1d(measure: SpectralMeasure, u) -> StableParams:
     """Parameters of the univariate law of <u, X> for X with the given
     spectral measure.
 
-    The skewness and shift functionals are evaluated per symmetric atom pair,
-    so they cancel to exactly zero for the pair convention used here; the
-    scale is (sum over +/- atoms of mass * |<u, s>|^alpha)^(1/alpha).
+    The law is symmetric stable with the measure's alpha and scale
+    (sum_j w_j |<u, s_j>|^alpha)^(1/alpha); the scale is 0 when ``u`` is
+    orthogonal to every atom or the measure is empty.
     """
-    alpha = measure.alpha if alpha is None else float(alpha)
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     if u.shape[0] != measure.dimension:
         raise ValueError(
             f"projection dimension {u.shape[0]} != measure dimension {measure.dimension}"
         )
-    if measure.n_atoms == 0:
-        return ProjectedStableParams(alpha, 0.0, 0.0, 0.0)
-    dots = measure.directions @ u
-    half = measure.weights / 2.0
-    mag_pos = np.abs(dots) ** alpha
-    mag_neg = np.abs(-dots) ** alpha
-    sigma_a = float(np.sum(half * (mag_pos + mag_neg)))
-    sigma = sigma_a ** (1.0 / alpha)
-    if sigma_a == 0.0:
-        return ProjectedStableParams(alpha, 0.0, 0.0, 0.0)
-    # each pair's two signed terms are identical floats, so they cancel exactly
-    tau_num = np.sum(half * (mag_pos * np.sign(dots) + mag_neg * np.sign(-dots)))
-    tau = float(tau_num) / sigma_a
-    if alpha == 1.0:
-        with np.errstate(divide="ignore"):
-            logs = np.where(dots != 0.0, np.log(np.abs(np.where(dots != 0.0, dots, 1.0))), 0.0)
-        mu = -(2.0 / np.pi) * float(np.sum(half * (dots * logs + (-dots) * logs)))
-    else:
-        mu = 0.0
-    return ProjectedStableParams(alpha, sigma, tau, mu)
+    alpha = measure.alpha
+    sigma_a = float(np.sum(measure.weights * np.abs(measure.directions @ u) ** alpha))
+    return StableParams(alpha, sigma_a ** (1.0 / alpha))
 
 
 def compress_measure(

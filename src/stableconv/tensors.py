@@ -1,11 +1,11 @@
-"""Role-tagged input tensors, layer geometry and the precomputed patch
-gather used by the convolutional stack.
+"""Input arrays, layer geometry and the precomputed patch gather used by the
+convolutional stack.
 
-Axis roles tell the channel, spatial and input-index axes of the inputs
-apart.  Everything in this package flattens arrays in row-major (C) order
-over the declared axes; in particular a field over output positions and
-inputs embeds into flat coordinates position-major, input-minor.  All modules
-share that single convention.
+Inputs are plain float64 arrays with axes (channel, *spatial, input).
+Everything in this package flattens arrays in row-major (C) order over those
+axes; in particular a field over output positions and inputs embeds into
+flat coordinates position-major, input-minor.  All modules share that single
+convention.
 
 Patch extraction is precomputed: a :class:`PatchMap` turns a layer
 configuration into an index table from (output position, filter offset) to a
@@ -24,42 +24,16 @@ import numpy as np
 
 OUT_OF_BOUNDS = -1
 
-ROLE_CHANNEL = "channel"
-ROLE_SPATIAL = "spatial"
-ROLE_INPUT = "input"
 
-
-@dataclass(frozen=True)
-class Tensor:
-    """A dense real tensor carrying one named role per axis."""
-
-    data: np.ndarray
-    roles: tuple[str, ...]
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        roles = tuple(self.roles)
-        if arr.ndim != len(roles):
-            raise ValueError(
-                f"got {len(roles)} roles for a {arr.ndim}-axis tensor"
-            )
-        if any(e < 1 for e in arr.shape):
-            raise ValueError("all extents must be >= 1")
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "roles", roles)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-
-def input_tensor(data) -> Tensor:
-    """Wrap an input array of shape (channels, *spatial, inputs)."""
+def input_tensor(data) -> np.ndarray:
+    """Check an input array of shape (channels, *spatial, inputs) and return
+    it as float64."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim < 3:
         raise ValueError("inputs need at least (channel, spatial, input) axes")
-    roles = (ROLE_CHANNEL,) + (ROLE_SPATIAL,) * (arr.ndim - 2) + (ROLE_INPUT,)
-    return Tensor(arr, roles)
+    if any(e < 1 for e in arr.shape):
+        raise ValueError("all extents must be >= 1")
+    return arr
 
 
 def _as_axis_tuple(value, ndim: int, name: str) -> tuple[int, ...]:
@@ -77,7 +51,6 @@ class ConvLayerConfig:
 
     ``spatial_out`` is fully determined by the input extents, filter extents,
     stride and zero padding; passing an inconsistent value is rejected.
-    Channel counts are optional here and only used by the finite simulator.
     """
 
     spatial_in: tuple[int, ...]
@@ -85,8 +58,6 @@ class ConvLayerConfig:
     stride: tuple[int, ...] = 1
     padding: tuple[int, ...] = 0
     spatial_out: tuple[int, ...] | None = None
-    channels_in: int | None = None
-    channels_out: int | None = None
 
     def __post_init__(self):
         if np.isscalar(self.spatial_in):
@@ -176,9 +147,10 @@ class PatchMap:
         return took.reshape(new_shape)
 
 
-def build_patch_map(config: ConvLayerConfig) -> PatchMap:
-    """Index table of the moving window; a deterministic function of the
-    configuration."""
+@lru_cache(maxsize=128)
+def patch_map_for(config: ConvLayerConfig) -> PatchMap:
+    """Index table of the moving window: a deterministic function of the
+    configuration, cached because layer configs are reused heavily."""
     p_out = config.spatial_out
     n_pos = config.n_positions_out
     n_off = config.n_offsets
@@ -200,10 +172,3 @@ def build_patch_map(config: ConvLayerConfig) -> PatchMap:
     flat[oob] = OUT_OF_BOUNDS
     flat.setflags(write=False)
     return PatchMap(config=config, indices=flat)
-
-
-@lru_cache(maxsize=128)
-def patch_map_for(config: ConvLayerConfig) -> PatchMap:
-    """Cached :func:`build_patch_map`; layer configs are reused heavily."""
-    return build_patch_map(config)
-

@@ -31,6 +31,7 @@ from .stable import SpectralMeasure, cf_multivariate
 from .tensors import patch_map_for
 
 RADIUS_FACTORS = (0.25, 0.5, 1.0, 2.0)
+_MAX_PROBE_ATTEMPTS = 32
 
 
 @dataclass(frozen=True)
@@ -61,22 +62,17 @@ def _probe_rng(seed: int, attempt: int) -> np.random.Generator:
     )
 
 
-def generate_probes(
-    measure: SpectralMeasure,
-    n_probes: int = 20,
-    seed: int = 0,
-    radius_factors: tuple[float, ...] = RADIUS_FACTORS,
-    max_attempts: int = 32,
-) -> ProbeSet:
+def generate_probes(measure: SpectralMeasure, n_probes: int = 20, seed: int = 0) -> ProbeSet:
     """Isotropic probes scaled to the law described by ``measure``.
 
     The base radius solves CF = 1/2 at the median random direction; the
-    factors then spread probes across the informative range of the CF.
+    ``RADIUS_FACTORS`` then spread probes across the informative range of
+    the CF.  Up to ``_MAX_PROBE_ATTEMPTS`` probe sets are drawn.
     """
     if measure.n_atoms == 0:
         raise ValueError("cannot calibrate probes against an empty measure")
     d = measure.dimension
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_PROBE_ATTEMPTS):
         rng = _probe_rng(seed, attempt)
         dirs = rng.standard_normal((n_probes, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -84,7 +80,7 @@ def generate_probes(
             np.abs(dirs @ measure.directions.T) ** measure.alpha @ measure.weights
         )
         base = (np.log(2.0) / np.median(unit_expo)) ** (1.0 / measure.alpha)
-        radii = base * np.asarray(radius_factors)[np.arange(n_probes) % len(radius_factors)]
+        radii = base * np.asarray(RADIUS_FACTORS)[np.arange(n_probes) % len(RADIUS_FACTORS)]
         probes = dirs * radii[:, None]
         theo = cf_multivariate(measure, probes)
         if theo.min() < 0.2 and theo.max() > 0.8:
@@ -321,7 +317,7 @@ def _first_layer_covariance(spec: NetworkSpec) -> np.ndarray:
     cfg = spec.layers[0]
     k = spec.n_inputs
     pm = patch_map_for(cfg)
-    patches = pm.gather(spec.inputs.data.reshape(spec.in_channels, -1, k), axis=1)
+    patches = pm.gather(spec.inputs.reshape(spec.in_channels, -1, k), axis=1)
     slices = patches.reshape(spec.in_channels * cfg.n_offsets, -1)
     dim = slices.shape[1]
     return 2.0 * spec.sigma_b**2 * np.ones((dim, dim)) + 2.0 * spec.sigma_w**2 * (

@@ -83,7 +83,7 @@ class TestConfig:
 
     def test_inputs_reproducible(self, config_file):
         cfg = load_config(config_file)
-        assert np.array_equal(cfg.make_inputs().data, cfg.make_inputs().data)
+        assert np.array_equal(cfg.make_inputs(), cfg.make_inputs())
 
     def test_file_inputs(self, config_file, tmp_path):
         arr = np.random.default_rng(0).standard_normal((1, 4, 2))
@@ -94,7 +94,7 @@ class TestConfig:
         path = tmp_path / "file.ini"
         path.write_text(text)
         cfg = load_config(path)
-        assert np.array_equal(cfg.make_inputs().data, arr)
+        assert np.array_equal(cfg.make_inputs(), arr)
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["limit", "-c", str(tmp_path / "nope.ini"), "-o", str(tmp_path)]) == 2
@@ -138,6 +138,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(path)
         assert main(["limit", "-c", str(path), "-o", str(tmp_path / "runs")]) == 2
+
+    # each parses as INI but cannot make a run; a bad value must exit 2
+    # before the run directory is created
+    @pytest.mark.parametrize("command, edit", [
+        ("limit", ("[layer.1]\nfilter = 3", "[layer.1]\nfilter = 9")),
+        ("limit", ("activation = tanh", "activation = nope")),
+        ("limit", ("activation = tanh", "activation = relu")),
+        ("limit", ("alpha = 1.5", "alpha = 2.5")),
+        ("limit", ("mc_samples = 2000\nseed = 3", "mc_samples = 0\nseed = 3")),
+        ("limit", ("kind = gaussian", "kind = bogus")),
+        ("limit", ("[limit]", "[limit]\natom_cap = 0")),
+        ("verify", ("n_replicas = 3000", "n_replicas = 0")),
+        ("verify", ("n_probes = 20", "n_probes = 0")),
+        ("verify", ("n_probes = 20", "n_probes = 2")),
+        ("verify", ("channel_counts = 2 8 32", "channel_counts = 64 16")),
+    ], ids=["filter", "activation", "relu", "alpha", "mc_samples", "kind", "atom_cap",
+            "n_replicas", "n_probes", "n_probes_2", "channel_counts"])
+    def test_bad_config_exits_before_writing(self, tmp_path, command, edit):
+        assert edit[0] in TINY_CONFIG
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace(*edit))
+        out = tmp_path / "runs"
+        assert main([command, "-c", str(path), "-o", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestCommands:

@@ -63,7 +63,7 @@ class TestGammaFirst:
             for p in range(4):
                 i = p - 1 + g
                 for kk in range(k):
-                    vec.append(x.data[0, i, kk] if 0 <= i < 4 else 0.0)
+                    vec.append(x[0, i, kk] if 0 <= i < 4 else 0.0)
             total += sw**alpha * np.linalg.norm(vec) ** alpha
         assert measure.total_mass == pytest.approx(total, rel=1e-12)
 
@@ -71,7 +71,7 @@ class TestGammaFirst:
         # sigma_w -> c*sigma_w with inputs divided by c leaves the law alone
         cfg, x = toy_layer(), toy_inputs(seed=9)
         c = 3.7
-        scaled = sc.input_tensor(x.data / c)
+        scaled = x / c
         m1 = sc.gamma_first(x, cfg, 1.5, 1.0, 1.0)
         m2 = sc.gamma_first(scaled, cfg, 1.5, c, 1.0)
         probes = rng.standard_normal((30, m1.dimension))
@@ -98,7 +98,7 @@ class TestClosedFormLayer1:
 
 class TestGammaConditional:
     def test_zero_realization_keeps_only_bias(self):
-        prev = sc.Tensor(np.zeros((3, 4, 2)), ("channel", "spatial", "input"))
+        prev = np.zeros((3, 4, 2))
         measure = sc.gamma_conditional(prev, toy_layer(), 1.5, 1.0, 1.0, TANH)
         assert measure.n_atoms == 1
         assert measure.bias_index == 0
@@ -106,10 +106,9 @@ class TestGammaConditional:
     def test_single_channel_matches_first_layer_structure(self, rng):
         # with C = 1 the conditional law equals the first-layer law of the
         # activated field (the activation fixes 0 at 0, so padding agrees)
-        prev_data = rng.standard_normal((1, 4, 2))
-        prev = sc.Tensor(prev_data, ("channel", "spatial", "input"))
+        prev = rng.standard_normal((1, 4, 2))
         cond = sc.gamma_conditional(prev, toy_layer(), 1.5, 0.8, 0.5, TANH)
-        first = sc.gamma_first(sc.input_tensor(np.tanh(prev_data)), toy_layer(), 1.5, 0.8, 0.5)
+        first = sc.gamma_first(np.tanh(prev), toy_layer(), 1.5, 0.8, 0.5)
         probes = rng.standard_normal((40, 8))
         assert np.allclose(
             sc.cf_multivariate(cond, probes),
@@ -121,7 +120,7 @@ class TestGammaConditional:
     def test_matches_closed_form(self, rng):
         for _ in range(5):
             c = int(rng.integers(1, 5))
-            prev = sc.Tensor(rng.standard_normal((c, 4, 2)), ("channel", "spatial", "input"))
+            prev = rng.standard_normal((c, 4, 2))
             alpha = float(rng.uniform(0.5, 2.0))
             sw, sb = float(rng.uniform(0.2, 2)), float(rng.uniform(0, 2))
             measure = sc.gamma_conditional(prev, toy_layer(), alpha, sw, sb, TANH)
@@ -193,8 +192,7 @@ class TestGammaNextMC:
         n_real = 64
         for i in range(n_real):
             real = sc.forward_finite(spec, c, np.random.default_rng(1000 + i))
-            prev = sc.Tensor(real.fields, ("channel", "spatial", "input"))
-            cond = sc.gamma_conditional(prev, toy_layer(), 1.5, 1.0, 1.0, TANH)
+            cond = sc.gamma_conditional(real.fields, toy_layer(), 1.5, 1.0, 1.0, TANH)
             acc += sc.cf_multivariate(cond, probes)
         diff = np.abs(acc / n_real - sc.cf_multivariate(limit, probes))
         assert diff.max() < 0.05
@@ -318,7 +316,7 @@ class TestLimitPipeline:
         measure = sc.readout_limit(spec, u, sc.LimitConfig(mc_samples=10))
         # deterministic: contract data patch slices by hand
         pm = sc.patch_map_for(spec.layers[0])
-        patches = pm.gather(spec.inputs.data.reshape(1, 4, 2), axis=1)
+        patches = pm.gather(spec.inputs.reshape(1, 4, 2), axis=1)
         expected_mass = 2 ** (1.5 / 2)  # bias over K=2
         for g in range(3):
             vec = u @ patches[0, g]
@@ -366,11 +364,10 @@ def _pinned_case(case):
         return [sc.gamma_first(x, l1, 1.5, 0.9, 0.7)]
     if case == "first_no_bias":
         # a zero channel: its slices carry no atoms
-        x = sc.input_tensor(x.data * np.array([1.0, 0.0])[:, None, None, None])
+        x = x * np.array([1.0, 0.0])[:, None, None, None]
         return [sc.gamma_first(x, l1, 1.5, 0.9, 0.0)]
     if case == "conditional":
-        real = sc.Tensor(np.random.default_rng(5).standard_normal((3, 4, 2)),
-                         ("channel", "spatial", "input"))
+        real = np.random.default_rng(5).standard_normal((3, 4, 2))
         return [sc.gamma_conditional(real, toy_layer(), 1.3, 0.8, 0.5, TANH)]
     if case in ("next_mc", "next_mc_cap"):
         cap = 50 if case == "next_mc_cap" else None

@@ -62,25 +62,6 @@ class TestNetworkSpec:
                 inputs=toy_inputs(spatial=(5,)), seed=0,
             )
 
-    def test_declared_channel_counts_validated(self):
-        annotated = sc.ConvLayerConfig(
-            spatial_in=4, filter_shape=3, stride=1, padding=1, channels_in=2
-        )
-        with pytest.raises(ValueError):
-            sc.NetworkSpec(
-                alpha=1.5, sigma_w=1.0, sigma_b=1.0, layers=(annotated,),
-                activation=sc.get_activation("tanh"), channels=4,
-                inputs=toy_inputs(), seed=0,
-            )
-        ok = sc.ConvLayerConfig(
-            spatial_in=4, filter_shape=3, stride=1, padding=1, channels_in=1
-        )
-        sc.NetworkSpec(
-            alpha=1.5, sigma_w=1.0, sigma_b=1.0, layers=(ok,),
-            activation=sc.get_activation("tanh"), channels=4,
-            inputs=toy_inputs(), seed=0,
-        )
-
     def test_out_dim(self):
         assert toy_spec().out_dim == 4 * 2
 
@@ -180,7 +161,7 @@ def _gather_then_activate(spec, n_out, batch, rng):
     """Reference forward pass: same draws as the block kernel, but each
     replica gathers its patches first and activates them afterwards."""
     k = spec.n_inputs
-    fields = [spec.inputs.data.reshape(spec.in_channels, -1, k)] * batch
+    fields = [spec.inputs.reshape(spec.in_channels, -1, k)] * batch
     for l, cfg in enumerate(spec.layers):
         c_in = fields[0].shape[0]
         fan_in = c_in * cfg.n_offsets
@@ -316,7 +297,7 @@ class TestSampleReplicas:
         spec = toy_spec(alpha=2.0, n_layers=1, seed=17)
         reps = sc.sample_replicas(spec, 20_000)
         pm = sc.patch_map_for(spec.layers[0])
-        patches = pm.gather(spec.inputs.data.reshape(1, 4, 2), axis=1)
+        patches = pm.gather(spec.inputs.reshape(1, 4, 2), axis=1)
         slices = patches.reshape(3, 8)
         expected = 2 * spec.sigma_b**2 + 2 * spec.sigma_w**2 * np.sum(
             slices**2, axis=0
@@ -370,3 +351,14 @@ class TestReplicaCache:
         path.write_bytes(b"not a cache")
         with pytest.raises(ValueError):
             sc.load_replicas(path)
+
+    def test_length_must_match_header(self, tmp_path):
+        reps = sc.sample_replicas(toy_spec(channels=4), 3, n_channels=2)
+        path = tmp_path / "replicas.bin"
+        sc.save_replicas(path, reps)
+        whole = path.read_bytes()
+        # one value short, one value extra, and the magic alone
+        for data in (whole[:-8], whole + bytes(8), whole[:8]):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="replica cache"):
+                sc.load_replicas(path)

@@ -27,11 +27,10 @@ class TestStableParams:
         with pytest.raises(ValueError):
             sc.StableParams(alpha, 1.0)
 
-    def test_sigma_and_tau_rejected(self):
+    def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            sc.StableParams(1.5, 0.0)
-        with pytest.raises(ValueError):
-            sc.StableParams(1.5, 1.0, tau=1.5)
+            sc.StableParams(1.5, -1.0)
+        assert sc.StableParams(1.5, 0.0).sigma == 0.0
 
 
 class TestUnivariateCF:
@@ -40,9 +39,9 @@ class TestUnivariateCF:
             np.exp(-1.0)
         )
 
-    @pytest.mark.parametrize("alpha,tau,mu", [(1.5, 0.0, 0.0), (1.0, 0.7, -2.0), (0.7, -1.0, 3.0)])
-    def test_cf_at_zero_is_one(self, alpha, tau, mu):
-        assert sc.cf_univariate(sc.StableParams(alpha, 2.0, tau, mu), 0.0) == 1.0
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.7])
+    def test_cf_at_zero_is_one(self, alpha):
+        assert sc.cf_univariate(sc.StableParams(alpha, 2.0), 0.0) == 1.0
 
     def test_scale_identity(self):
         # scale sigma at probe t equals unit scale at probe sigma*t
@@ -54,12 +53,10 @@ class TestUnivariateCF:
             )
 
     def test_alpha_one_branch(self):
-        p = sc.StableParams(1.0, 1.0, tau=0.5, mu=0.0)
-        t = 2.0
-        expected = np.exp(
-            -t * (1 + 0.5j * (2 / np.pi) * np.log(t)) * 1.0
-        )
-        assert sc.cf_univariate(p, t) == pytest.approx(expected)
+        # alpha = 1 needs no expression of its own: the Cauchy CF exp(-sigma|t|)
+        p = sc.StableParams(1.0, 2.0)
+        t = np.array([-3.0, 0.5, 2.0])
+        assert np.allclose(sc.cf_univariate(p, t), np.exp(-2.0 * np.abs(t)), rtol=1e-15, atol=0)
 
 
 class TestUnivariateSampler:
@@ -77,10 +74,6 @@ class TestUnivariateSampler:
         draws = sc.sample_univariate(sc.StableParams(0.5, 1.0), rng, size=100_000)
         ecf = np.exp(1j * draws).mean()
         assert abs(ecf - np.exp(-1.0)) < 0.01
-
-    def test_skewed_sampling_not_supported(self, rng):
-        with pytest.raises(NotImplementedError):
-            sc.sample_univariate(sc.StableParams(1.5, 1.0, tau=0.5), rng)
 
 
 class TestMultivariateCF:
@@ -286,36 +279,24 @@ class TestThreadedTransform:
         assert isinstance(none, np.ndarray) and none.shape == (0,)
 
 
-class TestPsiAtom:
-    def test_zero_gives_nothing(self):
-        assert sc.psi_atom(np.zeros(4)) is None
-
-    def test_three_four_five(self):
-        direction, norm = sc.psi_atom(np.array([3.0, 4.0]))
-        assert norm == 5.0
-        assert np.allclose(direction, [0.6, 0.8], rtol=0, atol=1e-15)
-
-    def test_idempotent_on_sphere(self, rng):
-        z = rng.standard_normal(5)
-        z /= np.linalg.norm(z)
-        direction, norm = sc.psi_atom(z)
-        assert norm == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(direction, z, rtol=0, atol=1e-12)
-
-
 class TestProject1d:
-    def test_symmetric_measure_gives_exact_zeros(self, rng):
-        for alpha in [0.7, 1.0, 1.5, 2.0]:
-            m = make_measure(rng, alpha=alpha)
-            u = rng.standard_normal(m.dimension)
-            proj = sc.project_1d(m, u)
-            assert proj.tau == 0.0
-            assert proj.mu == 0.0
-
     def test_single_pair_atom(self):
         m = sc.SpectralMeasure(1.5, np.array([1.0]), np.array([[1.0, 0.0]]))
         proj = sc.project_1d(m, np.array([1.0, 0.0]))
+        assert type(proj) is sc.StableParams and proj.alpha == 1.5
         assert proj.sigma == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
+    def test_degenerate_projection(self, alpha):
+        # u orthogonal to every atom, and the empty measure: the point mass
+        # at zero, whose CF is identically 1
+        m = sc.SpectralMeasure(alpha, np.array([1.0, 2.0]), np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+        t = np.array([0.0, 0.5, 3.0, 1e6])
+        for measure, u in [(m, [0.0, 0.0, 2.0]), (sc.empty_measure(alpha, 3), [1.0, 2.0, 3.0])]:
+            proj = sc.project_1d(measure, u)
+            assert proj == sc.StableParams(alpha, 0.0)
+            assert np.array_equal(sc.cf_univariate(proj, t), np.ones(4))
+            assert sc.cf_univariate(proj, 7.0) == 1.0
 
     def test_dimension_mismatch(self, rng):
         m = make_measure(rng)
@@ -327,7 +308,7 @@ class TestProject1d:
         # bias-plus-activated-patch sum; checked against a hand loop over atoms
         alpha, sigma_w, sigma_b, c = 1.5, 0.8, 0.6, 3
         cfg = toy_layer()
-        prev = sc.Tensor(rng.standard_normal((c, 4, 2)), ("channel", "spatial", "input"))
+        prev = rng.standard_normal((c, 4, 2))
         act = sc.get_activation("tanh")
         measure = sc.gamma_conditional(prev, cfg, alpha, sigma_w, sigma_b, act)
         k = 2
@@ -341,7 +322,7 @@ class TestProject1d:
                 brute += 0.5 * w * abs(u @ -s) ** alpha
             assert proj.sigma**alpha == pytest.approx(brute, rel=1e-12)
             patches = sc.patch_map_for(cfg).gather(
-                prev.data.reshape(c, cfg.n_positions_in, k), axis=1
+                prev.reshape(c, cfg.n_positions_in, k), axis=1
             )
             acts = act(patches.reshape(c * cfg.n_offsets, -1))
             direct = sigma_b**alpha + sigma_w**alpha / c * np.sum(
@@ -356,7 +337,7 @@ class TestProject1d:
         draws = sc.sample_multivariate(m, rng, size=60_000) @ u
         for t in [0.5 / proj.sigma, 1.0 / proj.sigma]:
             emp = np.exp(1j * t * draws).mean()
-            assert abs(emp - proj.cf(t)) < 0.02
+            assert abs(emp - sc.cf_univariate(proj, t)) < 0.02
 
 
 class TestCompressMeasure:

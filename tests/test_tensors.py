@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stableconv as sc
-from stableconv.tensors import OUT_OF_BOUNDS, ROLE_CHANNEL, ROLE_INPUT, ROLE_SPATIAL
+from stableconv.tensors import OUT_OF_BOUNDS
 
 from conftest import random_conv_case
 
@@ -36,12 +36,16 @@ class TestConvLayerConfig:
 class TestPatchMap:
     def test_deterministic(self):
         cfg = sc.ConvLayerConfig(spatial_in=4, filter_shape=3, padding=1)
-        assert np.array_equal(sc.build_patch_map(cfg).indices,
-                              sc.build_patch_map(cfg).indices)
+        first = sc.patch_map_for(cfg)
+        sc.patch_map_for.cache_clear()
+        again = sc.patch_map_for(cfg)
+        assert again is not first
+        assert np.array_equal(again.indices, first.indices)
+        assert sc.patch_map_for(cfg) is again  # cached
 
     def test_oob_marks_match_definition(self):
         cfg = sc.ConvLayerConfig(spatial_in=3, filter_shape=3, padding=1)
-        pm = sc.build_patch_map(cfg)
+        pm = sc.patch_map_for(cfg)
         # position 0 reads input -1 at offset 0; position 2 reads input 3 at offset 2
         assert pm.indices[0, 0] == OUT_OF_BOUNDS
         assert pm.indices[2, 2] == OUT_OF_BOUNDS
@@ -78,7 +82,7 @@ class TestExtractPatches:
             cfg, x = random_conv_case(rng, two_d=bool(rng.integers(2)))
             pm = sc.patch_map_for(cfg)
             c0, k = x.shape[0], x.shape[-1]
-            out = pm.gather(x.data.reshape(c0, cfg.n_positions_in, k), axis=1)
+            out = pm.gather(x.reshape(c0, cfg.n_positions_in, k), axis=1)
             assert out.shape == (c0, cfg.n_offsets, cfg.n_positions_out, k)
             oob = (pm.indices == OUT_OF_BOUNDS).T  # (n_off, n_pos)
             assert np.abs(out[:, oob, :]).sum() == 0.0
@@ -114,7 +118,7 @@ def test_shallow_convolution_composition(rng, two_d):
     reproduces a direct nested-loop convolution to machine precision."""
     for _ in range(3):
         cfg, x = random_conv_case(rng, two_d=two_d, k=1)
-        xs = x.data[..., 0]  # single input, no K axis
+        xs = x[..., 0]  # single input, no K axis
         c_in, c_out = xs.shape[0], 2
         w = rng.standard_normal((c_out, c_in) + cfg.filter_shape)
         b = rng.standard_normal(c_out)
@@ -126,18 +130,22 @@ def test_shallow_convolution_composition(rng, two_d):
 
 
 def test_tensor_invariants():
+    # inputs are checked (channel, *spatial, input) arrays of float64
     with pytest.raises(ValueError):
-        sc.Tensor(np.ones((2, 3)), ("a",))
+        sc.input_tensor(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        sc.Tensor(np.ones((0, 2)), ("a", "b"))
-    x = sc.Tensor(np.arange(6).reshape(2, 3), ["a", "b"])
-    assert x.shape == (2, 3)
-    assert x.roles == ("a", "b")
-    assert x.data.dtype == np.float64
+        sc.input_tensor(np.ones((2, 0, 3)))
+    x = sc.input_tensor(np.arange(120).reshape(2, 5, 4, 3))
+    assert type(x) is np.ndarray
+    assert x.shape == (2, 5, 4, 3)
+    assert x.dtype == np.float64
 
 
 def test_input_tensor_roles():
+    # axis roles are positional: channel first, input last, spatial between
     x = sc.input_tensor(np.zeros((2, 5, 4, 3)))
-    assert x.roles == (ROLE_CHANNEL, ROLE_SPATIAL, ROLE_SPATIAL, ROLE_INPUT)
-    with pytest.raises(ValueError):
-        sc.input_tensor(np.zeros((2, 3)))
+    layer = sc.ConvLayerConfig(spatial_in=(5, 4), filter_shape=3, padding=1)
+    spec = sc.NetworkSpec(alpha=1.5, sigma_w=1.0, sigma_b=1.0, layers=(layer,),
+                          activation=sc.get_activation("tanh"), channels=4, inputs=x)
+    assert (spec.in_channels, spec.n_inputs) == (2, 3)
+    assert spec.out_dim == 5 * 4 * 3
