@@ -280,6 +280,8 @@ def main(argv=None) -> int:
         # value exits before the run directory exists
         cfg = load_config(args.config)
         spec = cfg.build_spec(getattr(args, "channels", None))
+        if getattr(args, "replicas", None) is not None and args.replicas < 1:
+            raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
         limit_cfg = cfg.limit_config(cfg.oracle_mc_samples if args.command == "oracle" else None)
     except Exception as exc:  # bad config is a usage error, not a crash
         print(f"error: {exc}", file=sys.stderr)

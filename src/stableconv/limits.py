@@ -17,6 +17,22 @@ inputs).  Its spectral measure obeys a backward recursion over layers:
   same expected measure; sharing one draw changes only the Monte Carlo
   variance, and costs one field draw per sample instead of one per offset.
 
+The previous layer's Monte Carlo measure has M * n_offsets + 1 atoms, so
+drawing M fields from it as it is would cost M * (M * n_offsets + 1) stable
+draws.  Fields are instead drawn from a resample of it: the exact bias atom
+first, unchanged, then the other atoms resampled to M (the ``mc_samples``
+budget) by stratified :func:`stableconv.stable.compress_measure`, which
+keeps their total mass and their expected measure, i.e. the expected CF
+exponent.  The CF is the exponential of minus that exponent, so the
+resample adds O(1/M) error to the CF, as the layer's own Monte Carlo error
+does.  Stratified rather than systematic: the atoms come in blocks of
+n_offsets, one per sample, each about one resampling stride heavy, and one
+offset shared by every stride would pick the same filter offset from long
+runs of consecutive blocks.  A measure with at most M non-bias atoms
+(layer 1's, for one) is used as it is and consumes no random numbers.  A
+layer costs M * (M + 1) draws that way.  Only the measure that fields are
+drawn from is resampled; every layer's own measure keeps all its atoms.
+
 Zero slices contribute no atom.  All atom weights use the Euclidean norm of
 the flattened slice raised to the alpha power; directions are the
 Euclidean-normalized slices.
@@ -51,9 +67,12 @@ log = logging.getLogger(__name__)
 class LimitConfig:
     """Monte Carlo budget of the layer recursion.
 
-    ``mc_samples`` fields are drawn per layer.  ``atom_cap``, when set,
-    compresses each Monte Carlo layer to at most that many atoms; None keeps
-    all of a layer's at most mc_samples * n_offsets Monte Carlo atoms.
+    ``mc_samples`` fields are drawn per layer, from the previous measure
+    with its non-bias atoms resampled, stratified, to at most
+    ``mc_samples`` (see :func:`_fields`).  ``atom_cap``, when set,
+    compresses each Monte Carlo layer's own non-bias atoms, systematically,
+    to at most that many; None keeps all of a layer's at most
+    mc_samples * n_offsets Monte Carlo atoms.
     """
 
     mc_samples: int = 10_000
@@ -67,12 +86,47 @@ class LimitConfig:
             raise ValueError("atom_cap must be >= 1")
 
 
+def _compressed_size(measure: SpectralMeasure, target: int) -> int:
+    """Atom count of :func:`_compress_keeping_bias` of ``measure``."""
+    n_bias = 0 if measure.bias_index is None else 1
+    return n_bias + min(measure.n_atoms - n_bias, target)
+
+
+def _compress_keeping_bias(
+    measure: SpectralMeasure, target: int, rng: np.random.Generator, stratified: bool = False
+) -> SpectralMeasure:
+    """``measure``'s bias atom first, with its weight and tag, then its
+    other atoms compressed to ``target`` by :func:`compress_measure`.  A
+    measure with at most ``target`` non-bias atoms is returned as it is and
+    consumes no random numbers."""
+    if _compressed_size(measure, target) == measure.n_atoms:
+        return measure
+    b = measure.bias_index
+    if b is None:
+        return compress_measure(measure, target, rng, stratified)
+    rest = slice(1, None) if b == 0 else np.delete(np.arange(measure.n_atoms), b)
+    rest = compress_measure(
+        SpectralMeasure(measure.alpha, measure.weights[rest], measure.directions[rest]),
+        target,
+        rng,
+        stratified,
+    )
+    return SpectralMeasure(
+        measure.alpha,
+        np.concatenate([measure.weights[b : b + 1], rest.weights]),
+        np.concatenate([measure.directions[b : b + 1], rest.directions]),
+        bias_index=0,
+    )
+
+
 def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndarray:
     """The fields a layer's measure is built from, as (n, input positions, K).
 
     ``source`` is data or a realization with (channel, *spatial, K) axes, one
-    field per channel, or the previous layer's measure, from which
-    ``n_draws`` flat fields are drawn with ``rng``.  A measure is checked
+    field per channel, or the previous layer's measure.  From a measure,
+    ``n_draws`` flat fields are drawn with ``rng`` after its non-bias atoms,
+    when there are more than ``n_draws``, are resampled to ``n_draws`` by
+    stratified :func:`_compress_keeping_bias`.  A measure is checked
     against the layer's input positions before anything is drawn.
     """
     n_in = cfg.n_positions_in
@@ -84,7 +138,8 @@ def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndar
                 f"measure dimension {source.dimension} is not a multiple of "
                 f"the layer's {n_in} input positions"
             )
-        draws = sample_multivariate(source, rng, size=n_draws)
+        sampled = _compress_keeping_bias(source, n_draws, rng, stratified=True)
+        draws = sample_multivariate(sampled, rng, size=n_draws)
         return draws.reshape(n_draws, n_in, source.dimension // n_in)
     source = np.asarray(source, dtype=np.float64)
     if source.shape[1:-1] != cfg.spatial_in:
@@ -123,9 +178,9 @@ def _slice_measure(
     positions are contracted against ``u`` when readout weights are given.
     Each nonzero slice v then carries one atom pair of weight
     sigma_w^alpha * ||v||^alpha, divided by n on hidden layers, at direction
-    v / ||v||.  ``atom_cap`` compresses those atoms with ``rng``.  The exact
-    bias atom, sigma_b^alpha * dim^(alpha/2) along the all-ones direction,
-    goes first.
+    v / ||v||.  The exact bias atom, sigma_b^alpha * dim^(alpha/2) along the
+    all-ones direction, goes first.  ``atom_cap`` compresses the other atoms
+    with ``rng`` (:func:`_compress_keeping_bias`).
     """
     n = fields.shape[0]
     slices = patch_map_for(cfg).gather(fields, axis=1)  # (n, n_off, n_pos, K)
@@ -154,13 +209,10 @@ def _slice_measure(
     weights = weights[keep]
     if activation is not None:
         weights = weights / n
-    if atom_cap is not None:
-        capped = compress_measure(SpectralMeasure(alpha, weights, atoms), atom_cap, rng)
-        weights = capped.weights
-        directions = np.concatenate([directions[:n_bias], capped.directions])
     if n_bias:
         weights = np.concatenate([[sigma_b**alpha * dim ** (alpha / 2.0)], weights])
-    return SpectralMeasure(alpha, weights, directions, bias_index=0 if n_bias else None)
+    measure = SpectralMeasure(alpha, weights, directions, bias_index=0 if n_bias else None)
+    return measure if atom_cap is None else _compress_keeping_bias(measure, atom_cap, rng)
 
 
 def gamma_first(
@@ -295,8 +347,10 @@ def gamma_next_mc(
     """Monte Carlo estimate of the next layer's limiting spectral measure.
 
     The bias atom is exact; the weight part averages activated patch slices
-    of fields drawn from the previous layer's limit law, one atom pair per
-    (sample, offset) at weight sigma_w^alpha * ||slice||^alpha / M.
+    of M fields drawn from the previous layer's limit law, one atom pair per
+    (sample, offset) at weight sigma_w^alpha * ||slice||^alpha / M.  The
+    fields are drawn from the previous measure with its non-bias atoms
+    resampled to M (:func:`_fields`).
     """
     return _slice_measure(
         _fields(prev_measure, cfg, limit_cfg.mc_samples, rng),
@@ -339,8 +393,9 @@ def readout_measure(
     """Limiting spectral measure over the K inputs after contracting the
     output positions against a weight tensor u with entries summing to 1.
 
-    Each Monte Carlo atom is the u-contraction of an activated patch slice;
-    zero contractions contribute nothing.
+    Each Monte Carlo atom is the u-contraction of an activated patch slice
+    of a field drawn as in :func:`gamma_next_mc`; zero contractions
+    contribute nothing.
     """
     u = _readout_weights(u, cfg)
     return _slice_measure(
@@ -362,7 +417,9 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
 
     Layer 1 is exact; each deeper layer draws its Monte Carlo fields from a
     dedicated substream of the configured seed, so any single layer can be
-    replayed.  Returns one measure per layer and logs a summary line each.
+    replayed with :func:`gamma_next_mc`.  Returns one measure per layer, each
+    with all its atoms, and logs a summary line each; a Monte Carlo layer's
+    line also gives the atom count of the measure its fields were drawn from.
     """
     t0 = time.perf_counter()
     current = gamma_first(
@@ -372,6 +429,7 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
     _log_layer(1, current, t0)
     for l in range(2, spec.n_layers + 1):
         t0 = time.perf_counter()
+        sampled_atoms = _compressed_size(current, limit_cfg.mc_samples)
         current = gamma_next_mc(
             current,
             spec.layers[l - 1],
@@ -383,7 +441,7 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
             _layer_rng(limit_cfg, l),
         )
         measures.append(current)
-        _log_layer(l, current, t0)
+        _log_layer(l, current, t0, sampled_atoms)
     return measures
 
 
@@ -401,18 +459,24 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _log_layer(layer: int, measure: SpectralMeasure, t0: float) -> None:
+def _log_layer(
+    layer: int, measure: SpectralMeasure, t0: float, sampled_atoms: int | None = None
+) -> None:
     """One summary line per layer.  ``peak_rss_mb`` is this process's own
     peak resident memory so far (:func:`_peak_rss_mb`), so the layer that
-    raises it shows."""
+    raises it shows.  A Monte Carlo layer's line ends with
+    ``sampled_atoms``, the atom count of the measure its fields were drawn
+    from."""
+    sampled = "" if sampled_atoms is None else f" sampled_atoms={sampled_atoms}"
     log.info(
-        "layer=%d atoms=%d total_mass=%.6g bias_mass=%.6g seconds=%.3f peak_rss_mb=%.1f",
+        "layer=%d atoms=%d total_mass=%.6g bias_mass=%.6g seconds=%.3f peak_rss_mb=%.1f%s",
         layer,
         measure.n_atoms,
         measure.total_mass,
         measure.bias_mass,
         time.perf_counter() - t0,
         _peak_rss_mb(),
+        sampled,
     )
 
 

@@ -299,14 +299,19 @@ def project_1d(measure: SpectralMeasure, u) -> StableParams:
 
 
 def compress_measure(
-    measure: SpectralMeasure, target: int, rng: np.random.Generator
+    measure: SpectralMeasure, target: int, rng: np.random.Generator, stratified: bool = False
 ) -> SpectralMeasure:
-    """Mass-preserving systematic resampling down to ``target`` atoms.
+    """Mass-preserving resampling down to ``target`` atoms.
 
-    Atoms are drawn proportionally to weight with a single uniform offset;
-    every surviving atom carries total_mass / target, so the expected
-    characteristic function is preserved.  A measure with at most ``target``
-    atoms is returned unchanged.  The bias tag does not survive resampling.
+    The cumulative weight is cut into ``target`` equal slices and one atom
+    is drawn at a uniform point of each: the same offset in every slice
+    (systematic, one uniform draw) or, with ``stratified``, an independent
+    offset in each (``target`` draws).  Every surviving atom carries
+    total_mass / target, so the expected measure is preserved.  Stratified
+    picks are independent across slices, so their error cannot line up with
+    a periodic order of the atoms, as one shared offset's can.  A measure
+    with at most ``target`` atoms is returned unchanged.  The bias tag does
+    not survive resampling.
     """
     if target < 1:
         raise ValueError("target must be >= 1")
@@ -315,7 +320,8 @@ def compress_measure(
     total = measure.total_mass
     cum = np.cumsum(measure.weights)
     cum[-1] = total
-    points = (np.arange(target) + rng.uniform()) / target * total
+    offsets = rng.uniform(size=target) if stratified else rng.uniform()
+    points = (np.arange(target) + offsets) / target * total
     idx = np.minimum(np.searchsorted(cum, points, side="left"), measure.n_atoms - 1)
     weights = np.full(target, total / target)
     return SpectralMeasure(measure.alpha, weights, measure.directions[idx])

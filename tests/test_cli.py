@@ -139,8 +139,8 @@ class TestConfig:
             load_config(path)
         assert main(["limit", "-c", str(path), "-o", str(tmp_path / "runs")]) == 2
 
-    # each parses as INI but cannot make a run; a bad value must exit 2
-    # before the run directory is created
+    # each parses as INI but cannot make a run, or gives a bad command-line
+    # value; a bad value must exit 2 before the run directory is created
     @pytest.mark.parametrize("command, edit", [
         ("limit", ("[layer.1]\nfilter = 3", "[layer.1]\nfilter = 9")),
         ("limit", ("activation = tanh", "activation = nope")),
@@ -153,14 +153,21 @@ class TestConfig:
         ("verify", ("n_probes = 20", "n_probes = 0")),
         ("verify", ("n_probes = 20", "n_probes = 2")),
         ("verify", ("channel_counts = 2 8 32", "channel_counts = 64 16")),
+        ("simulate --replicas 0", None),
+        ("simulate --replicas -3", None),
+        ("simulate --channels 0", None),
     ], ids=["filter", "activation", "relu", "alpha", "mc_samples", "kind", "atom_cap",
-            "n_replicas", "n_probes", "n_probes_2", "channel_counts"])
+            "n_replicas", "n_probes", "n_probes_2", "channel_counts",
+            "replicas_flag_0", "replicas_flag_negative", "channels_flag_0"])
     def test_bad_config_exits_before_writing(self, tmp_path, command, edit):
-        assert edit[0] in TINY_CONFIG
         path = tmp_path / "bad.ini"
-        path.write_text(TINY_CONFIG.replace(*edit))
+        if edit is None:
+            path.write_text(TINY_CONFIG)
+        else:
+            assert edit[0] in TINY_CONFIG
+            path.write_text(TINY_CONFIG.replace(*edit))
         out = tmp_path / "runs"
-        assert main([command, "-c", str(path), "-o", str(out)]) == 2
+        assert main([*command.split(), "-c", str(path), "-o", str(out)]) == 2
         assert not out.exists()
 
 

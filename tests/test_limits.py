@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import stableconv as sc
+from stableconv import limits
 
 from conftest import toy_inputs, toy_layer, toy_spec
 
@@ -205,6 +206,119 @@ class TestGammaNextMC:
         assert out.bias_index == 0
 
 
+class TestCompressKeepingBias:
+    """The bias-first compression that draws Monte Carlo fields (stratified)
+    and applies ``atom_cap`` (systematic)."""
+
+    @staticmethod
+    def layer2(bias_last=False):
+        # 3 * 200 + 1 atoms, bias first unless moved to the end
+        m = sc.limit_measures(toy_spec(), sc.LimitConfig(mc_samples=200, seed=1))[-1]
+        if not bias_last:
+            return m
+        order = np.roll(np.arange(m.n_atoms), -1)
+        return sc.SpectralMeasure(m.alpha, m.weights[order], m.directions[order],
+                                  bias_index=m.n_atoms - 1)
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("bias_last", [False, True])
+    def test_bias_first_mass_kept_size_bounded(self, bias_last, stratified):
+        prev, k = self.layer2(bias_last), 50
+        out = limits._compress_keeping_bias(prev, k, np.random.default_rng(3), stratified)
+        assert out.bias_index == 0
+        assert out.weights[0] == prev.bias_mass
+        assert np.array_equal(out.directions[0], prev.directions[prev.bias_index])
+        assert out.n_atoms <= k + 1
+        assert out.total_mass == pytest.approx(prev.total_mass, rel=1e-12)
+
+    def test_untagged_measure_resampled_whole(self):
+        m = self.layer2()
+        untagged = sc.SpectralMeasure(m.alpha, m.weights, m.directions)
+        out = limits._compress_keeping_bias(untagged, 50, np.random.default_rng(3), True)
+        assert out.bias_index is None
+        assert out.n_atoms <= 50
+        assert out.total_mass == pytest.approx(m.total_mass, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["layer1", "k_non_bias", "untagged_k"])
+    def test_small_measure_unchanged_without_draws(self, case):
+        m = self.layer2()
+        if case == "layer1":
+            m, k = sc.gamma_first(toy_inputs(), toy_layer(), 1.5, 1.0, 1.0), 3
+        elif case == "k_non_bias":
+            k = m.n_atoms - 1
+        else:
+            m, k = sc.SpectralMeasure(m.alpha, m.weights, m.directions), m.n_atoms
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert limits._compress_keeping_bias(m, k, rng, stratified=True) is m
+        assert rng.bit_generator.state == state
+
+
+_resample = limits._compress_keeping_bias
+
+
+def _drop_bias(measure, target, rng, stratified=False):
+    out = _resample(measure, target, rng, stratified)
+    if out is measure:
+        return measure
+    return sc.SpectralMeasure(out.alpha, out.weights[1:], out.directions[1:])
+
+
+def _unit_mass(measure, target, rng, stratified=False):
+    out = _resample(measure, target, rng, stratified)
+    if out is measure:
+        return measure
+    weights = np.concatenate([out.weights[:1], np.full(out.n_atoms - 1, 1.0 / target)])
+    return sc.SpectralMeasure(out.alpha, weights, out.directions, bias_index=0)
+
+
+class TestResampleAgreement:
+    """Layers 3 and 4 of the 4-layer toy stack drawn from resampled measures
+    against the same limit seeds drawn from the full measures: per probe,
+    the mean CF gap over the seeds lies within 3 standard errors, and the
+    seed spread of the CF stays within 1.5 times the full recursion's."""
+
+    M = 1_000
+    SEEDS = range(16)
+
+    @classmethod
+    def layer_cfs(cls, resample):
+        """(seed, layer 3 / 4, probe) CFs, with ``resample`` in place of the
+        step that builds the measure fields are drawn from."""
+        probe_src = sc.limit_measures(toy_spec(), sc.LimitConfig(mc_samples=cls.M, seed=99))
+        probes = sc.generate_probes(probe_src[-1], n_probes=20, seed=5).probes[1:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "_compress_keeping_bias", resample)
+            stacks = [
+                sc.limit_measures(toy_spec(n_layers=4), sc.LimitConfig(mc_samples=cls.M, seed=s))
+                for s in cls.SEEDS
+            ]
+        return np.array([[sc.cf_multivariate(m, probes) for m in stack[2:]] for stack in stacks])
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        return self.layer_cfs(lambda measure, target, rng, stratified=False: measure)
+
+    @staticmethod
+    def agreement(cfs, full):
+        """Largest |mean gap| / standard error over probes and layers, and
+        the larger of the two layers' median spread ratios."""
+        gap = cfs - full  # paired by seed
+        se = gap.std(axis=0, ddof=1) / np.sqrt(len(gap))
+        spread = np.median(cfs.std(axis=0, ddof=1) / full.std(axis=0, ddof=1), axis=-1)
+        return float(np.max(np.abs(gap.mean(axis=0)) / se)), float(spread.max())
+
+    def test_agrees_with_full_measures(self, full):
+        z, spread = self.agreement(self.layer_cfs(_resample), full)
+        assert z <= 3.0
+        assert spread <= 1.5
+
+    @pytest.mark.parametrize("broken", [_drop_bias, _unit_mass], ids=["drop_bias", "unit_mass"])
+    def test_detects_broken_resample(self, full, broken):
+        z, spread = self.agreement(self.layer_cfs(broken), full)
+        assert z > 3.0 or spread > 1.5
+
+
 class TestMixtureMeasure:
     def test_unit_weight_strips_bias_only(self, rng):
         base = sc.gamma_first(toy_inputs(), toy_layer(), 1.5, 1.0, 1.0)
@@ -301,14 +415,21 @@ class TestLimitPipeline:
 
     def test_summary_lines_logged(self, caplog):
         with caplog.at_level(logging.INFO, logger="stableconv.limits"):
-            sc.limit_measures(toy_spec(), sc.LimitConfig(mc_samples=100, seed=1))
+            measures = sc.limit_measures(toy_spec(n_layers=3),
+                                         sc.LimitConfig(mc_samples=100, seed=1))
         lines = [r.message for r in caplog.records if r.message.startswith("layer=")]
-        assert len(lines) == 2
-        for ln in lines:
+        assert len(lines) == 3
+        sampled = []
+        for ln, measure in zip(lines, measures):
             fields = dict(tok.split("=", 1) for tok in ln.split())
             assert {"atoms", "total_mass", "bias_mass"} <= fields.keys()
+            assert int(fields["atoms"]) == measure.n_atoms
             assert float(fields["seconds"]) >= 0.0
             assert float(fields["peak_rss_mb"]) > 0.0
+            sampled.append(fields.get("sampled_atoms"))
+        # layer 2 draws from layer 1's 4 atoms as they are; layer 3 from the
+        # bias atom plus layer 2's 300 other atoms resampled to M = 100
+        assert sampled == [None, "4", "101"]
 
     def test_readout_limit_single_layer_exact(self, rng):
         spec = toy_spec(n_layers=1)
@@ -397,6 +518,10 @@ class TestMeasurePins:
     # SHA-256 of the dump_measure text of every measure a constructor case
     # builds.  Recorded before the constructors shared one slice builder;
     # any change to atoms, weights, their order or the bias atom shows here.
+    # readout_limit_3 and stack_4 were recorded again when fields came to be
+    # drawn from a stratified M-atom resample of a previous Monte Carlo
+    # measure; the other cases never draw from more than M non-bias atoms,
+    # so no resample.
     @pytest.mark.parametrize("case, digest", [
         ("first",
          "97af5cb9aa41ecbe6d0555b2967abe6b8bdc4b975b8f8358ed10cec51d2f24be"),
@@ -415,9 +540,9 @@ class TestMeasurePins:
         ("readout_limit_1",
          "2fef46ebe9b3d8a871cf92474d284c4346bc72e7546720786c8ab870f0a84a18"),
         ("readout_limit_3",
-         "6ab0ddf3dd8e8c46561838411e2ac559374bf4ab56d4952bd20c86ae88afaaba"),
+         "6674b73d765439cec05fd94e95c845be427be620c1adee4fdd88be9cc3907c2e"),
         ("stack_4",
-         "0eb9f4c6d6e81c7bfb77e8f9ffda299301b3ae08e7630a5db0d57ff8fc34f758"),
+         "68561cd797b266534c8dc1b1362a46fd608a2c84d59ea736d9e954cc4c3076a6"),
         ("sigma_w_zero",
          "2d9ea136b3b2641c454dd5b96d34ef521039fb5620f21fa3e9bfbfb6a635280e"),
     ])

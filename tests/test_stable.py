@@ -371,6 +371,37 @@ class TestCompressMeasure:
             < 0.02
         )
 
+    def test_stratified_mass_preserved(self, rng):
+        m = make_measure(rng, n_atoms=500)
+        out = sc.compress_measure(m, 50, rng, stratified=True)
+        assert out.n_atoms == 50
+        assert out.total_mass == pytest.approx(m.total_mass, rel=1e-12)
+
+    def test_stratified_ignores_a_periodic_atom_order(self):
+        # blocks of 3 atoms, one per direction, each block about one stride
+        # heavy: a Monte Carlo layer's (sample, offset) atoms look like this
+        n = 1_000
+        gen = np.random.default_rng(0)
+        weights = (gen.lognormal(0.0, 0.1, (n, 1)) * [0.3, 0.4, 0.3]).ravel()
+        m = sc.SpectralMeasure(1.5, weights, np.eye(3)[np.tile(np.arange(3), n)])
+        share = weights.reshape(n, 3).sum(axis=0) / weights.sum()
+        multinomial_sd = np.sqrt(n * share * (1.0 - share))
+
+        def count_sd(stratified):
+            counts = [
+                np.bincount(
+                    sc.compress_measure(m, n, np.random.default_rng(s), stratified)
+                    .directions.argmax(axis=1),
+                    minlength=3,
+                )
+                for s in range(200)
+            ]
+            return np.std(counts, axis=0) / multinomial_sd
+
+        # one shared offset picks the same direction from long runs of blocks
+        assert np.all(count_sd(False) > 2.0)
+        assert np.all(count_sd(True) < 1.25)
+
     def test_bad_target(self, rng):
         with pytest.raises(ValueError):
             sc.compress_measure(make_measure(rng), 0, rng)
