@@ -31,7 +31,8 @@ offset shared by every stride would pick the same filter offset from long
 runs of consecutive blocks.  A measure with at most M non-bias atoms
 (layer 1's, for one) is used as it is and consumes no random numbers.  A
 layer costs M * (M + 1) draws that way.  Only the measure that fields are
-drawn from is resampled; every layer's own measure keeps all its atoms.
+drawn from is resampled; every layer's own measure keeps all its atoms
+unless ``atom_cap`` is set, which resamples them the same way.
 
 Zero slices contribute no atom.  All atom weights use the Euclidean norm of
 the flattened slice raised to the alpha power; directions are the
@@ -68,11 +69,11 @@ class LimitConfig:
     """Monte Carlo budget of the layer recursion.
 
     ``mc_samples`` fields are drawn per layer, from the previous measure
-    with its non-bias atoms resampled, stratified, to at most
-    ``mc_samples`` (see :func:`_fields`).  ``atom_cap``, when set,
-    compresses each Monte Carlo layer's own non-bias atoms, systematically,
-    to at most that many; None keeps all of a layer's at most
-    mc_samples * n_offsets Monte Carlo atoms.
+    with its non-bias atoms resampled to at most ``mc_samples`` (see
+    :func:`_fields`).  ``atom_cap``, when set, resamples each Monte Carlo
+    layer's own non-bias atoms to at most that many, by the same stratified
+    :func:`stableconv.stable.compress_measure`; None keeps all of a layer's
+    at most mc_samples * n_offsets Monte Carlo atoms.
     """
 
     mc_samples: int = 10_000
@@ -93,23 +94,22 @@ def _compressed_size(measure: SpectralMeasure, target: int) -> int:
 
 
 def _compress_keeping_bias(
-    measure: SpectralMeasure, target: int, rng: np.random.Generator, stratified: bool = False
+    measure: SpectralMeasure, target: int, rng: np.random.Generator
 ) -> SpectralMeasure:
     """``measure``'s bias atom first, with its weight and tag, then its
-    other atoms compressed to ``target`` by :func:`compress_measure`.  A
-    measure with at most ``target`` non-bias atoms is returned as it is and
-    consumes no random numbers."""
+    other atoms resampled to ``target`` by stratified
+    :func:`compress_measure`.  A measure with at most ``target`` non-bias
+    atoms is returned as it is and consumes no random numbers."""
     if _compressed_size(measure, target) == measure.n_atoms:
         return measure
     b = measure.bias_index
     if b is None:
-        return compress_measure(measure, target, rng, stratified)
+        return compress_measure(measure, target, rng)
     rest = slice(1, None) if b == 0 else np.delete(np.arange(measure.n_atoms), b)
     rest = compress_measure(
         SpectralMeasure(measure.alpha, measure.weights[rest], measure.directions[rest]),
         target,
         rng,
-        stratified,
     )
     return SpectralMeasure(
         measure.alpha,
@@ -126,8 +126,8 @@ def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndar
     field per channel, or the previous layer's measure.  From a measure,
     ``n_draws`` flat fields are drawn with ``rng`` after its non-bias atoms,
     when there are more than ``n_draws``, are resampled to ``n_draws`` by
-    stratified :func:`_compress_keeping_bias`.  A measure is checked
-    against the layer's input positions before anything is drawn.
+    :func:`_compress_keeping_bias`.  A measure is checked against the
+    layer's input positions before anything is drawn.
     """
     n_in = cfg.n_positions_in
     if isinstance(source, SpectralMeasure):
@@ -138,7 +138,7 @@ def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndar
                 f"measure dimension {source.dimension} is not a multiple of "
                 f"the layer's {n_in} input positions"
             )
-        sampled = _compress_keeping_bias(source, n_draws, rng, stratified=True)
+        sampled = _compress_keeping_bias(source, n_draws, rng)
         draws = sample_multivariate(sampled, rng, size=n_draws)
         return draws.reshape(n_draws, n_in, source.dimension // n_in)
     source = np.asarray(source, dtype=np.float64)
@@ -419,7 +419,8 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
     dedicated substream of the configured seed, so any single layer can be
     replayed with :func:`gamma_next_mc`.  Returns one measure per layer, each
     with all its atoms, and logs a summary line each; a Monte Carlo layer's
-    line also gives the atom count of the measure its fields were drawn from.
+    line also gives the atom count of the measure its fields were drawn from
+    and the number of stable variates drawn.
     """
     t0 = time.perf_counter()
     current = gamma_first(
@@ -441,7 +442,7 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
             _layer_rng(limit_cfg, l),
         )
         measures.append(current)
-        _log_layer(l, current, t0, sampled_atoms)
+        _log_layer(l, current, t0, sampled_atoms, limit_cfg.mc_samples * sampled_atoms)
     return measures
 
 
@@ -460,14 +461,19 @@ def _peak_rss_mb() -> float:
 
 
 def _log_layer(
-    layer: int, measure: SpectralMeasure, t0: float, sampled_atoms: int | None = None
+    layer: int,
+    measure: SpectralMeasure,
+    t0: float,
+    sampled_atoms: int | None = None,
+    draws: int | None = None,
 ) -> None:
     """One summary line per layer.  ``peak_rss_mb`` is this process's own
     peak resident memory so far (:func:`_peak_rss_mb`), so the layer that
     raises it shows.  A Monte Carlo layer's line ends with
     ``sampled_atoms``, the atom count of the measure its fields were drawn
-    from."""
-    sampled = "" if sampled_atoms is None else f" sampled_atoms={sampled_atoms}"
+    from, and ``draws``, the stable variates drawn for them (M per sampled
+    atom); with ``seconds`` that gives the layer's draws per second."""
+    sampled = "" if sampled_atoms is None else f" sampled_atoms={sampled_atoms} draws={draws}"
     log.info(
         "layer=%d atoms=%d total_mass=%.6g bias_mass=%.6g seconds=%.3f peak_rss_mb=%.1f%s",
         layer,

@@ -21,6 +21,12 @@ on first use.  Elementwise ufuncs give the same bits on any chunk, so the
 values do not depend on the thread count.  A process forked from this one
 (such as a replica pool worker) transforms serially, so a process pool runs
 one transforming thread per worker.
+
+The transform takes its sines and cosines from tangents of half angles,
+because numpy computes float64 ``sin`` and ``cos`` one value at a time and
+``tan`` in SIMD lanes; each chunk is worked in cache-sized blocks.  The values
+equal those of the sine and cosine expression to rounding, not bit for bit
+(see :func:`_cms_transform`).
 """
 
 from __future__ import annotations
@@ -45,6 +51,10 @@ _MIN_CHUNK = 4096
 # atoms formatted per block of measure text; bounds the Python floats held
 # at once (a whole 45k-atom measure would take about 130 MB of them)
 _TEXT_ROWS = 256
+
+# values per block of the CMS transform: its six block-sized arrays (v, w,
+# out and three scratch blocks, 768 KiB) stay in a core's L2 cache
+_CMS_BLOCK = 16384
 
 # cores this process may run on; a forked child sets it to 1
 _THREADS = (
@@ -89,23 +99,67 @@ def cf_univariate(params: StableParams, t):
     return float(out) if np.isscalar(t) else out
 
 
+def _cos_half_angle(x: np.ndarray, tmp: np.ndarray, den: np.ndarray) -> None:
+    """cos of 2 * ``x`` in place, from t = tan(x) as (1 - t)(1 + t) / (1 + t^2);
+    ``tmp`` and ``den`` are scratch."""
+    np.tan(x, out=x)
+    np.multiply(x, x, out=den)
+    den += 1.0
+    np.subtract(1.0, x, out=tmp)
+    x += 1.0
+    x *= tmp
+    x /= den
+
+
 def _cms_transform(alpha: float, v: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     """The CMS transform into ``out``, elementwise:
     sin(a v) / cos(v)^(1/a) * (cos((1 - a) v) / w)^((1 - a)/a) for a = alpha,
-    with the operations of that expression in its order (the in-place powers
-    take numpy's same scalar-exponent paths) and one temporary.  ``w`` is
-    overwritten: its zeros become ``tiny``."""
-    w[w == 0.0] = np.finfo(np.float64).tiny
-    np.multiply(v, alpha, out=out)
-    np.sin(out, out=out)
-    tmp = np.cos(v)
-    tmp **= 1.0 / alpha
-    out /= tmp
-    np.multiply(v, 1.0 - alpha, out=tmp)
-    np.cos(tmp, out=tmp)
-    tmp /= w
-    tmp **= (1.0 - alpha) / alpha
-    out *= tmp
+    its quotient, powers and product taken in that order.  ``w`` is
+    overwritten: its zeros become ``tiny``.
+
+    Every sine and cosine comes from the tangent of the half angle,
+    t = tan(x/2): sin x = 2t / (1 + t^2) and cos x = (1 - t)(1 + t) / (1 + t^2).
+    numpy computes float64 ``sin`` and ``cos`` one value at a time and
+    ``tan`` in SIMD lanes: on an AVX-512 x86-64 core with numpy 2.4 they
+    take about 12 ns and 3 ns a value, so the three trigonometric calls fall
+    from about 36 ns to 9 ns.  Where ``tan`` runs scalar too, both forms
+    cost about the same.  The half angles a v / 2, v / 2 and (1 - a) v / 2
+    are the rounded products a v, v and (1 - a) v halved exactly, so every
+    value equals the sine and cosine form to rounding: within a few ulp
+    times 1 / cos v, the factor coming from 1 - t as v nears +/-pi/2.  The
+    two powers are not folded into one (Weron's form): that saves about
+    3 ns but under- or overflows at w <= 1e-300, where this form stays
+    finite.
+
+    The work runs over contiguous blocks of ``_CMS_BLOCK`` values with three
+    scratch blocks, so that every temporary stays in cache."""
+    v, w, out = v.reshape(-1), w.reshape(-1), out.reshape(-1)
+    n = v.size
+    a, b, c = (np.empty(min(n, _CMS_BLOCK)) for _ in range(3))
+    tiny = np.finfo(np.float64).tiny
+    for start in range(0, n, _CMS_BLOCK):
+        stop = min(start + _CMS_BLOCK, n)
+        vb, wb, ob = v[start:stop], w[start:stop], out[start:stop]
+        ta, tb, tc = a[: stop - start], b[: stop - start], c[: stop - start]
+        wb[wb == 0.0] = tiny
+        # sin(a v) = 2t / (1 + t^2), t = tan(a v / 2)
+        np.multiply(vb, 0.5 * alpha, out=ob)
+        np.tan(ob, out=ob)
+        np.multiply(ob, ob, out=ta)
+        ta += 1.0
+        ob += ob
+        ob /= ta
+        # / cos(v)^(1/a)
+        np.multiply(vb, 0.5, out=ta)
+        _cos_half_angle(ta, tb, tc)
+        ta **= 1.0 / alpha
+        ob /= ta
+        # * (cos((1 - a) v) / w)^((1 - a)/a)
+        np.multiply(vb, 0.5 * (1.0 - alpha), out=ta)
+        _cos_half_angle(ta, tb, tc)
+        ta /= wb
+        ta **= (1.0 - alpha) / alpha
+        ob *= ta
 
 
 def _thread_pool() -> ThreadPoolExecutor:
@@ -299,19 +353,19 @@ def project_1d(measure: SpectralMeasure, u) -> StableParams:
 
 
 def compress_measure(
-    measure: SpectralMeasure, target: int, rng: np.random.Generator, stratified: bool = False
+    measure: SpectralMeasure, target: int, rng: np.random.Generator
 ) -> SpectralMeasure:
-    """Mass-preserving resampling down to ``target`` atoms.
+    """Mass-preserving stratified resampling down to ``target`` atoms.
 
     The cumulative weight is cut into ``target`` equal slices and one atom
-    is drawn at a uniform point of each: the same offset in every slice
-    (systematic, one uniform draw) or, with ``stratified``, an independent
-    offset in each (``target`` draws).  Every surviving atom carries
-    total_mass / target, so the expected measure is preserved.  Stratified
-    picks are independent across slices, so their error cannot line up with
-    a periodic order of the atoms, as one shared offset's can.  A measure
-    with at most ``target`` atoms is returned unchanged.  The bias tag does
-    not survive resampling.
+    is drawn at an independent uniform point of each (``target`` draws).
+    Every surviving atom carries total_mass / target, so the expected
+    measure is preserved.  The picks are independent across slices, so
+    their error cannot line up with a periodic order of the atoms, as one
+    offset shared by every slice (systematic resampling) does on a Monte
+    Carlo measure's blocks of one atom per filter offset.  A measure with
+    at most ``target`` atoms is returned unchanged.  The bias tag does not
+    survive resampling.
     """
     if target < 1:
         raise ValueError("target must be >= 1")
@@ -320,8 +374,7 @@ def compress_measure(
     total = measure.total_mass
     cum = np.cumsum(measure.weights)
     cum[-1] = total
-    offsets = rng.uniform(size=target) if stratified else rng.uniform()
-    points = (np.arange(target) + offsets) / target * total
+    points = (np.arange(target) + rng.uniform(size=target)) / target * total
     idx = np.minimum(np.searchsorted(cum, points, side="left"), measure.n_atoms - 1)
     weights = np.full(target, total / target)
     return SpectralMeasure(measure.alpha, weights, measure.directions[idx])

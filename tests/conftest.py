@@ -50,3 +50,22 @@ def random_conv_case(rng, two_d=False, k=None):
     k = int(rng.integers(1, 4)) if k is None else k
     x = sc.input_tensor(rng.standard_normal((c0, *spatial, k)))
     return cfg, x
+
+
+def pytest_report_header(config):
+    """numpy's version and SIMD dispatch: the pinned digests hold on one
+    dispatch, since numpy's float64 tan and power kernels (the CMS transform,
+    atom weights) round differently on different SIMD targets."""
+    version = f"numpy {np.__version__}"
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2
+        return version
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    info = opt_func_info(func_name="^(tan|power)$", signature="float64")
+    kernels = [f"{name} {sig['current']}" for name, sigs in info.items() for sig in sigs.values()]
+    return [
+        f"{version}: SIMD baseline {' '.join(simd['baseline'])}, "
+        f"dispatch targets {' '.join(simd['found']) or 'none'}",
+        "float64 kernels: " + ", ".join(kernels),
+    ]

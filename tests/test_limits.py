@@ -207,8 +207,8 @@ class TestGammaNextMC:
 
 
 class TestCompressKeepingBias:
-    """The bias-first compression that draws Monte Carlo fields (stratified)
-    and applies ``atom_cap`` (systematic)."""
+    """The bias-first stratified compression that draws Monte Carlo fields
+    and applies ``atom_cap``."""
 
     @staticmethod
     def layer2(bias_last=False):
@@ -220,11 +220,19 @@ class TestCompressKeepingBias:
         return sc.SpectralMeasure(m.alpha, m.weights[order], m.directions[order],
                                   bias_index=m.n_atoms - 1)
 
-    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("bias_last", [False, True])
-    def test_bias_first_mass_kept_size_bounded(self, bias_last, stratified):
+    def test_bias_first_mass_kept_size_bounded(self, bias_last, shuffled):
+        # shuffled: the atoms in a random order, the bias atom's index moved
+        # with them, so the result cannot lean on the builder's atom order
         prev, k = self.layer2(bias_last), 50
-        out = limits._compress_keeping_bias(prev, k, np.random.default_rng(3), stratified)
+        if shuffled:
+            order = np.random.default_rng(7).permutation(prev.n_atoms)
+            prev = sc.SpectralMeasure(
+                prev.alpha, prev.weights[order], prev.directions[order],
+                bias_index=int(np.flatnonzero(order == prev.bias_index)[0]),
+            )
+        out = limits._compress_keeping_bias(prev, k, np.random.default_rng(3))
         assert out.bias_index == 0
         assert out.weights[0] == prev.bias_mass
         assert np.array_equal(out.directions[0], prev.directions[prev.bias_index])
@@ -234,7 +242,7 @@ class TestCompressKeepingBias:
     def test_untagged_measure_resampled_whole(self):
         m = self.layer2()
         untagged = sc.SpectralMeasure(m.alpha, m.weights, m.directions)
-        out = limits._compress_keeping_bias(untagged, 50, np.random.default_rng(3), True)
+        out = limits._compress_keeping_bias(untagged, 50, np.random.default_rng(3))
         assert out.bias_index is None
         assert out.n_atoms <= 50
         assert out.total_mass == pytest.approx(m.total_mass, rel=1e-12)
@@ -250,22 +258,22 @@ class TestCompressKeepingBias:
             m, k = sc.SpectralMeasure(m.alpha, m.weights, m.directions), m.n_atoms
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
-        assert limits._compress_keeping_bias(m, k, rng, stratified=True) is m
+        assert limits._compress_keeping_bias(m, k, rng) is m
         assert rng.bit_generator.state == state
 
 
 _resample = limits._compress_keeping_bias
 
 
-def _drop_bias(measure, target, rng, stratified=False):
-    out = _resample(measure, target, rng, stratified)
+def _drop_bias(measure, target, rng):
+    out = _resample(measure, target, rng)
     if out is measure:
         return measure
     return sc.SpectralMeasure(out.alpha, out.weights[1:], out.directions[1:])
 
 
-def _unit_mass(measure, target, rng, stratified=False):
-    out = _resample(measure, target, rng, stratified)
+def _unit_mass(measure, target, rng):
+    out = _resample(measure, target, rng)
     if out is measure:
         return measure
     weights = np.concatenate([out.weights[:1], np.full(out.n_atoms - 1, 1.0 / target)])
@@ -297,7 +305,7 @@ class TestResampleAgreement:
 
     @pytest.fixture(scope="class")
     def full(self):
-        return self.layer_cfs(lambda measure, target, rng, stratified=False: measure)
+        return self.layer_cfs(lambda measure, target, rng: measure)
 
     @staticmethod
     def agreement(cfs, full):
@@ -419,7 +427,7 @@ class TestLimitPipeline:
                                          sc.LimitConfig(mc_samples=100, seed=1))
         lines = [r.message for r in caplog.records if r.message.startswith("layer=")]
         assert len(lines) == 3
-        sampled = []
+        sampled, draws = [], []
         for ln, measure in zip(lines, measures):
             fields = dict(tok.split("=", 1) for tok in ln.split())
             assert {"atoms", "total_mass", "bias_mass"} <= fields.keys()
@@ -427,9 +435,12 @@ class TestLimitPipeline:
             assert float(fields["seconds"]) >= 0.0
             assert float(fields["peak_rss_mb"]) > 0.0
             sampled.append(fields.get("sampled_atoms"))
+            draws.append(fields.get("draws"))
         # layer 2 draws from layer 1's 4 atoms as they are; layer 3 from the
-        # bias atom plus layer 2's 300 other atoms resampled to M = 100
+        # bias atom plus layer 2's 300 other atoms resampled to M = 100; each
+        # of the M = 100 fields takes one stable variate per sampled atom
         assert sampled == [None, "4", "101"]
+        assert draws == [None, "400", "10100"]
 
     def test_readout_limit_single_layer_exact(self, rng):
         spec = toy_spec(n_layers=1)
@@ -516,12 +527,12 @@ def _pinned_case(case):
 
 class TestMeasurePins:
     # SHA-256 of the dump_measure text of every measure a constructor case
-    # builds.  Recorded before the constructors shared one slice builder;
-    # any change to atoms, weights, their order or the bias atom shows here.
-    # readout_limit_3 and stack_4 were recorded again when fields came to be
-    # drawn from a stratified M-atom resample of a previous Monte Carlo
-    # measure; the other cases never draw from more than M non-bias atoms,
-    # so no resample.
+    # builds: any change to atoms, weights, their order or the bias atom
+    # shows here.  The six cases whose atoms come from stable draws
+    # (next_mc, next_mc_cap, readout, readout_cap, readout_limit_3, stack_4)
+    # were recorded when the CMS transform came to take half-angle tangents
+    # and atom_cap came to resample stratified.  Like every draw pin, they
+    # hold on one numpy SIMD dispatch (see the report header of the test run).
     @pytest.mark.parametrize("case, digest", [
         ("first",
          "97af5cb9aa41ecbe6d0555b2967abe6b8bdc4b975b8f8358ed10cec51d2f24be"),
@@ -530,19 +541,19 @@ class TestMeasurePins:
         ("conditional",
          "2180cf03675aea4b18ae885ece066ecaf92904b23e179ed299a8f9665de3f3aa"),
         ("next_mc",
-         "13759afda93c270de1580bac234409928350e298e76624c6c23d0999e42fdd0d"),
+         "ae6e2ca9bd22cabdf33fdc11f2304e8fcd77c1bf1fb4f7f271d37bfb596e4b57"),
         ("next_mc_cap",
-         "63d34e0714250b4e8f6aa04a3068f05614dab6310156bfcd5d20e04d07cf223d"),
+         "cd934248b8f87d37689c628c0266ad45e016808341b17330cdeccbb2333ff9fd"),
         ("readout",
-         "ec1fd11b5a7b006c568ce016b3e8206b3d488e09b6b1e236c77c6b59d03c95b6"),
+         "23f17c939e3f63be49eb70a66c0fefddc6edb2e1e5b4295de7d6321e1789c600"),
         ("readout_cap",
-         "bf0fcc872614ae267edbe643993ff3f90dcc80ce9f8d2833cd58dc7e708408cc"),
+         "43bef294dd64b90bbbc6e15bfe2ec2b015d82205b409c98f80a48aa8524c371d"),
         ("readout_limit_1",
          "2fef46ebe9b3d8a871cf92474d284c4346bc72e7546720786c8ab870f0a84a18"),
         ("readout_limit_3",
-         "6674b73d765439cec05fd94e95c845be427be620c1adee4fdd88be9cc3907c2e"),
+         "a64e0899bf0a216bfaf1c5db8f9284ba243a33f5b7da71e1bd92a47cf28189d3"),
         ("stack_4",
-         "68561cd797b266534c8dc1b1362a46fd608a2c84d59ea736d9e954cc4c3076a6"),
+         "e72f1ce40e1e89bac8b3bdc85f7c2ad8148898d3d789f42cc1118ebcd3371252"),
         ("sigma_w_zero",
          "2d9ea136b3b2641c454dd5b96d34ef521039fb5620f21fa3e9bfbfb6a635280e"),
     ])

@@ -233,15 +233,18 @@ class TestBlockedSampler:
         assert np.all(np.abs(cos.mean(axis=0) - theo) < 5.0 * se)
 
 
-# around the two-thread split threshold (2 x 4096 variates), plus a 2-D draw
-# that splits three ways on three threads
-_DRAW_SIZES = [None, 0, 1, 8191, 8193, (5, 4099)]
-# SHA-256 of _draw_digest's stream, computed before the transform was
-# threaded: any change to the draws shows here
+# around the two-thread split threshold (2 x 4096 variates), a 2-D draw that
+# splits three ways on three threads, and around one and two transform blocks
+_BLOCK = stable_module._CMS_BLOCK
+_DRAW_SIZES = [None, 0, 1, 8191, 8193, (5, 4099), _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1]
+# SHA-256 of _draw_digest's stream, recorded when the transform came to take
+# half-angle tangents: any change to the draws shows here.  The bits depend
+# on numpy's SIMD dispatch (see the report header of the test run), so these
+# hold on one dispatch; TestHalfAngleTransform checks the values anywhere.
 _DRAW_PINS = {
-    0.7: "da82fdbcd6667ae1eda934429d8d7ab4ed336629d67ed0a5b3ab7f612bc83822",
-    1.5: "86c404bdac5cd13044a6c335453f5ad583e8a3aad989c3e498a95f1d5527d61c",
-    1.9: "102c08e8bda3612cfa15798693be1e42fc641ffbdf526bd2b5561f9b9d2f501f",
+    0.7: "82548ae8728d3a058fe19b0a3e9848e7710974c34b8c26d6f9656191381814a7",
+    1.5: "6e165fefd195569124aace028b01450f4d059d69b00982d52498996882ee87ff",
+    1.9: "3af3a0a41d44d8c1fd327a7be6d478073c841cdfbafca72a45b7f88be59b2d7f",
 }
 
 
@@ -277,6 +280,90 @@ class TestThreadedTransform:
         assert type(one) is np.float64
         none = sc.sample_standard(1.5, 0, rng)
         assert isinstance(none, np.ndarray) and none.shape == (0,)
+
+
+_EPS = np.finfo(np.float64).eps
+# |half-angle - sine/cosine| <= _TOL * eps * |sine/cosine| / cos v
+_TOL = 64.0
+
+
+def _cms_reference(alpha, v, w):
+    """The CMS transform as sines and cosines, in the operation order the
+    package used before it took half-angle tangents."""
+    w = np.where(w == 0.0, np.finfo(np.float64).tiny, w)
+    out = np.sin(v * alpha)
+    tmp = np.cos(v)
+    tmp **= 1.0 / alpha
+    out /= tmp
+    tmp = np.cos(v * (1.0 - alpha))
+    tmp /= w
+    tmp **= (1.0 - alpha) / alpha
+    out *= tmp
+    return out
+
+
+def _within_rounding(alpha, size, seed=0):
+    """Whether every draw of ``size`` is within rounding of the reference
+    on the same generator state."""
+    new = sc.sample_standard(alpha, size, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
+    ref = _cms_reference(alpha, v, rng.standard_exponential(size))
+    return bool(np.all(np.abs(new - ref) <= _TOL * _EPS * np.abs(ref) / np.cos(v)))
+
+
+class _TanOfWholeAngle:
+    """numpy, except that ``tan`` takes twice its argument: a transform
+    using it takes tan(v) where it should take tan(v/2)."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def tan(x, out=None):
+        return np.tan(2.0 * x, out=out)
+
+
+class TestHalfAngleTransform:
+    ALPHAS = [0.3, 0.7, 1.2, 1.5, 1.9, 1.999]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_equals_sine_cosine_form_to_rounding(self, monkeypatch, alpha, threads):
+        monkeypatch.setattr(stable_module, "_THREADS", threads)
+        for size in (_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1):
+            assert _within_rounding(alpha, size), size
+
+    def test_tan_of_the_whole_angle_fails(self, monkeypatch):
+        monkeypatch.setattr(stable_module, "np", _TanOfWholeAngle())
+        monkeypatch.setattr(stable_module, "_THREADS", 1)  # errstate is per thread
+        with np.errstate(invalid="ignore"):  # cos(2v) < 0 to a fractional power
+            assert not _within_rounding(1.5, _BLOCK + 1)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_extreme_inputs_keep_their_kind(self, alpha):
+        # finite, infinite, zero or NaN as the reference is, at the ends of
+        # the uniform's range and of the exponential's
+        edge = np.nextafter(np.pi / 2.0, 0.0)
+        grid = np.array(
+            [
+                (v, w)
+                for v in (edge, -edge, 0.0, 1e-300, -1e-300, 1.5)
+                for w in (0.0, 5e-324, 1e-300, 1e-20, 1.0, 700.0)
+            ]
+        )
+        v, w = grid.T.copy()
+
+        def kind(x):
+            return np.select([np.isnan(x), np.isinf(x), x == 0.0], [3, 2, 1], 0)
+
+        with np.errstate(all="ignore"):
+            ref = _cms_reference(alpha, v, w)
+            out = np.empty_like(v)
+            stable_module._cms_transform(alpha, v, w.copy(), out)
+        assert np.array_equal(kind(out), kind(ref))
+        signed = ~np.isnan(ref)
+        assert np.array_equal(np.signbit(out[signed]), np.signbit(ref[signed]))
 
 
 class TestProject1d:
@@ -373,9 +460,18 @@ class TestCompressMeasure:
 
     def test_stratified_mass_preserved(self, rng):
         m = make_measure(rng, n_atoms=500)
-        out = sc.compress_measure(m, 50, rng, stratified=True)
+        gen = np.random.default_rng(9)
+        state = gen.bit_generator.state
+        out = sc.compress_measure(m, 50, gen)
         assert out.n_atoms == 50
         assert out.total_mass == pytest.approx(m.total_mass, rel=1e-12)
+        # 50 independent uniforms, one for each slice of the cumulative weight
+        gen.bit_generator.state = state
+        points = (np.arange(50) + gen.uniform(size=50)) / 50 * m.total_mass
+        cum = np.cumsum(m.weights)
+        picked = [int(np.flatnonzero((m.directions == d).all(axis=1))[0]) for d in out.directions]
+        assert np.all(cum[picked] >= points)
+        assert np.all(np.concatenate([[0.0], cum])[picked] < points)
 
     def test_stratified_ignores_a_periodic_atom_order(self):
         # blocks of 3 atoms, one per direction, each block about one stride
@@ -387,20 +483,22 @@ class TestCompressMeasure:
         share = weights.reshape(n, 3).sum(axis=0) / weights.sum()
         multinomial_sd = np.sqrt(n * share * (1.0 - share))
 
-        def count_sd(stratified):
+        def systematic(rng):
+            # one offset shared by every slice: the negative control
+            cum = np.cumsum(weights)
+            points = (np.arange(n) + rng.uniform()) / n * cum[-1]
+            return m.directions[np.minimum(np.searchsorted(cum, points), m.n_atoms - 1)]
+
+        def count_sd(resample):
             counts = [
-                np.bincount(
-                    sc.compress_measure(m, n, np.random.default_rng(s), stratified)
-                    .directions.argmax(axis=1),
-                    minlength=3,
-                )
+                np.bincount(resample(np.random.default_rng(s)).argmax(axis=1), minlength=3)
                 for s in range(200)
             ]
             return np.std(counts, axis=0) / multinomial_sd
 
         # one shared offset picks the same direction from long runs of blocks
-        assert np.all(count_sd(False) > 2.0)
-        assert np.all(count_sd(True) < 1.25)
+        assert np.all(count_sd(systematic) > 2.0)
+        assert np.all(count_sd(lambda rng: sc.compress_measure(m, n, rng).directions) < 1.25)
 
     def test_bad_target(self, rng):
         with pytest.raises(ValueError):
