@@ -18,7 +18,7 @@ rng = np.random.default_rng(0)
 # --- the index table ----------------------------------------------------------
 cfg = sc.ConvLayerConfig(spatial_in=3, filter_shape=3, stride=1, padding=1)
 pm = sc.patch_map_for(cfg)
-print(f"index table (output position x filter offset; {sc.OUT_OF_BOUNDS} = padding):")
+print(f"index table (output position x filter offset; {sc.tensors.OUT_OF_BOUNDS} = padding):")
 print(pm.indices)
 
 # --- patch extraction with zero padding ---------------------------------------

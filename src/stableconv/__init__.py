@@ -2,7 +2,7 @@
 simulation, infinite-channel limit laws via spectral-measure recursion, and
 characteristic-function verification of the convergence."""
 
-from .tensors import OUT_OF_BOUNDS, ConvLayerConfig, PatchMap, input_tensor, patch_map_for
+from .tensors import ConvLayerConfig, PatchMap, input_tensor, patch_map_for
 from .stable import (
     SpectralMeasure,
     StableParams,

@@ -134,7 +134,6 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
         probes=probes,
         workers=cfg.workers,
         target=target,
-        metadata={"config_hash": cfg.config_hash},
     )
     (run / "sweep.csv").write_text(report.to_csv(timing=cfg.timing_in_csv))
     for row in report.rows:
@@ -208,9 +207,6 @@ def _independence_from_cache(cfg: RunConfig, run: Path, target) -> list[str]:
 
 
 def cmd_oracle(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: Path) -> int:
-    if cfg.alpha != 2.0:
-        log.error("the oracle command requires alpha = 2 in the configuration")
-        return 2
     result = gaussian_oracle_check(spec, limit_cfg)
     lines = [
         "metric,value",
@@ -230,11 +226,7 @@ def cmd_oracle(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
 
 
 def cmd_report(run: Path) -> int:
-    sweep = run / "sweep.csv"
-    if not sweep.exists():
-        log.error("no sweep.csv in %s; run `verify` first", run)
-        return 2
-    lines = sweep.read_text().splitlines()
+    lines = (run / "sweep.csv").read_text().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         log.error("unexpected sweep.csv schema in %s", run)
         return 2
@@ -276,13 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # everything a command builds from the file is built here, so a bad
-        # value exits before the run directory exists
+        # everything a command builds from the file, and every precondition
+        # of a command, is checked here, so a bad run exits before the run
+        # directory exists
         cfg = load_config(args.config)
         spec = cfg.build_spec(getattr(args, "channels", None))
         if getattr(args, "replicas", None) is not None and args.replicas < 1:
             raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
         limit_cfg = cfg.limit_config(cfg.oracle_mc_samples if args.command == "oracle" else None)
+        if args.command == "oracle" and cfg.alpha != 2.0:
+            raise ValueError("the oracle command requires alpha = 2 in the configuration")
+        run = Path(args.out) / cfg.config_hash
+        if args.command == "report" and not (run / "sweep.csv").exists():
+            raise ValueError(f"no sweep.csv in {run}; run `verify` first")
     except Exception as exc:  # bad config is a usage error, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,11 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .limits import LimitConfig
-from .network import (
-    NetworkSpec,
-    RNG_DOMAIN_INPUTS,
-    get_activation,
-)
+from .network import NetworkSpec, RNG_DOMAIN_INPUTS, get_activation, rng_stream
 from .tensors import ConvLayerConfig, input_tensor
 from .verify import RADIUS_FACTORS
 
@@ -112,6 +108,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_replicas < 1:
             raise ValueError("[verify] n_replicas must be >= 1")
+        if self.workers < 1:
+            raise ValueError("[verify] workers must be >= 1")
         if self.n_probes < len(RADIUS_FACTORS):
             # fewer probes leave radius factors unused, and the probe set
             # then rarely reaches both a small and a large CF value
@@ -146,9 +144,7 @@ class RunConfig:
     def make_inputs(self):
         shape = (self.in_channels, *self.spatial, self.n_inputs)
         if self.input_kind == "gaussian":
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(RNG_DOMAIN_INPUTS,))
-            )
+            rng = rng_stream(self.seed, RNG_DOMAIN_INPUTS)
             return input_tensor(rng.standard_normal(shape))
         if self.input_kind == "file":
             arr = np.load(self.input_path)

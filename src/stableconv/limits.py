@@ -36,7 +36,10 @@ unless ``atom_cap`` is set, which resamples them the same way.
 
 Zero slices contribute no atom.  All atom weights use the Euclidean norm of
 the flattened slice raised to the alpha power; directions are the
-Euclidean-normalized slices.
+Euclidean-normalized slices.  A hidden layer's fields are activated before
+their slices are gathered, with phi(0) in the padding slots, as in the
+finite network: the next convolution sees the zero padding through the
+activation.
 
 That rule and the bias atom are written once, in the builder
 :func:`_slice_measure`; every measure constructor is a thin wrapper over it.
@@ -57,7 +60,7 @@ from math import prod
 
 import numpy as np
 
-from .network import NetworkSpec, RNG_DOMAIN_LIMIT, ActivationSpec
+from .network import NetworkSpec, RNG_DOMAIN_LIMIT, ActivationSpec, rng_stream
 from .stable import _BLOCK_BYTES, SpectralMeasure, compress_measure, empty_measure, sample_multivariate
 from .tensors import ConvLayerConfig, patch_map_for
 
@@ -173,9 +176,10 @@ def _slice_measure(
 ) -> SpectralMeasure:
     """A layer's spectral measure from the patch slices of n ``fields``.
 
-    The (filter offset, output position) patches of every field are
-    activated when ``activation`` is given (hidden layers), and their output
-    positions are contracted against ``u`` when readout weights are given.
+    When ``activation`` is given (hidden layers) the fields are activated and
+    their (filter offset, output position) patches gathered with phi(0) in
+    the padding slots; the output positions of the patches are contracted
+    against ``u`` when readout weights are given.
     Each nonzero slice v then carries one atom pair of weight
     sigma_w^alpha * ||v||^alpha, divided by n on hidden layers, at direction
     v / ||v||.  The exact bias atom, sigma_b^alpha * dim^(alpha/2) along the
@@ -183,9 +187,14 @@ def _slice_measure(
     with ``rng`` (:func:`_compress_keeping_bias`).
     """
     n = fields.shape[0]
-    slices = patch_map_for(cfg).gather(fields, axis=1)  # (n, n_off, n_pos, K)
-    if activation is not None:
-        slices = activation(slices)
+    pm = patch_map_for(cfg)
+    if activation is None:
+        slices = pm.gather(fields, axis=1)  # (n, n_off, n_pos, K)
+    else:
+        # activating the fields, not their slices, evaluates phi once per
+        # value instead of once per patch slot; no name holds the activated
+        # fields, so they are freed once gathered
+        slices = pm.gather(activation(fields), axis=1, fill=activation(np.zeros(1))[0])
     if u is not None:
         slices = np.einsum("p,ngpk->ngk", u, slices)
     dim = prod(slices.shape[2:])
@@ -406,12 +415,6 @@ def readout_measure(
     )
 
 
-def _layer_rng(limit_cfg: LimitConfig, layer: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=limit_cfg.seed, spawn_key=(RNG_DOMAIN_LIMIT, layer))
-    )
-
-
 def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMeasure]:
     """Propagate the limiting spectral measure through every layer.
 
@@ -439,7 +442,7 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
             spec.sigma_b,
             spec.activation,
             limit_cfg,
-            _layer_rng(limit_cfg, l),
+            rng_stream(limit_cfg.seed, RNG_DOMAIN_LIMIT, l),
         )
         measures.append(current)
         _log_layer(l, current, t0, sampled_atoms, limit_cfg.mc_samples * sampled_atoms)
@@ -511,5 +514,5 @@ def readout_limit(spec: NetworkSpec, u, limit_cfg: LimitConfig) -> SpectralMeasu
         spec.activation,
         u,
         limit_cfg,
-        _layer_rng(limit_cfg, spec.n_layers + 1_000),
+        rng_stream(limit_cfg.seed, RNG_DOMAIN_LIMIT, spec.n_layers + 1_000),
     )

@@ -4,10 +4,10 @@ simulated jointly over several inputs.
 Weights and biases are drawn iid symmetric stable with scales sigma_w and
 sigma_b.  The first layer applies the convolution as-is; deeper layers divide
 the weight term by C^(1/alpha), where C is the channel count shared by all
-hidden layers.  The activation is applied to each hidden field before patch
-extraction, and padding slots are then set to phi(0): the patches equal the
-activated zero-padded patches, so padding feeds phi(0) into the next
-contraction.
+hidden layers.  The activation is applied to each hidden field, whose patches
+are then gathered with phi(0) in the padding slots (``PatchMap.gather``'s
+``fill``): the patches equal the activated zero-padded patches, so padding
+feeds phi(0) into the next contraction.
 
 Replicas are simulated in blocks: one block pushes B network realizations
 through the stack together, with one weight draw, one bias draw and one
@@ -18,6 +18,10 @@ replicas even when only part of the last one is kept.  A replica's values
 therefore depend only on (seed, spec, channels, index): the first k replicas
 do not depend on the total, and a worker pool given whole blocks reproduces
 the serial draws exactly.
+
+Every stream the package derives from a configured seed, here and in the
+limit recursion, the probe sets and the synthetic inputs, is built by
+:func:`rng_stream`.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from typing import Callable
 import numpy as np
 
 from .stable import _BLOCK_BYTES, sample_standard
-from .tensors import OUT_OF_BOUNDS, ConvLayerConfig, input_tensor, patch_map_for
+from .tensors import ConvLayerConfig, input_tensor, patch_map_for
 
-# spawn-key domains keep replica, limit-recursion and probe streams disjoint
+# spawn-key domains keep replica, limit-recursion, probe and input streams
+# disjoint
 RNG_DOMAIN_REPLICA = 1
 RNG_DOMAIN_LIMIT = 2
 RNG_DOMAIN_PROBES = 3
@@ -233,14 +238,14 @@ def _forward_block(
     field = spec.inputs.reshape(spec.in_channels, -1, k)
     biases = None
     for l, cfg in enumerate(spec.layers):
-        pm = patch_map_for(cfg)
+        fill = 0.0
         if l > 0:
             # activating the field, not its patches, evaluates phi once per
             # value instead of once per patch slot
             field = spec.activation(field)
-        patches = pm.gather(field, axis=-2)  # (..., C_in, n_off, n_pos, K)
-        if l > 0:
-            patches[..., pm.indices.T == OUT_OF_BOUNDS, :] = phi0
+            fill = phi0
+        # (..., C_in, n_off, n_pos, K)
+        patches = patch_map_for(cfg).gather(field, axis=-2, fill=fill)
         fan_in = patches.shape[-4] * cfg.n_offsets
         n_pos = cfg.n_positions_out
         m_out = n_channels_out if l == spec.n_layers - 1 else spec.channels
@@ -291,11 +296,20 @@ def replica_block_size(spec: NetworkSpec, n_channels: int = 1) -> int:
     return max(1, min(_MAX_BLOCK, _BLOCK_BYTES // (8 * worst)))
 
 
+def rng_stream(seed: int, domain: int, *key: int) -> np.random.Generator:
+    """The generator of one stream: entropy ``seed``, spawn key (domain, *key).
+
+    ``domain`` is one of the ``RNG_DOMAIN_*`` constants, so replica, limit,
+    probe and input streams of one seed never overlap; ``key`` picks the
+    block, layer or attempt within the domain."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(domain, *key))
+    )
+
+
 def replica_rng(seed: int, index: int) -> np.random.Generator:
     """Independent stream for one replica block, keyed by (seed, index)."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(RNG_DOMAIN_REPLICA, index))
-    )
+    return rng_stream(seed, RNG_DOMAIN_REPLICA, index)
 
 
 @dataclass(frozen=True)
@@ -317,12 +331,12 @@ class ReplicaSet:
 
 def _replica_blocks(args) -> tuple[np.ndarray, np.ndarray]:
     """Replicas of the blocks [lo, hi), stopping at replica ``n_replicas``."""
-    spec, seed, n_channels, size, lo, hi, n_replicas = args
+    spec, n_channels, size, lo, hi, n_replicas = args
     start, stop = lo * size, min(hi * size, n_replicas)
     out = np.empty((stop - start, n_channels, spec.out_dim))
     bias = np.empty((stop - start, n_channels))
     for block in range(lo, hi):
-        fields, b = _forward_block(spec, n_channels, size, replica_rng(seed, block))
+        fields, b = _forward_block(spec, n_channels, size, replica_rng(spec.seed, block))
         first = block * size
         keep = min(size, stop - first)
         out[first - start : first - start + keep] = fields[:keep]
@@ -334,7 +348,6 @@ def sample_replicas(
     spec: NetworkSpec,
     n_replicas: int,
     n_channels: int = 1,
-    seed: int | None = None,
     workers: int = 1,
 ) -> ReplicaSet:
     """Independent forward runs, simulated in blocks of replicas.
@@ -342,7 +355,7 @@ def sample_replicas(
     Channels within one replica come from the same network realization (they
     are exchangeable, not independent, at finite C); across replicas
     everything is independent.  Block b holds replicas [b*B, (b+1)*B) with
-    B = :func:`replica_block_size`, and draws from ``replica_rng(seed, b)``.
+    B = :func:`replica_block_size`, and draws from ``replica_rng(spec.seed, b)``.
     Every block draws all B replicas, so the first k replicas do not depend
     on ``n_replicas``.  ``workers`` > 1 gives each pool job a contiguous range
     of whole blocks; the results do not depend on the worker count.
@@ -351,13 +364,12 @@ def sample_replicas(
         raise ValueError("n_replicas must be >= 1")
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
-    seed = spec.seed if seed is None else int(seed)
     size = replica_block_size(spec, n_channels)
     n_blocks = -(-n_replicas // size)
     n_jobs = max(1, min(workers, n_blocks))
     bounds = np.linspace(0, n_blocks, n_jobs + 1).astype(int)
     jobs = [
-        (spec, seed, n_channels, size, int(lo), int(hi), n_replicas)
+        (spec, n_channels, size, int(lo), int(hi), n_replicas)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     if n_jobs == 1:
@@ -367,29 +379,24 @@ def sample_replicas(
             parts = list(pool.map(_replica_blocks, jobs))
         out = np.concatenate([p[0] for p in parts])
         bias = np.concatenate([p[1] for p in parts])
-    return ReplicaSet(outputs=out, biases=bias, alpha=spec.alpha, seed=seed)
+    return ReplicaSet(outputs=out, biases=bias, alpha=spec.alpha, seed=spec.seed)
 
 
-def channel_mixture(outputs, z, biases, channels=None) -> np.ndarray:
+def channel_mixture(outputs, z, biases) -> np.ndarray:
     """Weighted sum of bias-stripped channels: sum_c z_c (f_c - b_c * 1).
 
     ``outputs`` has channels on the second-to-last axis and flat output
     coordinates on the last; ``biases`` matches the leading axes.  Works for
     a single realization (n_channels, d) or a replica batch (N, n_channels,
-    d).  ``channels`` selects which channels enter; default the first len(z).
+    d).  The first len(z) channels enter.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     biases = np.asarray(biases, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    if channels is None:
-        channels = np.arange(z.shape[0])
-    channels = np.asarray(channels, dtype=int)
-    if channels.shape != z.shape:
-        raise ValueError("channel index set and z must align")
-    n_ch = outputs.shape[-2]
-    if np.any(channels < 0) or np.any(channels >= n_ch):
-        raise IndexError(f"channel index out of range [0, {n_ch})")
-    stripped = outputs[..., channels, :] - biases[..., channels, None]
+    n = z.shape[0]
+    if n > outputs.shape[-2]:
+        raise IndexError(f"{n} mixture weights for {outputs.shape[-2]} channels")
+    stripped = outputs[..., :n, :] - biases[..., :n, None]
     return np.einsum("c,...cd->...d", z, stripped)
 
 

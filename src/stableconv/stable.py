@@ -220,9 +220,9 @@ class SpectralMeasure:
 
     ``weights[j]`` is the total mass of the symmetric atom pair at
     ``+/- directions[j]`` (half on each sign).  All directions are unit
-    vectors; all weights are positive.  ``bias_index``, when set, marks the
-    atom contributed by the bias term of a network layer so that downstream
-    transforms can strip it exactly.
+    vectors; all weights are positive and finite.  ``bias_index``, when set,
+    marks the atom contributed by the bias term of a network layer so that
+    downstream transforms can strip it exactly.
     """
 
     alpha: float
@@ -241,12 +241,14 @@ class SpectralMeasure:
             raise ValueError("directions must be a (n_atoms, dimension) array")
         if w.shape != (d.shape[0],):
             raise ValueError("one weight per direction required")
-        if w.size and not np.all(w > 0.0):
-            raise ValueError("atom weights must be positive")
+        if w.size and not np.all((w > 0.0) & np.isfinite(w)):
+            raise ValueError("atom weights must be positive and finite")
         if d.size:
-            # einsum sums the squares without a full-size temporary
+            # einsum sums the squares without a full-size temporary; a
+            # direction with a NaN or infinite component has a NaN or
+            # infinite norm, which fails the <= below
             norms = np.sqrt(np.einsum("ij,ij->i", d, d))
-            if np.max(np.abs(norms - 1.0)) > self._UNIT_TOL:
+            if not np.max(np.abs(norms - 1.0)) <= self._UNIT_TOL:
                 raise ValueError("atom directions must be unit vectors")
         if self.bias_index is not None and not 0 <= self.bias_index < w.shape[0]:
             raise ValueError("bias_index out of range")
@@ -414,9 +416,9 @@ def load_measure(text: str) -> SpectralMeasure:
     dimension = int(fields["dimension"])
     alpha = float(fields["alpha"])
     bias_index = int(fields["bias_index"]) if "bias_index" in fields else None
-    rows = [np.fromstring(ln, sep=" ") for ln in lines[1:]]
-    if rows:
-        body = np.vstack(rows)
+    if len(lines) > 1:
+        # loadtxt raises ValueError on lines of unequal length
+        body = np.loadtxt(lines[1:], ndmin=2)
         if body.shape[1] != dimension + 1:
             raise ValueError("atom line length does not match the header dimension")
         weights, directions = body[:, 0], body[:, 1:]

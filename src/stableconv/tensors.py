@@ -10,13 +10,16 @@ convention.
 Patch extraction is precomputed: a :class:`PatchMap` turns a layer
 configuration into an index table from (output position, filter offset) to a
 flat input position, with out-of-bounds slots marked.  Extraction itself is a
-gather; out-of-bounds slots read as zero (zero padding).  A convolution is
-that gather followed by one matmul against the flattened filters.
+gather that writes a fill value into the out-of-bounds slots: zero for data
+(zero padding), and phi(0) for a hidden layer's activated field, since the
+next convolution sees that layer's zero-padded positions through the
+activation.  A convolution is that gather followed by one matmul against the
+flattened filters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 
@@ -49,15 +52,15 @@ def _as_axis_tuple(value, ndim: int, name: str) -> tuple[int, ...]:
 class ConvLayerConfig:
     """Spatial geometry of one convolutional transform.
 
-    ``spatial_out`` is fully determined by the input extents, filter extents,
-    stride and zero padding; passing an inconsistent value is rejected.
+    ``spatial_out`` is derived from the input extents, filter extents, stride
+    and zero padding; it is not a constructor argument.
     """
 
     spatial_in: tuple[int, ...]
     filter_shape: tuple[int, ...]
     stride: tuple[int, ...] = 1
     padding: tuple[int, ...] = 0
-    spatial_out: tuple[int, ...] | None = None
+    spatial_out: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if np.isscalar(self.spatial_in):
@@ -81,12 +84,6 @@ class ConvLayerConfig:
         )
         if any(e < 1 for e in expected):
             raise ValueError("configuration produces an empty output")
-        if self.spatial_out is not None:
-            given = _as_axis_tuple(self.spatial_out, ndim, "spatial_out")
-            if given != expected:
-                raise ValueError(
-                    f"spatial_out {given} inconsistent with derived {expected}"
-                )
         object.__setattr__(self, "spatial_in", p_in)
         object.__setattr__(self, "filter_shape", filt)
         object.__setattr__(self, "stride", stride)
@@ -112,18 +109,20 @@ class PatchMap:
 
     ``indices[p, g]`` is the flat (row-major) input position read by output
     position ``p`` at filter offset ``g``, or ``OUT_OF_BOUNDS`` when the
-    moving window falls outside the input; those slots read as zero.
+    moving window falls outside the input; those slots read as the fill
+    value of :meth:`gather`.
     """
 
     config: ConvLayerConfig
     indices: np.ndarray
 
-    def gather(self, values: np.ndarray, axis: int) -> np.ndarray:
+    def gather(self, values: np.ndarray, axis: int, fill: float = 0.0) -> np.ndarray:
         """Gather patch slices along a flattened-spatial axis.
 
         ``values`` must have extent ``n_positions_in`` at ``axis``; the result
         replaces that axis with two axes (filter offset, output position),
-        with out-of-bounds slots exactly zero.
+        with ``fill`` in the out-of-bounds slots: 0 for data, phi(0) for an
+        activated hidden field.
         """
         axis = axis % values.ndim
         n_in = self.config.n_positions_in
@@ -134,7 +133,7 @@ class PatchMap:
         pad_shape = list(values.shape)
         pad_shape[axis] = 1
         padded = np.concatenate(
-            [values, np.zeros(pad_shape, dtype=values.dtype)], axis=axis
+            [values, np.full(pad_shape, fill, dtype=values.dtype)], axis=axis
         )
         safe = np.where(self.indices == OUT_OF_BOUNDS, n_in, self.indices)
         # transpose to offset-major so no axis swap is needed afterwards

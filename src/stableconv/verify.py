@@ -16,7 +16,7 @@ probe, which sets the tolerances used by the acceptance suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .network import (
     NetworkSpec,
     RNG_DOMAIN_PROBES,
     channel_mixture,
+    rng_stream,
     sample_replicas,
 )
 from .stable import SpectralMeasure, cf_multivariate
@@ -32,6 +33,7 @@ from .tensors import patch_map_for
 
 RADIUS_FACTORS = (0.25, 0.5, 1.0, 2.0)
 _MAX_PROBE_ATTEMPTS = 32
+_ORACLE_SEED = 321
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,6 @@ class ProbeSet:
     """Flat probe vectors for CF comparison; row 0 is the zero probe."""
 
     probes: np.ndarray
-    base_radius: float
-    seed: int
 
     def __post_init__(self):
         p = np.asarray(self.probes, dtype=np.float64)
@@ -56,12 +56,6 @@ class ProbeSet:
         return self.probes.shape[0]
 
 
-def _probe_rng(seed: int, attempt: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(RNG_DOMAIN_PROBES, attempt))
-    )
-
-
 def generate_probes(measure: SpectralMeasure, n_probes: int = 20, seed: int = 0) -> ProbeSet:
     """Isotropic probes scaled to the law described by ``measure``.
 
@@ -73,7 +67,7 @@ def generate_probes(measure: SpectralMeasure, n_probes: int = 20, seed: int = 0)
         raise ValueError("cannot calibrate probes against an empty measure")
     d = measure.dimension
     for attempt in range(_MAX_PROBE_ATTEMPTS):
-        rng = _probe_rng(seed, attempt)
+        rng = rng_stream(seed, RNG_DOMAIN_PROBES, attempt)
         dirs = rng.standard_normal((n_probes, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         unit_expo = (
@@ -86,7 +80,7 @@ def generate_probes(measure: SpectralMeasure, n_probes: int = 20, seed: int = 0)
         if theo.min() < 0.2 and theo.max() > 0.8:
             probes = np.vstack([np.zeros(d), probes])
             if len(np.unique(probes, axis=0)) == probes.shape[0]:
-                return ProbeSet(probes=probes, base_radius=float(base), seed=seed)
+                return ProbeSet(probes)
     raise RuntimeError("failed to generate a discriminative probe set")
 
 
@@ -142,10 +136,9 @@ CSV_HEADER = "C,n_replicas,M,sup_cf_dist,mean_cf_dist,seconds"
 
 @dataclass
 class ConvergenceReport:
-    """Sweep results over increasing channel counts, plus run metadata."""
+    """Sweep results over increasing channel counts."""
 
     rows: list[SweepRow]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         cs = [r.channels for r in self.rows]
@@ -170,22 +163,6 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_point(args) -> SweepRow:
-    spec, c, n_replicas, mc_samples, probes, theo, workers = args
-    t0 = time.perf_counter()
-    reps = sample_replicas(spec.with_channels(c), n_replicas, workers=workers)
-    emp = empirical_cf(reps.channel_samples(0), probes)
-    sup, mean = cf_distance(emp, theo)
-    return SweepRow(
-        channels=c,
-        n_replicas=n_replicas,
-        mc_samples=mc_samples,
-        sup_cf_dist=sup,
-        mean_cf_dist=mean,
-        seconds=time.perf_counter() - t0,
-    )
-
-
 def convergence_sweep(
     spec: NetworkSpec,
     channel_counts,
@@ -195,7 +172,6 @@ def convergence_sweep(
     n_probes: int = 20,
     workers: int = 1,
     target: SpectralMeasure | None = None,
-    metadata: dict | None = None,
 ) -> ConvergenceReport:
     """Empirical-vs-limit CF distances for each channel count.
 
@@ -213,19 +189,27 @@ def convergence_sweep(
     if probes is None:
         probes = generate_probes(target, n_probes=n_probes, seed=spec.seed)
     theo = cf_multivariate(target, probes.probes)
-    jobs = [
-        (spec, c, n_replicas, limit_cfg.mc_samples, probes.probes, theo, workers)
-        for c in counts
-    ]
-    rows = [_sweep_point(job) for job in jobs]
-    meta = {
-        "seed": spec.seed,
-        "alpha": spec.alpha,
-        "activation": spec.activation.name,
-    }
-    if metadata:
-        meta.update(metadata)
-    return ConvergenceReport(rows=rows, metadata=meta)
+    rows = []
+    for c in counts:
+        t0 = time.perf_counter()
+        # no reference to the replicas outlives the CF estimate, so the next
+        # point does not sample while holding them
+        emp = empirical_cf(
+            sample_replicas(spec.with_channels(c), n_replicas, workers=workers).channel_samples(0),
+            probes.probes,
+        )
+        sup, mean = cf_distance(emp, theo)
+        rows.append(
+            SweepRow(
+                channels=c,
+                n_replicas=n_replicas,
+                mc_samples=limit_cfg.mc_samples,
+                sup_cf_dist=sup,
+                mean_cf_dist=mean,
+                seconds=time.perf_counter() - t0,
+            )
+        )
+    return ConvergenceReport(rows=rows)
 
 
 def cross_factorization_defect(
@@ -364,16 +348,15 @@ class GaussianOracleReport:
     max_offdiag_abs_err: float
 
 
-def gaussian_oracle_check(
-    spec: NetworkSpec, limit_cfg: LimitConfig, oracle_seed: int = 321
-) -> GaussianOracleReport:
+def gaussian_oracle_check(spec: NetworkSpec, limit_cfg: LimitConfig) -> GaussianOracleReport:
     """Compare the covariance implied by the alpha = 2 limit measure with an
-    independent Gaussian Monte Carlo covariance recursion."""
+    independent Gaussian Monte Carlo covariance recursion, which draws from
+    its own fixed seed ``_ORACLE_SEED``, apart from every configured stream."""
     if spec.alpha != 2.0:
         raise ValueError("the Gaussian oracle applies only at alpha = 2")
     implied = implied_covariance(limit_measures(spec, limit_cfg)[-1])
     direct = gaussian_kernel_recursion(
-        spec, limit_cfg.mc_samples, np.random.default_rng(oracle_seed)
+        spec, limit_cfg.mc_samples, np.random.default_rng(_ORACLE_SEED)
     )
     diag_i = np.diag(implied)
     diag_d = np.diag(direct)

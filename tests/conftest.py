@@ -52,20 +52,33 @@ def random_conv_case(rng, two_d=False, k=None):
     return cfg, x
 
 
+# The float64 kernels numpy dispatched to when the pinned SHA-256 digests in
+# these tests were recorded (numpy 2.4.6 on a 2-core AVX-512 Xeon).
+PIN_KERNELS = {"tan": "X86_V4", "power": "X86_V4"}
+
+
 def pytest_report_header(config):
     """numpy's version and SIMD dispatch: the pinned digests hold on one
     dispatch, since numpy's float64 tan and power kernels (the CMS transform,
-    atom weights) round differently on different SIMD targets."""
+    atom weights) round differently on different SIMD targets.  The header
+    says whether this host dispatches as :data:`PIN_KERNELS`, so a pin that
+    fails on a host that does not reads as a dispatch mismatch."""
     version = f"numpy {np.__version__}"
+    pinned = ", ".join(f"{name} {target}" for name, target in PIN_KERNELS.items())
     try:
         from numpy.lib.introspect import opt_func_info
     except ImportError:  # numpy < 2
-        return version
+        return [version, f"pins recorded under float64 kernels {pinned}; this host's are unknown"]
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
     info = opt_func_info(func_name="^(tan|power)$", signature="float64")
-    kernels = [f"{name} {sig['current']}" for name, sigs in info.items() for sig in sigs.values()]
+    current = {name: sig["current"] for name, sigs in info.items() for sig in sigs.values()}
+    if current == PIN_KERNELS:
+        verdict = "match"
+    else:
+        verdict = "differ, so a digest pin that fails here shows the dispatch, not a wrong value"
     return [
         f"{version}: SIMD baseline {' '.join(simd['baseline'])}, "
         f"dispatch targets {' '.join(simd['found']) or 'none'}",
-        "float64 kernels: " + ", ".join(kernels),
+        "float64 kernels: " + ", ".join(f"{n} {t}" for n, t in current.items())
+        + f"; pins recorded under {pinned}: {verdict}",
     ]

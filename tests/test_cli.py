@@ -153,11 +153,14 @@ class TestConfig:
         ("verify", ("n_probes = 20", "n_probes = 0")),
         ("verify", ("n_probes = 20", "n_probes = 2")),
         ("verify", ("channel_counts = 2 8 32", "channel_counts = 64 16")),
+        ("verify", ("n_probes = 20", "n_probes = 20\nworkers = 0")),
+        ("simulate", ("n_probes = 20", "n_probes = 20\nworkers = -2")),
         ("simulate --replicas 0", None),
         ("simulate --replicas -3", None),
         ("simulate --channels 0", None),
     ], ids=["filter", "activation", "relu", "alpha", "mc_samples", "kind", "atom_cap",
-            "n_replicas", "n_probes", "n_probes_2", "channel_counts",
+            "n_replicas", "n_probes", "n_probes_2", "channel_counts", "workers_0",
+            "workers_negative",
             "replicas_flag_0", "replicas_flag_negative", "channels_flag_0"])
     def test_bad_config_exits_before_writing(self, tmp_path, command, edit):
         path = tmp_path / "bad.ini"
@@ -258,6 +261,7 @@ class TestCommands:
 
     def test_oracle_requires_alpha_two(self, config_file, tmp_path):
         assert main(["oracle", "-c", str(config_file), "-o", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r").exists()
         gauss = config_file.parent / "gauss.ini"
         gauss.write_text(TINY_CONFIG.replace("alpha = 1.5", "alpha = 2"))
         out = tmp_path / "runs"
@@ -268,6 +272,7 @@ class TestCommands:
     def test_report_needs_a_sweep(self, config_file, tmp_path):
         out = tmp_path / "runs"
         assert main(["report", "-c", str(config_file), "-o", str(out)]) == 2
+        assert not out.exists()
         assert main(["verify", "-c", str(config_file), "-o", str(out)]) == 0
         assert main(["report", "-c", str(config_file), "-o", str(out)]) == 0
         run = run_dir_of(config_file, out)

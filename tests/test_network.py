@@ -325,12 +325,12 @@ class TestChannelMixture:
     def test_index_out_of_range(self, rng):
         outputs = rng.standard_normal((2, 8))
         with pytest.raises(IndexError):
-            sc.channel_mixture(outputs, [1.0], rng.standard_normal(2), channels=[5])
+            sc.channel_mixture(outputs, [1.0, 1.0, 1.0], rng.standard_normal(2))
 
     def test_batch_shape(self, rng):
         outputs = rng.standard_normal((7, 3, 8))
         biases = rng.standard_normal((7, 3))
-        mix = sc.channel_mixture(outputs, [1.0, -1.0], biases, channels=[0, 2])
+        mix = sc.channel_mixture(outputs, [1.0, 0.0, -1.0], biases)
         assert mix.shape == (7, 8)
         manual = (outputs[:, 0] - biases[:, 0, None]) - (
             outputs[:, 2] - biases[:, 2, None]

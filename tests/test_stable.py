@@ -545,6 +545,12 @@ class TestSerialization:
             assert text.splitlines()[1:] == expected
             sc.save_measure(m, tmp_path / "m.txt")
             assert (tmp_path / "m.txt").read_text() == text
+            # read back bit for bit (-0 and subnormals included), and dumps again
+            again = sc.read_measure(tmp_path / "m.txt")
+            assert again.weights.tobytes() == m.weights.tobytes()
+            assert again.directions.tobytes() == m.directions.tobytes()
+            assert again.bias_index == m.bias_index
+            assert sc.dump_measure(again) == text
         assert "bias_index=1" in sc.dump_measure(edge).splitlines()[0]
         assert sc.dump_measure(edge).splitlines()[1].startswith("1e+308 1 -0 4.9406564584124654e-324")
 
@@ -567,3 +573,20 @@ class TestMeasureInvariants:
     def test_bias_index_range(self):
         with pytest.raises(ValueError):
             sc.SpectralMeasure(1.5, np.array([1.0]), np.array([[1.0, 0.0]]), bias_index=3)
+
+    @pytest.mark.parametrize("weight, direction", [
+        (np.inf, [1.0, 0.0]),
+        (np.nan, [1.0, 0.0]),
+        (1.0, [np.nan, 0.0]),
+        (1.0, [1.0, np.nan]),
+        (1.0, [np.inf, 0.0]),
+    ])
+    def test_non_finite_atom_rejected(self, weight, direction):
+        with pytest.raises(ValueError):
+            sc.SpectralMeasure(1.5, np.array([weight]), np.array([direction]))
+
+    # the header's total mass agrees with the atom line in each case
+    @pytest.mark.parametrize("mass, line", [("1", "1 nan 0"), ("1", "1 0 nan"), ("inf", "inf 1 0")])
+    def test_non_finite_atom_line_rejected(self, mass, line):
+        with pytest.raises(ValueError):
+            sc.load_measure(f"dimension=2 alpha=1.5 total_mass={mass}\n{line}\n")

@@ -12,11 +12,6 @@ class TestConvLayerConfig:
         cfg = sc.ConvLayerConfig(spatial_in=5, filter_shape=3, stride=2, padding=1)
         assert cfg.spatial_out == (3,)
 
-    def test_inconsistent_spatial_out_rejected(self):
-        with pytest.raises(ValueError):
-            sc.ConvLayerConfig(spatial_in=5, filter_shape=3, stride=2, padding=1,
-                               spatial_out=(4,))
-
     def test_filter_must_fit_padded_input(self):
         with pytest.raises(ValueError):
             sc.ConvLayerConfig(spatial_in=3, filter_shape=6, stride=1, padding=1)
@@ -64,6 +59,10 @@ class TestExtractPatches:
         assert np.array_equal(out[0, :, 0], [0, a, b])
         assert np.array_equal(out[0, :, 1], [a, b, c])
         assert np.array_equal(out[0, :, 2], [b, c, 0])
+        # a hidden layer's padding slots take phi(0) instead
+        filled = sc.patch_map_for(cfg).gather(np.array([[a, b, c]]), axis=1, fill=0.25)
+        assert np.array_equal(filled[0, :, 0], [0.25, a, b])
+        assert np.array_equal(filled[0, :, 2], [b, c, 0.25])
 
     def test_fully_connected_case(self, rng):
         x = rng.standard_normal((2, 5))
@@ -86,6 +85,9 @@ class TestExtractPatches:
             assert out.shape == (c0, cfg.n_offsets, cfg.n_positions_out, k)
             oob = (pm.indices == OUT_OF_BOUNDS).T  # (n_off, n_pos)
             assert np.abs(out[:, oob, :]).sum() == 0.0
+            filled = pm.gather(x.reshape(c0, cfg.n_positions_in, k), axis=1, fill=-0.5)
+            assert np.all(filled[:, oob, :] == -0.5)
+            assert np.array_equal(filled[:, ~oob, :], out[:, ~oob, :])
 
     def test_spatial_mismatch_rejected(self, rng):
         cfg = sc.ConvLayerConfig(spatial_in=4, filter_shape=3, padding=1)

@@ -29,7 +29,7 @@ class TestProbeSet:
 
     def test_constructor_guards(self):
         with pytest.raises(ValueError):
-            sc.ProbeSet(np.ones((3, 2)), base_radius=1.0, seed=0)
+            sc.ProbeSet(np.ones((3, 2)))
 
     def test_empty_measure_rejected(self):
         with pytest.raises(ValueError):
