@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .limits import LimitConfig, limit_measures, mixture_measure
+from .limits import LimitConfig, _peak_rss_mb, limit_measures, mixture_measure
 from .network import (
     NetworkSpec,
     load_replicas,
@@ -74,10 +74,25 @@ def _measure_path(run: Path, layer: int) -> Path:
     return d / f"layer_{layer:02d}.txt"
 
 
+def _log_measure_io(stage: str, layer: int, measure, t0: float) -> None:
+    """One ``run.log`` line per measure file written or read, with this
+    process's peak resident memory so far."""
+    log.info(
+        "stage=%s layer=%d atoms=%d seconds=%.3f peak_rss_mb=%.1f",
+        stage,
+        layer,
+        measure.n_atoms,
+        time.perf_counter() - t0,
+        _peak_rss_mb(),
+    )
+
+
 def _compute_and_save_limit(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path):
     measures = limit_measures(spec, limit_cfg)
     for layer, measure in enumerate(measures, start=1):
+        t0 = time.perf_counter()
         save_measure(measure, _measure_path(run, layer))
+        _log_measure_io("save_measure", layer, measure, t0)
     return measures
 
 
@@ -109,7 +124,10 @@ def _load_or_compute_target(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path
     last = _measure_path(run, spec.n_layers)
     if last.exists():
         log.info("using cached limit measure %s", last)
-        return read_measure(last)
+        t0 = time.perf_counter()
+        measure = read_measure(last)
+        _log_measure_io("read_measure", spec.n_layers, measure, t0)
+        return measure
     return _compute_and_save_limit(spec, limit_cfg, run)[-1]
 
 

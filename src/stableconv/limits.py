@@ -41,6 +41,15 @@ their slices are gathered, with phi(0) in the padding slots, as in the
 finite network: the next convolution sees the zero padding through the
 activation.
 
+At the Gaussian endpoint alpha = 2 the CF exponent sum_j w_j <t, s_j>^2 of
+any measure is t^T S t with S = sum_j w_j s_j s_j^T.  So a layer with more
+nonzero slices than its dimension ``dim`` keeps the eigen-atoms of S
+instead of one atom per slice: one per positive eigenvalue, at most
+``dim``.  This reduction is exact, not Monte Carlo: both sets of atoms have
+the same CF up to rounding.  A Monte Carlo layer's fields are still drawn
+as above, but drawing M fields from such a measure costs at most
+M * (dim + 1) draws.
+
 That rule and the bias atom are written once, in the builder
 :func:`_slice_measure`; every measure constructor is a thin wrapper over it.
 The closed-form characteristic functions (``cf_layer1_closed_form`` and
@@ -76,7 +85,8 @@ class LimitConfig:
     :func:`_fields`).  ``atom_cap``, when set, resamples each Monte Carlo
     layer's own non-bias atoms to at most that many, by the same stratified
     :func:`stableconv.stable.compress_measure`; None keeps all of a layer's
-    at most mc_samples * n_offsets Monte Carlo atoms.
+    at most mc_samples * n_offsets Monte Carlo atoms (at most its dimension
+    at alpha = 2, see :func:`_slice_measure`).
     """
 
     mc_samples: int = 10_000
@@ -182,9 +192,14 @@ def _slice_measure(
     against ``u`` when readout weights are given.
     Each nonzero slice v then carries one atom pair of weight
     sigma_w^alpha * ||v||^alpha, divided by n on hidden layers, at direction
-    v / ||v||.  The exact bias atom, sigma_b^alpha * dim^(alpha/2) along the
-    all-ones direction, goes first.  ``atom_cap`` compresses the other atoms
-    with ``rng`` (:func:`_compress_keeping_bias`).
+    v / ||v||.  At alpha = 2 with more nonzero slices than ``dim``, the
+    atoms are instead the eigen-atoms of S = sigma_w^2 sum_v v v^T (again
+    divided by n on hidden layers): one per positive eigenvalue, which is
+    its weight, along its unit eigenvector.  This is exact, not a Monte
+    Carlo estimate: the CF exponent of either set of atoms is t^T S t.
+    The exact bias atom, sigma_b^alpha * dim^(alpha/2) along the all-ones
+    direction, goes first.  ``atom_cap`` compresses the other atoms with
+    ``rng`` (:func:`_compress_keeping_bias`).
     """
     n = fields.shape[0]
     pm = patch_map_for(cfg)
@@ -208,6 +223,12 @@ def _slice_measure(
         norms[start : start + rows] = np.linalg.norm(slices[start : start + rows], axis=1)
     weights = sigma_w**alpha * norms**alpha
     keep = weights > 0.0
+    if alpha == 2.0 and np.count_nonzero(keep) > dim:
+        # the eigen-atoms of S replace the slices; eigenvectors are unit
+        # vectors already, so their norms are 1
+        evals, evecs = np.linalg.eigh(slices.T @ slices)
+        slices, norms, weights = evecs.T, np.ones(dim), sigma_w**2 * evals
+        keep = weights > 0.0
     n_bias = 0 if sigma_b == 0.0 else 1
     # take buffers its output unless mode is "clip"; every index is in range
     directions = np.empty((n_bias + np.count_nonzero(keep), dim))

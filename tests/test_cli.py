@@ -53,6 +53,52 @@ max_diag_rel_err = 0.1
 """
 
 
+# The benchmark's wide-gauss geometry at a tiny budget: alpha = 2, two input
+# channels on 6x6, two 3x3 layers with padding 1, replicas in a two-worker
+# pool.  Layer 2 has 300 * 9 slices for dim = 6 * 6 * 2 = 72.
+WIDE_GAUSS_CONFIG = """
+[network]
+alpha = 2
+sigma_w = 1.0
+sigma_b = 1.0
+channels = 64
+activation = tanh
+seed = 12
+
+[input]
+channels = 2
+spatial = 6 6
+num_inputs = 2
+kind = gaussian
+
+[layer.1]
+filter = 3
+stride = 1
+padding = 1
+
+[layer.2]
+filter = 3
+stride = 1
+padding = 1
+
+[limit]
+mc_samples = 300
+seed = 6
+
+[verify]
+channel_counts = 4 16 64
+n_replicas = 300
+n_probes = 20
+max_sup_dist = 0.5
+require_decreasing = false
+workers = 2
+
+[oracle]
+mc_samples = 2000
+max_diag_rel_err = 0.05
+"""
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "toy.ini"
@@ -207,7 +253,7 @@ class TestCommands:
         )
         log = (run_dir_of(config_file, out) / "run.log").read_text()
         peaks = [float(v) for v in re.findall(r"^.*layer=\d+ .*peak_rss_mb=([\d.]+)", log, re.M)]
-        assert len(peaks) == 2
+        assert len(peaks) == 4  # each layer's line and its measure write
         assert max(peaks) < 150.0
 
     def test_simulate_cache_round_trip(self, config_file, tmp_path):
@@ -268,6 +314,50 @@ class TestCommands:
         assert main(["oracle", "-c", str(gauss), "-o", str(out)]) == 0
         run = run_dir_of(gauss, out)
         assert (run / "oracle.csv").read_text().splitlines()[0] == "metric,value"
+
+    def test_measure_io_logged(self, config_file, tmp_path):
+        out = tmp_path / "runs"
+        assert main(["limit", "-c", str(config_file), "-o", str(out)]) == 0
+        assert main(["verify", "-c", str(config_file), "-o", str(out)]) == 0
+        run = run_dir_of(config_file, out)
+        pattern = (r"stage=(save_measure|read_measure) layer=(\d+) atoms=(\d+) "
+                   r"seconds=[\d.]+ peak_rss_mb=[\d.]+$")
+        io = re.findall(pattern, (run / "run.log").read_text(), re.M)
+        atoms = {layer: str(sc.read_measure(run / "measures" / f"layer_0{layer}.txt").n_atoms)
+                 for layer in ("1", "2")}
+        assert io == [("save_measure", "1", atoms["1"]), ("save_measure", "2", atoms["2"]),
+                      ("read_measure", "2", atoms["2"])]
+
+    def test_wide_gauss_oracle_and_verify(self, tmp_path):
+        cfg = tmp_path / "wide.ini"
+        cfg.write_text(WIDE_GAUSS_CONFIG)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            for command in ("oracle", "verify"):
+                assert main([command, "-c", str(cfg), "-o", str(out)]) == 0
+        runs = [run_dir_of(cfg, out) for out in outs]
+        files = ["oracle.csv", "sweep.csv", "probes.csv", "measures/layer_01.txt",
+                 "measures/layer_02.txt"]
+        for name in files:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+        for name in files[-2:]:
+            text = (runs[0] / name).read_text()
+            assert sc.dump_measure(sc.read_measure(runs[0] / name)) == text
+        atom_lines = (runs[0] / "measures/layer_02.txt").read_text().splitlines()[1:]
+        assert len(atom_lines) <= 6 * 6 * 2 + 1
+
+    def test_deep_gaussian_layers_draw_from_eigen_atoms(self, config_file, tmp_path):
+        deep = config_file.parent / "deep.ini"
+        deep.write_text(
+            TINY_CONFIG.replace("alpha = 1.5", "alpha = 2").replace(
+                "[limit]", "[layer.3]\nfilter = 3\nstride = 1\npadding = 1\n\n[limit]"
+            ).replace("max_diag_rel_err = 0.1", "max_diag_rel_err = 0.05")
+        )
+        out = tmp_path / "runs"
+        assert main(["oracle", "-c", str(deep), "-o", str(out)]) == 0
+        log = (run_dir_of(deep, out) / "run.log").read_text()
+        sampled = re.findall(r"layer=3 .*sampled_atoms=(\d+) ", log)
+        assert len(sampled) == 1 and int(sampled[0]) <= 8 + 1  # dim = 4 positions * 2 inputs
 
     def test_report_needs_a_sweep(self, config_file, tmp_path):
         out = tmp_path / "runs"

@@ -398,6 +398,118 @@ class TestReadoutMeasure:
             assert a == pytest.approx(b, abs=1e-12)
 
 
+class TestGaussianEigenAtoms:
+    """At alpha = 2 a layer with more nonzero slices than its dimension keeps
+    the eigen-atoms of S = sigma_w^2 sum v v^T; its law must equal the
+    closed-form product over every slice, which builds no measure."""
+
+    LAYER = sc.ConvLayerConfig(spatial_in=(4, 3), filter_shape=(3, 2), padding=(1, 0))
+
+    @staticmethod
+    def _max_cf_gap(measure, closed_form, seed):
+        probes = sc.generate_probes(measure, n_probes=20, seed=seed).probes
+        return np.abs(sc.cf_multivariate(measure, probes) - closed_form(probes)).max()
+
+    @staticmethod
+    def _reduced(measure, n_slices):
+        assert measure.n_atoms <= measure.dimension + 1 < n_slices
+        if measure.bias_index is not None:
+            # the exact bias atom stays first, with its tag
+            assert measure.bias_index == 0
+            assert np.all(measure.directions[0] == 1.0 / np.sqrt(measure.dimension))
+
+    def test_first_layer_many_input_channels(self):
+        for cfg, c_in in [(toy_layer(), 6), (self.LAYER, 3)]:
+            x = sc.input_tensor(np.random.default_rng(c_in).standard_normal((c_in, *cfg.spatial_in, 2)))
+            for sw, sb in [(0.9, 0.6), (1.3, 0.0)]:
+                measure = sc.gamma_first(x, cfg, 2.0, sw, sb)
+                self._reduced(measure, c_in * cfg.n_offsets)
+                assert (measure.bias_index is None) == (sb == 0.0)
+                gap = self._max_cf_gap(
+                    measure, lambda t: sc.cf_layer1_closed_form(x, cfg, 2.0, sw, sb, t), seed=4
+                )
+                assert gap < 1e-12
+
+    def test_conditional_many_slices(self, rng):
+        for cfg, c in [(toy_layer(), 4), (toy_layer(), 40), (self.LAYER, 3)]:
+            prev = rng.standard_normal((c, *cfg.spatial_in, 2))
+            measure = sc.gamma_conditional(prev, cfg, 2.0, 0.8, 0.5, TANH)
+            self._reduced(measure, c * cfg.n_offsets)
+            gap = self._max_cf_gap(
+                measure,
+                lambda t: sc.cf_conditional_closed_form(prev, cfg, 2.0, 0.8, 0.5, TANH, t),
+                seed=5,
+            )
+            assert gap < 1e-12
+
+    @staticmethod
+    def _replayed_fields(prev, m, seed):
+        # layer 1's 4 atoms are fewer than M, so gamma_next_mc draws its M
+        # fields from prev as it is, consuming nothing else from its rng
+        assert prev.n_atoms <= m
+        fields = sc.sample_multivariate(prev, np.random.default_rng(seed), size=m)
+        return fields.reshape(m, *toy_layer().spatial_in, -1)
+
+    def test_next_mc_equals_conditional_law_of_its_fields(self):
+        prev = sc.gamma_first(toy_inputs(), toy_layer(), 2.0, 1.0, 1.0)
+        m = 60
+        fields = self._replayed_fields(prev, m, seed=21)
+        measure = sc.gamma_next_mc(prev, toy_layer(), 2.0, 1.1, 0.7, TANH,
+                                   sc.LimitConfig(mc_samples=m), np.random.default_rng(21))
+        self._reduced(measure, m * toy_layer().n_offsets)
+        gap = self._max_cf_gap(
+            measure,
+            lambda t: sc.cf_conditional_closed_form(fields, toy_layer(), 2.0, 1.1, 0.7, TANH, t),
+            seed=6,
+        )
+        assert gap < 1e-12
+
+    def test_readout_equals_contracted_conditional_law(self):
+        # <u (x) v, slice> = <v, u-contraction of the slice>, and u sums to
+        # 1, so the readout CF at v is the conditional CF at u (x) v
+        prev = sc.gamma_first(toy_inputs(), toy_layer(), 2.0, 1.0, 1.0)
+        m = 60
+        u = np.array([0.1, 0.2, 0.3, 0.4])
+        fields = self._replayed_fields(prev, m, seed=22)
+        measure = sc.readout_measure(prev, toy_layer(), 2.0, 1.1, 0.7, TANH, u,
+                                     sc.LimitConfig(mc_samples=m), np.random.default_rng(22))
+        assert measure.dimension == 2
+        self._reduced(measure, m * toy_layer().n_offsets)
+
+        def closed(v):
+            t = np.einsum("p,nk->npk", u, v).reshape(len(v), -1)
+            return sc.cf_conditional_closed_form(fields, toy_layer(), 2.0, 1.1, 0.7, TANH, t)
+
+        assert self._max_cf_gap(measure, closed, seed=7) < 1e-12
+
+    def test_zero_sigma_w_keeps_only_bias(self, rng):
+        prev = rng.standard_normal((10, 4, 2))
+        measure = sc.gamma_conditional(prev, toy_layer(), 2.0, 0.0, 1.0, TANH)
+        assert measure.n_atoms == 1
+        assert measure.bias_index == 0
+        assert measure.total_mass == pytest.approx(8.0)
+
+    def test_mixture_strips_the_bias_atom(self, rng):
+        base = sc.gamma_conditional(rng.standard_normal((10, 4, 2)), toy_layer(), 2.0, 1.0, 1.0, TANH)
+        mixed = sc.mixture_measure(base, [1.0, -1.0])
+        assert mixed.bias_index is None
+        assert mixed.n_atoms == base.n_atoms - 1
+        assert np.array_equal(mixed.weights, 2.0 * base.weights[1:])
+        assert np.array_equal(mixed.directions, base.directions[1:])
+
+    def test_few_slices_keep_their_atoms(self):
+        # toy layer 1: one input channel, 3 slices for 8 dimensions
+        measure = sc.gamma_first(toy_inputs(), toy_layer(), 2.0, 1.0, 1.0)
+        assert measure.n_atoms == 4
+
+    def test_atom_cap_applies_after_the_reduction(self, rng):
+        prev = sc.gamma_first(toy_inputs(), toy_layer(), 2.0, 1.0, 1.0)
+        out = sc.gamma_next_mc(prev, toy_layer(), 2.0, 1.0, 1.0, TANH,
+                               sc.LimitConfig(mc_samples=500, atom_cap=3), rng)
+        assert out.n_atoms == 4
+        assert out.bias_index == 0
+
+
 class TestLimitPipeline:
     def test_dimension_chain_three_layers(self):
         spec = toy_spec(n_layers=3)

@@ -171,3 +171,10 @@ class TestGaussianOracle:
         spec = toy_spec(alpha=2.0, seed=13)
         report = sc.gaussian_oracle_check(spec, sc.LimitConfig(mc_samples=10_000, seed=8))
         assert report.max_diag_rel_err < 0.05
+
+    @pytest.mark.parametrize("limit_seed", [8, 9])
+    def test_three_layer_tanh_within_budget(self, limit_seed):
+        # layer 3 draws its fields from layer 2's at most dim + 1 eigen-atoms
+        spec = toy_spec(alpha=2.0, n_layers=3, seed=13)
+        report = sc.gaussian_oracle_check(spec, sc.LimitConfig(mc_samples=10_000, seed=limit_seed))
+        assert report.max_diag_rel_err < 0.05
