@@ -40,9 +40,10 @@ print(f"factorization defect (channel paired with itself): "
 print(f"mixture statistic vs rescaled weight-only measure: "
       f"sup {rep.mixture_sup:.4f}")
 
-# --- readout: averaging positions before taking the limit ----------------------
+# --- readout: averaging positions of the limit law ----------------------------
+# the readout's law is the exact image of the limit measure; nothing is drawn
 u = np.full(4, 0.25)
-readout = sc.readout_limit(spec, u, lcfg)
+readout = sc.readout_measure(limit, u)
 contracted = np.einsum("p,npk->nk", u, reps.channel_samples(0).reshape(-1, 4, 2))
 rprobes = sc.generate_probes(readout, n_probes=20, seed=9).probes
 sup, mean = sc.cf_distance(

@@ -42,7 +42,6 @@ from .limits import (
     gamma_next_mc,
     limit_measures,
     mixture_measure,
-    readout_limit,
     readout_measure,
 )
 from .verify import (

@@ -4,7 +4,10 @@ One file carries the network, its inputs, the layer geometry, the Monte
 Carlo budget of the limit recursion, and the verification settings.  The
 parsed configuration re-renders to a canonical resolved form whose SHA-256
 prefix keys the run directory, so identical configurations land in the same
-place and re-runs are comparable byte for byte.
+place and re-runs are comparable byte for byte.  The form names a kind = file
+input by its path only, so for such inputs the hash also covers the loaded
+array: a file overwritten with other data gets a run directory of its own
+instead of the limit measures cached from the old data.
 
 Synthetic inputs (kind = gaussian) are generated from the configured seed on
 a dedicated stream; kind = file loads a .npy array of shape
@@ -136,7 +139,10 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
-        return hashlib.sha256(self.resolved_text().encode()).hexdigest()[:16]
+        digest = hashlib.sha256(self.resolved_text().encode())
+        if self.input_kind == "file":
+            digest.update(self.make_inputs().tobytes())
+        return digest.hexdigest()[:16]
 
     def layer_configs(self) -> tuple[ConvLayerConfig, ...]:
         return self.layers

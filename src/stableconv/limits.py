@@ -50,8 +50,13 @@ the same CF up to rounding.  A Monte Carlo layer's fields are still drawn
 as above, but drawing M fields from such a measure costs at most
 M * (dim + 1) draws.
 
-That rule and the bias atom are written once, in the builder
-:func:`_slice_measure`; every measure constructor is a thin wrapper over it.
+A position readout sum_p u_p X_p is again stable, with the image of the
+last layer's measure as its spectral measure (Samorodnitsky & Taqqu 1994,
+ch. 2); :func:`readout_measure` maps it exactly, with no draws.
+
+That rule and the bias atom are written once, in :func:`_atom_measure`,
+which ends both the patch-slice builder :func:`_slice_measure`, behind every
+layer constructor, and :func:`readout_measure`.
 The closed-form characteristic functions (``cf_layer1_closed_form`` and
 ``cf_conditional_closed_form``) evaluate the same laws by a direct product
 formula with their own index arithmetic; they share no code with the
@@ -60,7 +65,6 @@ builder and serve as exact oracles for it.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import resource
 import time
@@ -98,6 +102,8 @@ class LimitConfig:
             raise ValueError("mc_samples must be >= 1")
         if self.atom_cap is not None and self.atom_cap < 1:
             raise ValueError("atom_cap must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _compressed_size(measure: SpectralMeasure, target: int) -> int:
@@ -160,19 +166,6 @@ def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndar
     return source.reshape(source.shape[0], n_in, source.shape[-1])
 
 
-def _readout_weights(u, cfg: ConvLayerConfig) -> np.ndarray:
-    """Flat readout weights over the layer's output positions; they must
-    contract the all-ones position tensor to 1."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    if u.shape[0] != cfg.n_positions_out:
-        raise ValueError(
-            f"u has {u.shape[0]} entries, layer has {cfg.n_positions_out} output positions"
-        )
-    if abs(u.sum() - 1.0) > 1e-12:
-        raise ValueError("u must contract the all-ones position tensor to 1")
-    return u
-
-
 def _slice_measure(
     fields: np.ndarray,
     cfg: ConvLayerConfig,
@@ -180,7 +173,6 @@ def _slice_measure(
     sigma_w: float,
     sigma_b: float,
     activation: ActivationSpec | None = None,
-    u: np.ndarray | None = None,
     atom_cap: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> SpectralMeasure:
@@ -188,18 +180,14 @@ def _slice_measure(
 
     When ``activation`` is given (hidden layers) the fields are activated and
     their (filter offset, output position) patches gathered with phi(0) in
-    the padding slots; the output positions of the patches are contracted
-    against ``u`` when readout weights are given.
+    the padding slots.
     Each nonzero slice v then carries one atom pair of weight
     sigma_w^alpha * ||v||^alpha, divided by n on hidden layers, at direction
-    v / ||v||.  At alpha = 2 with more nonzero slices than ``dim``, the
-    atoms are instead the eigen-atoms of S = sigma_w^2 sum_v v v^T (again
-    divided by n on hidden layers): one per positive eigenvalue, which is
-    its weight, along its unit eigenvector.  This is exact, not a Monte
-    Carlo estimate: the CF exponent of either set of atoms is t^T S t.
-    The exact bias atom, sigma_b^alpha * dim^(alpha/2) along the all-ones
-    direction, goes first.  ``atom_cap`` compresses the other atoms with
-    ``rng`` (:func:`_compress_keeping_bias`).
+    v / ||v||, reduced at alpha = 2 to the eigen-atoms of
+    S = sigma_w^2 sum_v v v^T by :func:`_atom_measure`.  The exact bias
+    atom, sigma_b^alpha * dim^(alpha/2) along the all-ones direction, goes
+    first.  ``atom_cap`` compresses the other atoms with ``rng``
+    (:func:`_compress_keeping_bias`).
     """
     n = fields.shape[0]
     pm = patch_map_for(cfg)
@@ -210,8 +198,6 @@ def _slice_measure(
         # value instead of once per patch slot; no name holds the activated
         # fields, so they are freed once gathered
         slices = pm.gather(activation(fields), axis=1, fill=activation(np.zeros(1))[0])
-    if u is not None:
-        slices = np.einsum("p,ngpk->ngk", u, slices)
     dim = prod(slices.shape[2:])
     slices = slices.reshape(n * cfg.n_offsets, dim)
     # No full-size temporary is made from here on: one freed below the
@@ -221,28 +207,43 @@ def _slice_measure(
     norms = np.empty(len(slices))
     for start in range(0, len(slices), rows):
         norms[start : start + rows] = np.linalg.norm(slices[start : start + rows], axis=1)
-    weights = sigma_w**alpha * norms**alpha
+    bias = None if sigma_b == 0.0 else sigma_b**alpha * dim ** (alpha / 2.0)
+    measure = _atom_measure(
+        slices, norms, sigma_w**alpha * norms**alpha, alpha, sigma_w**2, bias,
+        1 if activation is None else n,
+    )
+    return measure if atom_cap is None else _compress_keeping_bias(measure, atom_cap, rng)
+
+
+def _atom_measure(rows, norms, weights, alpha: float, gram_scale: float, bias, n=1):
+    """One atom (weights[j] / n, rows[j] / norms[j]) per row of positive
+    weight, after a bias atom of weight ``bias``, unless that is None, first
+    with its tag and along the all-ones direction.  At alpha = 2 with more
+    such rows than their dimension, the eigen-atoms of S = gram_scale *
+    rows^T rows, which must equal sum_j weights[j] rows[j] rows[j]^T /
+    norms[j]^2, replace them: one per positive eigenvalue, which is its
+    weight (again divided by n), along its unit eigenvector.  This is exact,
+    not a Monte Carlo estimate: the CF exponent of either set of atoms is
+    t^T S t."""
+    dim = rows.shape[1]
     keep = weights > 0.0
     if alpha == 2.0 and np.count_nonzero(keep) > dim:
-        # the eigen-atoms of S replace the slices; eigenvectors are unit
+        # the eigen-atoms of S replace the rows; eigenvectors are unit
         # vectors already, so their norms are 1
-        evals, evecs = np.linalg.eigh(slices.T @ slices)
-        slices, norms, weights = evecs.T, np.ones(dim), sigma_w**2 * evals
+        evals, evecs = np.linalg.eigh(rows.T @ rows)
+        rows, norms, weights = evecs.T, np.ones(dim), gram_scale * evals
         keep = weights > 0.0
-    n_bias = 0 if sigma_b == 0.0 else 1
+    n_bias = 0 if bias is None else 1
     # take buffers its output unless mode is "clip"; every index is in range
     directions = np.empty((n_bias + np.count_nonzero(keep), dim))
     directions[:n_bias] = 1.0 / np.sqrt(dim)
     atoms = directions[n_bias:]
-    np.take(slices, np.flatnonzero(keep), axis=0, out=atoms, mode="clip")
+    np.take(rows, np.flatnonzero(keep), axis=0, out=atoms, mode="clip")
     atoms /= norms[keep, None]
-    weights = weights[keep]
-    if activation is not None:
-        weights = weights / n
+    weights = weights[keep] / n
     if n_bias:
-        weights = np.concatenate([[sigma_b**alpha * dim ** (alpha / 2.0)], weights])
-    measure = SpectralMeasure(alpha, weights, directions, bias_index=0 if n_bias else None)
-    return measure if atom_cap is None else _compress_keeping_bias(measure, atom_cap, rng)
+        weights = np.concatenate([[bias], weights])
+    return SpectralMeasure(alpha, weights, directions, bias_index=0 if n_bias else None)
 
 
 def gamma_first(
@@ -409,30 +410,35 @@ def mixture_measure(base: SpectralMeasure, z) -> SpectralMeasure:
     )
 
 
-def readout_measure(
-    prev_measure: SpectralMeasure,
-    cfg: ConvLayerConfig,
-    alpha: float,
-    sigma_w: float,
-    sigma_b: float,
-    activation: ActivationSpec,
-    u,
-    limit_cfg: LimitConfig,
-    rng: np.random.Generator,
-) -> SpectralMeasure:
-    """Limiting spectral measure over the K inputs after contracting the
-    output positions against a weight tensor u with entries summing to 1.
+def readout_measure(measure: SpectralMeasure, u) -> SpectralMeasure:
+    """Spectral measure over the K inputs of the readout sum_p u_p X_p of a
+    law over (positions x K inputs) with spectral measure ``measure``; the
+    entries of u must sum to 1.
 
-    Each Monte Carlo atom is the u-contraction of an activated patch slice
-    of a field drawn as in :func:`gamma_next_mc`; zero contractions
-    contribute nothing.
+    The readout is A X with A = u^T (x) I_K over the position-major layout,
+    so its law is the exact image of the measure: atom (w, s) becomes
+    (w * ||A s||^alpha, A s / ||A s||), and atoms with A s = 0 drop out.
+    The bias atom lies along the all-ones direction, whose image is the
+    all-ones direction over the inputs since u sums to 1; it goes first
+    with its tag.  At alpha = 2 the other images reduce to at most K
+    eigen-atoms (:func:`_atom_measure`).  Nothing is drawn.
     """
-    u = _readout_weights(u, cfg)
-    return _slice_measure(
-        _fields(prev_measure, cfg, limit_cfg.mc_samples, rng),
-        cfg, alpha, sigma_w, sigma_b, activation, u,
-        atom_cap=limit_cfg.atom_cap,
-        rng=rng,
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    if abs(u.sum() - 1.0) > 1e-12:
+        raise ValueError("u must contract the all-ones position tensor to 1")
+    if measure.dimension % len(u) != 0:
+        raise ValueError(f"measure dimension {measure.dimension} is not a multiple of len(u)")
+    alpha, b = measure.alpha, measure.bias_index
+    image = np.einsum("p,jpk->jk", u, measure.directions.reshape(measure.n_atoms, len(u), -1))
+    norms = np.linalg.norm(image, axis=1)
+    weights = measure.weights * norms**alpha
+    bias = None if b is None else weights[b]
+    rest = np.arange(measure.n_atoms) != b
+    # rows scaled by sqrt(w) keep their directions and make rows^T rows the
+    # S = sum_j w_j (A s_j)(A s_j)^T of the alpha = 2 reduction
+    root = np.sqrt(measure.weights[rest])
+    return _atom_measure(
+        image[rest] * root[:, None], norms[rest] * root, weights[rest], alpha, 1.0, bias
     )
 
 
@@ -507,33 +513,4 @@ def _log_layer(
         time.perf_counter() - t0,
         _peak_rss_mb(),
         sampled,
-    )
-
-
-def readout_limit(spec: NetworkSpec, u, limit_cfg: LimitConfig) -> SpectralMeasure:
-    """Limiting readout measure over inputs at the last layer.
-
-    For a one-layer network the contraction is applied exactly to the data
-    patch slices; otherwise the positions of the last layer are contracted
-    inside the Monte Carlo recursion, using the layer's own substream.
-    """
-    last = spec.layers[-1]
-    if spec.n_layers == 1:
-        return _slice_measure(
-            _fields(spec.inputs, last), last, spec.alpha, spec.sigma_w, spec.sigma_b,
-            u=_readout_weights(u, last),
-        )
-    prev = limit_measures(
-        dataclasses.replace(spec, layers=spec.layers[:-1]), limit_cfg
-    )[-1]
-    return readout_measure(
-        prev,
-        last,
-        spec.alpha,
-        spec.sigma_w,
-        spec.sigma_b,
-        spec.activation,
-        u,
-        limit_cfg,
-        rng_stream(limit_cfg.seed, RNG_DOMAIN_LIMIT, spec.n_layers + 1_000),
     )

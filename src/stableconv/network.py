@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stable import _BLOCK_BYTES, sample_standard
+from .stable import _BLOCK_BYTES, _replacing, sample_standard
 from .tensors import ConvLayerConfig, input_tensor, patch_map_for
 
 # spawn-key domains keep replica, limit-recursion, probe and input streams
@@ -406,9 +406,10 @@ _CACHE_HEADER = struct.Struct("<dqQQQ")  # alpha, seed, n, c, d
 
 def save_replicas(path, reps: ReplicaSet) -> None:
     """Binary replica cache: magic, alpha, seed, shape, then little-endian
-    float64 output and bias blocks in replica-major order."""
+    float64 output and bias blocks in replica-major order, in place of
+    ``path`` once complete (:func:`stableconv.stable._replacing`)."""
     n, c, d = reps.outputs.shape
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(_CACHE_HEADER.pack(reps.alpha, reps.seed, n, c, d))
         fh.write(reps.outputs.astype("<f8").tobytes())

@@ -36,6 +36,7 @@ import threading
 import warnings
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,9 +432,28 @@ def load_measure(text: str) -> SpectralMeasure:
     return measure
 
 
+@contextmanager
+def _replacing(path, mode: str):
+    """A file opened with ``mode`` next to ``path`` that replaces ``path``
+    only once written in full; os.replace within one directory is atomic.
+    A write that raises, or a process that dies, part-way leaves the
+    previous file, or none, at ``path``; a write that raises also removes
+    the partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_measure(measure: SpectralMeasure, path) -> None:
-    """Write :func:`dump_measure`'s text block by block."""
-    with open(path, "w") as fh:
+    """Write :func:`dump_measure`'s text block by block, in place of
+    ``path`` once complete (:func:`_replacing`)."""
+    with _replacing(path, "w") as fh:
         fh.writelines(_measure_text(measure))
 
 

@@ -164,12 +164,10 @@ def test_criterion_7_gaussian_oracle():
 
 def test_criterion_8_readout_projection(toy):
     with criterion(8, "position-averaged outputs match the readout measure", 300):
-        spec, _, reps = toy
+        spec, limit, reps = toy
         n_pos = spec.layers[-1].n_positions_out
         u = np.full(n_pos, 1.0 / n_pos)
-        readout = sc.readout_limit(
-            spec, u, sc.LimitConfig(mc_samples=TOY_MC, seed=TOY_LIMIT_SEED)
-        )
+        readout = sc.readout_measure(limit, u)
         contracted = np.einsum(
             "p,npk->nk",
             u,

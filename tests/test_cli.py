@@ -142,6 +142,20 @@ class TestConfig:
         cfg = load_config(path)
         assert np.array_equal(cfg.make_inputs(), arr)
 
+    def test_file_input_content_keys_the_run(self, tmp_path):
+        # the canonical text names a kind = file input by its path only; a
+        # file overwritten with other data must not reuse the run directory,
+        # and with it the limit measures cached from the old data
+        x = tmp_path / "x.npy"
+        np.save(x, np.random.default_rng(0).standard_normal((1, 4, 2)))
+        path = tmp_path / "file.ini"
+        path.write_text(TINY_CONFIG.replace("kind = gaussian", f"kind = file\npath = {x}"))
+        first = load_config(path).config_hash
+        np.save(x, np.load(x))
+        assert load_config(path).config_hash == first
+        np.save(x, 100 * np.load(x))
+        assert load_config(path).config_hash != first
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["limit", "-c", str(tmp_path / "nope.ini"), "-o", str(tmp_path)]) == 2
 
@@ -195,6 +209,7 @@ class TestConfig:
         ("limit", ("mc_samples = 2000\nseed = 3", "mc_samples = 0\nseed = 3")),
         ("limit", ("kind = gaussian", "kind = bogus")),
         ("limit", ("[limit]", "[limit]\natom_cap = 0")),
+        ("limit", ("mc_samples = 2000\nseed = 3", "mc_samples = 2000\nseed = -1")),
         ("verify", ("n_replicas = 3000", "n_replicas = 0")),
         ("verify", ("n_probes = 20", "n_probes = 0")),
         ("verify", ("n_probes = 20", "n_probes = 2")),
@@ -205,6 +220,7 @@ class TestConfig:
         ("simulate --replicas -3", None),
         ("simulate --channels 0", None),
     ], ids=["filter", "activation", "relu", "alpha", "mc_samples", "kind", "atom_cap",
+            "limit_seed_negative",
             "n_replicas", "n_probes", "n_probes_2", "channel_counts", "workers_0",
             "workers_negative",
             "replicas_flag_0", "replicas_flag_negative", "channels_flag_0"])

@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stableconv as sc
 from stableconv import limits
@@ -353,49 +355,81 @@ class TestMixtureMeasure:
 
 
 class TestReadoutMeasure:
-    def test_zero_sigma_w_is_bias_only_over_inputs(self, rng):
-        prev = sc.gamma_first(toy_inputs(), toy_layer(), 1.5, 1.0, 1.0)
-        out = sc.readout_measure(prev, toy_layer(), 1.5, 0.0, 1.0, TANH,
-                                 np.full(4, 0.25), sc.LimitConfig(mc_samples=10), rng)
+    def test_zero_sigma_w_is_bias_only_over_inputs(self):
+        prev = sc.gamma_first(toy_inputs(), toy_layer(), 1.5, 0.0, 1.0)
+        out = sc.readout_measure(prev, np.full(4, 0.25))
         assert out.dimension == 2
         assert out.n_atoms == 1
+        assert out.bias_index == 0
         assert out.total_mass == pytest.approx(2 ** (1.5 / 2))
 
-    def test_unnormalized_u_rejected(self, rng):
+    def test_unnormalized_u_rejected(self):
         prev = sc.gamma_first(toy_inputs(), toy_layer(), 1.5, 1.0, 1.0)
         with pytest.raises(ValueError):
-            sc.readout_measure(prev, toy_layer(), 1.5, 1.0, 1.0, TANH,
-                               np.full(4, 0.3), sc.LimitConfig(mc_samples=10), rng)
+            sc.readout_measure(prev, np.full(4, 0.3))
 
-    def test_dimension_checked_without_weights(self, rng):
-        # sigma_w = 0 draws nothing, but a measure that does not fit the
-        # layer's input positions is still rejected
-        bad = sc.SpectralMeasure(1.5, np.ones(1), np.full((1, 7), 1 / np.sqrt(7)))
-        for sigma_w in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                sc.readout_measure(bad, toy_layer(), 1.5, sigma_w, 1.0, TANH,
-                                   np.full(4, 0.25), sc.LimitConfig(mc_samples=10), rng)
+    def test_dimension_checked_without_weights(self):
+        # a bias-only measure that does not fit u's positions is rejected
+        # before any atom is mapped
+        bad = sc.SpectralMeasure(1.5, np.ones(1), np.full((1, 7), 1 / np.sqrt(7)), bias_index=0)
+        with pytest.raises(ValueError):
+            sc.readout_measure(bad, np.full(4, 0.25))
 
     def test_indicator_u_marginalizes_exactly(self):
         # contracting with a one-position indicator must match probing the
-        # full measure only at that position, given the same field draws
-        prev = sc.gamma_first(toy_inputs(), toy_layer(), 1.5, 1.0, 1.0)
-        lcfg = sc.LimitConfig(mc_samples=2_000)
-        p = 2
-        u = np.zeros(4)
-        u[p] = 1.0
-        readout = sc.readout_measure(prev, toy_layer(), 1.5, 1.0, 1.0, TANH, u,
-                                     lcfg, np.random.default_rng(55))
-        full = sc.gamma_next_mc(prev, toy_layer(), 1.5, 1.0, 1.0, TANH,
-                                lcfg, np.random.default_rng(55))
+        # full measure only at that position.  The first offset's slice is
+        # padding at position 0 and the last offset's at position 3, so
+        # there one atom's image is zero and drops out.
+        full = sc.gamma_first(toy_inputs(), toy_layer(), 1.5, 1.0, 1.0)
         rng2 = np.random.default_rng(91)
-        for _ in range(10):
-            v = rng2.standard_normal(2)
-            embedded = np.zeros((4, 2))
-            embedded[p] = v
-            a = sc.cf_multivariate(readout, v)
-            b = sc.cf_multivariate(full, embedded.reshape(-1))
-            assert a == pytest.approx(b, abs=1e-12)
+        for p in range(4):
+            u = np.zeros(4)
+            u[p] = 1.0
+            readout = sc.readout_measure(full, u)
+            assert readout.n_atoms == full.n_atoms - (p in (0, 3))
+            for _ in range(10):
+                v = rng2.standard_normal(2)
+                embedded = np.zeros((4, 2))
+                embedded[p] = v
+                a = sc.cf_multivariate(readout, v)
+                b = sc.cf_multivariate(full, embedded.reshape(-1))
+                assert a == pytest.approx(b, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_image_cf_is_the_cf_at_u_kron_v(self, data):
+        # for any measure over (P positions x K inputs), with or without a
+        # bias atom, the readout's CF at v is the measure's CF at u (x) v.
+        # A zero entry of u gives an atom supported on its position a zero
+        # image, which must drop out.
+        p, k, n = (data.draw(st.integers(1, hi)) for hi in (5, 3, 8))
+        alpha = data.draw(st.one_of(st.sampled_from([2.0, 1.0]), st.floats(0.3, 2.0)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u = rng.uniform(-1.0, 2.0, p)
+        if p > 1 and data.draw(st.booleans()):
+            u[0] = 0.0
+        u[-1] = 1.0 - u[:-1].sum()
+        directions = rng.standard_normal((n, p, k))
+        if u[0] == 0.0:
+            directions[0, 1:] = 0.0
+        directions = directions.reshape(n, p * k)
+        bias = data.draw(st.sampled_from([None, *range(n)]))
+        if bias is not None:
+            directions[bias] = 1.0
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        measure = sc.SpectralMeasure(alpha, np.exp(rng.uniform(-3.0, 3.0, n)), directions,
+                                     bias_index=bias)
+        readout = sc.readout_measure(measure, u)
+        assert readout.dimension == k
+        assert readout.bias_index == (None if bias is None else 0)
+        if bias is not None:
+            assert np.allclose(readout.directions[0], 1 / np.sqrt(k), rtol=0, atol=1e-12)
+        if alpha == 2.0:
+            assert readout.n_atoms <= k + 1
+        v = rng.standard_normal((20, k)) * data.draw(st.floats(0.1, 3.0))
+        t = np.einsum("p,nk->npk", u, v).reshape(len(v), -1)
+        gap = np.abs(sc.cf_multivariate(readout, v) - sc.cf_multivariate(measure, t)).max()
+        assert gap < 1e-12
 
 
 class TestGaussianEigenAtoms:
@@ -466,21 +500,25 @@ class TestGaussianEigenAtoms:
 
     def test_readout_equals_contracted_conditional_law(self):
         # <u (x) v, slice> = <v, u-contraction of the slice>, and u sums to
-        # 1, so the readout CF at v is the conditional CF at u (x) v
-        prev = sc.gamma_first(toy_inputs(), toy_layer(), 2.0, 1.0, 1.0)
+        # 1, so the readout CF at v is the conditional CF at u (x) v.  At
+        # alpha = 2 the readout keeps at most K + 1 atoms.
         m = 60
         u = np.array([0.1, 0.2, 0.3, 0.4])
-        fields = self._replayed_fields(prev, m, seed=22)
-        measure = sc.readout_measure(prev, toy_layer(), 2.0, 1.1, 0.7, TANH, u,
+        for alpha in (0.8, 1.5, 2.0):
+            prev = sc.gamma_first(toy_inputs(), toy_layer(), alpha, 1.0, 1.0)
+            fields = self._replayed_fields(prev, m, seed=22)
+            layer = sc.gamma_next_mc(prev, toy_layer(), alpha, 1.1, 0.7, TANH,
                                      sc.LimitConfig(mc_samples=m), np.random.default_rng(22))
-        assert measure.dimension == 2
-        self._reduced(measure, m * toy_layer().n_offsets)
+            measure = sc.readout_measure(layer, u)
+            assert measure.dimension == 2
+            if alpha == 2.0:
+                self._reduced(measure, m * toy_layer().n_offsets)
 
-        def closed(v):
-            t = np.einsum("p,nk->npk", u, v).reshape(len(v), -1)
-            return sc.cf_conditional_closed_form(fields, toy_layer(), 2.0, 1.1, 0.7, TANH, t)
+            def closed(v, alpha=alpha, fields=fields):
+                t = np.einsum("p,nk->npk", u, v).reshape(len(v), -1)
+                return sc.cf_conditional_closed_form(fields, toy_layer(), alpha, 1.1, 0.7, TANH, t)
 
-        assert self._max_cf_gap(measure, closed, seed=7) < 1e-12
+            assert self._max_cf_gap(measure, closed, seed=7) < 1e-12
 
     def test_zero_sigma_w_keeps_only_bias(self, rng):
         prev = rng.standard_normal((10, 4, 2))
@@ -557,7 +595,7 @@ class TestLimitPipeline:
     def test_readout_limit_single_layer_exact(self, rng):
         spec = toy_spec(n_layers=1)
         u = np.full(4, 0.25)
-        measure = sc.readout_limit(spec, u, sc.LimitConfig(mc_samples=10))
+        measure = sc.readout_measure(sc.limit_measures(spec, sc.LimitConfig(mc_samples=10))[-1], u)
         # deterministic: contract data patch slices by hand
         pm = sc.patch_map_for(spec.layers[0])
         patches = pm.gather(spec.inputs.reshape(1, 4, 2), axis=1)
@@ -621,19 +659,19 @@ def _pinned_case(case):
     if case in ("readout", "readout_cap"):
         cap = 50 if case == "readout_cap" else None
         lcfg = sc.LimitConfig(mc_samples=300, atom_cap=cap)
-        return [sc.readout_measure(prev, toy_layer(), 1.5, 1.0, 1.0, TANH, u, lcfg,
-                                   np.random.default_rng(7))]
+        layer = sc.gamma_next_mc(prev, toy_layer(), 1.5, 1.0, 1.0, TANH, lcfg,
+                                 np.random.default_rng(7))
+        return [sc.readout_measure(layer, u)]
     if case in ("readout_limit_1", "readout_limit_3"):
         spec = toy_spec(n_layers=int(case[-1]))
-        return [sc.readout_limit(spec, u, sc.LimitConfig(mc_samples=300, seed=2))]
+        measures = sc.limit_measures(spec, sc.LimitConfig(mc_samples=300, seed=2))
+        return [sc.readout_measure(measures[-1], u)]
     if case == "stack_4":
         return sc.limit_measures(toy_spec(n_layers=4), sc.LimitConfig(mc_samples=300, seed=3))
     if case == "sigma_w_zero":
         lcfg = sc.LimitConfig(mc_samples=300, seed=3)
         stack = sc.limit_measures(toy_spec(n_layers=2, sigma_w=0.0), lcfg)
-        readout = sc.readout_measure(stack[-1], toy_layer(), 1.5, 0.0, 1.0, TANH, u, lcfg,
-                                     np.random.default_rng(8))
-        return stack + [readout]
+        return stack + [sc.readout_measure(stack[-1], u)]
     raise AssertionError(case)
 
 
@@ -645,6 +683,9 @@ class TestMeasurePins:
     # were recorded when the CMS transform came to take half-angle tangents
     # and atom_cap came to resample stratified.  Like every draw pin, they
     # hold on one numpy SIMD dispatch (see the report header of the test run).
+    # The five readout cases (readout, readout_cap, readout_limit_1,
+    # readout_limit_3, sigma_w_zero) were recorded again when the readout
+    # became the exact image of a measure, built with no draws of its own.
     @pytest.mark.parametrize("case, digest", [
         ("first",
          "97af5cb9aa41ecbe6d0555b2967abe6b8bdc4b975b8f8358ed10cec51d2f24be"),
@@ -657,17 +698,17 @@ class TestMeasurePins:
         ("next_mc_cap",
          "cd934248b8f87d37689c628c0266ad45e016808341b17330cdeccbb2333ff9fd"),
         ("readout",
-         "23f17c939e3f63be49eb70a66c0fefddc6edb2e1e5b4295de7d6321e1789c600"),
+         "e892c2474df1728160aa331943b0956b9cbd6811b5283bc0581a814f53e29864"),
         ("readout_cap",
-         "43bef294dd64b90bbbc6e15bfe2ec2b015d82205b409c98f80a48aa8524c371d"),
+         "ebd568667599b3ab0f580cbe9520a1288001a6dd8f964740da41e146f61e7be4"),
         ("readout_limit_1",
-         "2fef46ebe9b3d8a871cf92474d284c4346bc72e7546720786c8ab870f0a84a18"),
+         "884fed248cfbc94926db2b08125c856998caed88992276d9b3053c419055c4a9"),
         ("readout_limit_3",
-         "a64e0899bf0a216bfaf1c5db8f9284ba243a33f5b7da71e1bd92a47cf28189d3"),
+         "00350dc61eca695be641acd8c5b36bcf9b78aa1051bf4131039c52034835b18b"),
         ("stack_4",
          "e72f1ce40e1e89bac8b3bdc85f7c2ad8148898d3d789f42cc1118ebcd3371252"),
         ("sigma_w_zero",
-         "2d9ea136b3b2641c454dd5b96d34ef521039fb5620f21fa3e9bfbfb6a635280e"),
+         "995eab0ac0c594eb471644bc11fa5c9d84a6b1ebc3d17e4149f1116f567b2048"),
     ])
     def test_dump_pinned(self, case, digest):
         text = "".join(sc.dump_measure(m) for m in _pinned_case(case))

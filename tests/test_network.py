@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -348,6 +349,26 @@ class TestReplicaCache:
         assert np.array_equal(again.biases, reps.biases)
         assert again.alpha == reps.alpha
         assert again.seed == reps.seed
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        # the bias block fails after the header and outputs are written: the
+        # previous file, or none, stays at the path, with nothing beside it
+        reps = sc.sample_replicas(toy_spec(channels=4), 3, n_channels=2)
+        old = tmp_path / "old.bin"
+        sc.save_replicas(old, reps)
+        before = old.read_bytes()
+
+        class Unwritable:
+            def astype(self, dtype):
+                raise OSError("disk full")
+
+        broken = SimpleNamespace(outputs=reps.outputs, biases=Unwritable(),
+                                 alpha=reps.alpha, seed=reps.seed)
+        for path in (old, tmp_path / "new.bin"):
+            with pytest.raises(OSError, match="disk full"):
+                sc.save_replicas(path, broken)
+        assert old.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

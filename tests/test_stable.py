@@ -528,6 +528,25 @@ class TestSerialization:
         again = sc.read_measure(path)
         assert np.array_equal(again.weights, m.weights)
 
+    def test_failed_write_keeps_the_previous_file(self, rng, tmp_path, monkeypatch):
+        # a write that raises part-way must leave the previous file, or no
+        # file, at the path, and no partial file beside it
+        m = make_measure(rng)
+        old = tmp_path / "old.txt"
+        sc.save_measure(m, old)
+        before = old.read_bytes()
+
+        def failing_text(measure):
+            yield "dimension=4 alpha=1.5"
+            raise OSError("disk full")
+
+        monkeypatch.setattr(stable_module, "_measure_text", failing_text)
+        for path in (old, tmp_path / "new.txt"):
+            with pytest.raises(OSError, match="disk full"):
+                sc.save_measure(m, path)
+        assert old.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+
     def test_atom_lines_match_per_value_formatting(self, rng, tmp_path):
         edge = sc.SpectralMeasure(
             1.5,
