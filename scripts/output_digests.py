@@ -1,0 +1,77 @@
+"""Print the SHA-256 of every file the benchmark workloads write at one seed.
+
+Usage, from the root of a checkout::
+
+    python3 scripts/output_digests.py SEED
+
+For each workload of ``perfbench/workloads.py`` the script writes its
+full-size INI file for benchmark seed SEED, runs the workload's CLI
+commands in order, each in a fresh process with the sources under ``./src``
+and one fresh output directory per workload, and prints one line
+``<sha256>  <workload>/<path>`` per file written, ``run.log`` left out (it
+holds timings).  A line ``# <workload> <command> rc=<code>`` precedes each
+workload's digests.  Two checkouts whose outputs agree bit for bit print
+the same lines.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+
+def _digest(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def workload_digests(name: str, seed: int, scratch: Path) -> list[str]:
+    """The rc and digest lines of one workload run under ``scratch``."""
+    workload = WORKLOADS[name]
+    ini = scratch / f"{name}.ini"
+    ini.write_text(workload.ini(seed))
+    out = scratch / name
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    lines = []
+    for argv in workload.commands:
+        full = [argv[0], "-c", str(ini), "-o", str(out), *argv[1:]]
+        done = subprocess.run(
+            [sys.executable, "-m", "stableconv.cli", *full],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        lines.append(f"# {name} {' '.join(argv)} rc={done.returncode}")
+    for path in sorted(out.rglob("*")):
+        if path.is_file() and path.name != "run.log":
+            lines.append(f"{_digest(path)}  {name}/{path.relative_to(out)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or not args[0].isdigit():
+        print("usage: python3 scripts/output_digests.py SEED", file=sys.stderr)
+        return 2
+    seed = int(args[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in WORKLOADS:
+            for line in workload_digests(name, seed, Path(tmp)):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

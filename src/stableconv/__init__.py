@@ -5,18 +5,14 @@ characteristic-function verification of the convergence."""
 from .tensors import ConvLayerConfig, PatchMap, input_tensor, patch_map_for
 from .stable import (
     SpectralMeasure,
-    StableParams,
     cf_multivariate,
-    cf_univariate,
     compress_measure,
     dump_measure,
     empty_measure,
     load_measure,
-    project_1d,
     read_measure,
     sample_multivariate,
     sample_standard,
-    sample_univariate,
     save_measure,
 )
 from .network import (

@@ -47,12 +47,12 @@ from .verify import (
 log = logging.getLogger("stableconv.cli")
 
 
-def _run_dir(cfg: RunConfig, out: str) -> Path:
-    run = Path(out) / cfg.config_hash
+def _make_run_dir(cfg: RunConfig, run: Path) -> None:
+    """Create ``run``, which is named by the configuration hash, and write
+    the resolved configuration and the hash in it."""
     run.mkdir(parents=True, exist_ok=True)
     (run / "resolved.ini").write_text(cfg.resolved_text())
-    (run / "config_hash.txt").write_text(cfg.config_hash + "\n")
-    return run
+    (run / "config_hash.txt").write_text(run.name + "\n")
 
 
 def _setup_logging(run: Path) -> None:
@@ -296,13 +296,15 @@ def main(argv=None) -> int:
         limit_cfg = cfg.limit_config(cfg.oracle_mc_samples if args.command == "oracle" else None)
         if args.command == "oracle" and cfg.alpha != 2.0:
             raise ValueError("the oracle command requires alpha = 2 in the configuration")
+        # hashed once: the hash of a kind = file input reads the file, and
+        # the report check below must see the directory the run then uses
         run = Path(args.out) / cfg.config_hash
         if args.command == "report" and not (run / "sweep.csv").exists():
             raise ValueError(f"no sweep.csv in {run}; run `verify` first")
     except Exception as exc:  # bad config is a usage error, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    run = _run_dir(cfg, args.out)
+    _make_run_dir(cfg, run)
     _setup_logging(run)
     if args.command == "limit":
         return cmd_limit(spec, limit_cfg, run)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -33,6 +34,13 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split())
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -43,7 +51,7 @@ def _bool(text: str) -> bool:
 # how an option's value is parsed from INI text and written back
 _Kind = namedtuple("_Kind", "parse show")
 
-_FLOAT = _Kind(float, lambda v: f"{v:.17g}")
+_FLOAT = _Kind(_float, lambda v: f"{v:.17g}")
 _INT = _Kind(int, str)
 _STR = _Kind(str, str)
 _INTS = _Kind(_ints, lambda v: " ".join(map(str, v)))

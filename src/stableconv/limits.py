@@ -19,10 +19,10 @@ inputs).  Its spectral measure obeys a backward recursion over layers:
 
 The previous layer's Monte Carlo measure has M * n_offsets + 1 atoms, so
 drawing M fields from it as it is would cost M * (M * n_offsets + 1) stable
-draws.  Fields are instead drawn from a resample of it: the exact bias atom
-first, unchanged, then the other atoms resampled to M (the ``mc_samples``
-budget) by stratified :func:`stableconv.stable.compress_measure`, which
-keeps their total mass and their expected measure, i.e. the expected CF
+draws.  Fields are instead drawn from a resample of it by stratified
+:func:`stableconv.stable.compress_measure`: the exact bias atom first,
+unchanged, then the other atoms resampled to M (the ``mc_samples`` budget),
+keeping their total mass and their expected measure, i.e. the expected CF
 exponent.  The CF is the exponential of minus that exponent, so the
 resample adds O(1/M) error to the CF, as the layer's own Monte Carlo error
 does.  Stratified rather than systematic: the atoms come in blocks of
@@ -74,7 +74,14 @@ from math import prod
 import numpy as np
 
 from .network import NetworkSpec, RNG_DOMAIN_LIMIT, ActivationSpec, rng_stream
-from .stable import _BLOCK_BYTES, SpectralMeasure, compress_measure, empty_measure, sample_multivariate
+from .stable import (
+    _BLOCK_BYTES,
+    SpectralMeasure,
+    _compressed_size,
+    compress_measure,
+    empty_measure,
+    sample_multivariate,
+)
 from .tensors import ConvLayerConfig, patch_map_for
 
 log = logging.getLogger(__name__)
@@ -87,10 +94,11 @@ class LimitConfig:
     ``mc_samples`` fields are drawn per layer, from the previous measure
     with its non-bias atoms resampled to at most ``mc_samples`` (see
     :func:`_fields`).  ``atom_cap``, when set, resamples each Monte Carlo
-    layer's own non-bias atoms to at most that many, by the same stratified
-    :func:`stableconv.stable.compress_measure`; None keeps all of a layer's
-    at most mc_samples * n_offsets Monte Carlo atoms (at most its dimension
-    at alpha = 2, see :func:`_slice_measure`).
+    layer's own non-bias atoms to at most that many, by the same
+    :func:`stableconv.stable.compress_measure`, which keeps the bias atom
+    exactly and first; None keeps all of a layer's at most
+    mc_samples * n_offsets Monte Carlo atoms (at most its dimension at
+    alpha = 2, see :func:`_slice_measure`).
     """
 
     mc_samples: int = 10_000
@@ -106,38 +114,6 @@ class LimitConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _compressed_size(measure: SpectralMeasure, target: int) -> int:
-    """Atom count of :func:`_compress_keeping_bias` of ``measure``."""
-    n_bias = 0 if measure.bias_index is None else 1
-    return n_bias + min(measure.n_atoms - n_bias, target)
-
-
-def _compress_keeping_bias(
-    measure: SpectralMeasure, target: int, rng: np.random.Generator
-) -> SpectralMeasure:
-    """``measure``'s bias atom first, with its weight and tag, then its
-    other atoms resampled to ``target`` by stratified
-    :func:`compress_measure`.  A measure with at most ``target`` non-bias
-    atoms is returned as it is and consumes no random numbers."""
-    if _compressed_size(measure, target) == measure.n_atoms:
-        return measure
-    b = measure.bias_index
-    if b is None:
-        return compress_measure(measure, target, rng)
-    rest = slice(1, None) if b == 0 else np.delete(np.arange(measure.n_atoms), b)
-    rest = compress_measure(
-        SpectralMeasure(measure.alpha, measure.weights[rest], measure.directions[rest]),
-        target,
-        rng,
-    )
-    return SpectralMeasure(
-        measure.alpha,
-        np.concatenate([measure.weights[b : b + 1], rest.weights]),
-        np.concatenate([measure.directions[b : b + 1], rest.directions]),
-        bias_index=0,
-    )
-
-
 def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndarray:
     """The fields a layer's measure is built from, as (n, input positions, K).
 
@@ -145,8 +121,9 @@ def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndar
     field per channel, or the previous layer's measure.  From a measure,
     ``n_draws`` flat fields are drawn with ``rng`` after its non-bias atoms,
     when there are more than ``n_draws``, are resampled to ``n_draws`` by
-    :func:`_compress_keeping_bias`.  A measure is checked against the
-    layer's input positions before anything is drawn.
+    :func:`stableconv.stable.compress_measure`, which keeps the bias atom.
+    A measure is checked against the layer's input positions before
+    anything is drawn.
     """
     n_in = cfg.n_positions_in
     if isinstance(source, SpectralMeasure):
@@ -157,7 +134,7 @@ def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndar
                 f"measure dimension {source.dimension} is not a multiple of "
                 f"the layer's {n_in} input positions"
             )
-        sampled = _compress_keeping_bias(source, n_draws, rng)
+        sampled = compress_measure(source, n_draws, rng)
         draws = sample_multivariate(sampled, rng, size=n_draws)
         return draws.reshape(n_draws, n_in, source.dimension // n_in)
     source = np.asarray(source, dtype=np.float64)
@@ -186,8 +163,8 @@ def _slice_measure(
     v / ||v||, reduced at alpha = 2 to the eigen-atoms of
     S = sigma_w^2 sum_v v v^T by :func:`_atom_measure`.  The exact bias
     atom, sigma_b^alpha * dim^(alpha/2) along the all-ones direction, goes
-    first.  ``atom_cap`` compresses the other atoms with ``rng``
-    (:func:`_compress_keeping_bias`).
+    first.  ``atom_cap`` resamples the other atoms with ``rng``, keeping the
+    bias atom (:func:`stableconv.stable.compress_measure`).
     """
     n = fields.shape[0]
     pm = patch_map_for(cfg)
@@ -212,7 +189,7 @@ def _slice_measure(
         slices, norms, sigma_w**alpha * norms**alpha, alpha, sigma_w**2, bias,
         1 if activation is None else n,
     )
-    return measure if atom_cap is None else _compress_keeping_bias(measure, atom_cap, rng)
+    return measure if atom_cap is None else compress_measure(measure, atom_cap, rng)
 
 
 def _atom_measure(rows, norms, weights, alpha: float, gram_scale: float, bias, n=1):

@@ -133,7 +133,7 @@ class NetworkSpec:
     ``inputs`` is an array with axes (input channels, *spatial, K), checked
     and stored as float64.  Layer configs must chain spatially, and all
     hidden layers share the channel count ``channels``.  ``sigma_w`` and
-    ``sigma_b`` may be zero (degenerate draws).
+    ``sigma_b`` are finite and may be zero (degenerate draws).
     """
 
     alpha: float
@@ -148,8 +148,8 @@ class NetworkSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if self.sigma_w < 0 or self.sigma_b < 0:
-            raise ValueError("scales must be non-negative")
+        if not (0.0 <= self.sigma_w < np.inf and 0.0 <= self.sigma_b < np.inf):
+            raise ValueError("scales must be finite and non-negative")
         layers = tuple(self.layers)
         if len(layers) < 1:
             raise ValueError("at least one layer required")
@@ -210,15 +210,6 @@ class FiniteOutputs:
 
     fields: np.ndarray
     last_biases: np.ndarray
-
-    @property
-    def n_channels(self) -> int:
-        return self.fields.shape[0]
-
-    @property
-    def flat(self) -> np.ndarray:
-        """(n_channels_out, positions*K), row-major position-major layout."""
-        return self.fields.reshape(self.n_channels, -1)
 
 
 def _forward_block(

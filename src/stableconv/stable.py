@@ -1,6 +1,6 @@
-"""Symmetric alpha-stable laws: univariate sampling and characteristic
-functions, multivariate laws given by discrete spectral measures on the unit
-sphere, one-dimensional projections and measure utilities.
+"""Symmetric alpha-stable laws, each given by a discrete spectral measure on
+the unit sphere: standard stable draws, exact draws and characteristic
+functions of a measure's law, stratified resampling and text serialization.
 
 A finite measure on the sphere determines a symmetric multivariate stable law
 through the exponent of its characteristic function; see Samorodnitsky &
@@ -11,7 +11,13 @@ carrying half the weight each.  Directions are unit vectors in the Euclidean
 norm of the flattened coordinates, and the flattening order is the package's
 row-major convention (see :mod:`stableconv.tensors`).
 
-Univariate sampling uses the Chambers-Mallows-Stuck transform (Chambers,
+A univariate law is the one-dimensional case: scale sigma is
+``SpectralMeasure(alpha, [sigma**alpha], [[1.0]])``, its draws are
+``sigma * sample_standard(alpha, n, rng)``, and for X with spectral measure
+``measure`` the characteristic function of <u, X> at t is
+``cf_multivariate(measure, t * u)``.
+
+Standard draws use the Chambers-Mallows-Stuck transform (Chambers,
 Mallows & Stuck 1976; Weron 1996), with the Gaussian and Cauchy endpoints
 special-cased to avoid the trigonometric singularities there.  The uniform
 and exponential inputs of the transform are drawn serially from the caller's
@@ -73,31 +79,6 @@ def _serial_after_fork() -> None:
 
 
 os.register_at_fork(after_in_child=_serial_after_fork)
-
-
-@dataclass(frozen=True)
-class StableParams:
-    """Parameters of a symmetric univariate stable law: the stability index
-    ``alpha`` in (0, 2] and the scale ``sigma`` >= 0.  sigma = 0 is the point
-    mass at zero, the law of a projection orthogonal to every atom."""
-
-    alpha: float
-    sigma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-
-
-def cf_univariate(params: StableParams, t):
-    """Characteristic function exp(-sigma^alpha |t|^alpha) of a symmetric
-    stable law: real, 1 at t = 0, and identically 1 when sigma = 0.  ``t``
-    may be a scalar or an array."""
-    at = np.abs(np.asarray(t, dtype=np.float64))
-    out = np.exp(-(params.sigma**params.alpha) * at**params.alpha)
-    return float(out) if np.isscalar(t) else out
 
 
 def _cos_half_angle(x: np.ndarray, tmp: np.ndarray, den: np.ndarray) -> None:
@@ -207,12 +188,6 @@ def sample_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
     for future in futures:
         future.result()
     return out
-
-
-def sample_univariate(params: StableParams, rng: np.random.Generator, size=None):
-    """Sample a symmetric stable law: ``sigma`` times standard draws."""
-    draws = params.sigma * sample_standard(params.alpha, size, rng)
-    return float(draws) if size is None else draws
 
 
 @dataclass(frozen=True)
@@ -337,50 +312,48 @@ def sample_multivariate(
     return out[0] if size is None else out
 
 
-def project_1d(measure: SpectralMeasure, u) -> StableParams:
-    """Parameters of the univariate law of <u, X> for X with the given
-    spectral measure.
-
-    The law is symmetric stable with the measure's alpha and scale
-    (sum_j w_j |<u, s_j>|^alpha)^(1/alpha); the scale is 0 when ``u`` is
-    orthogonal to every atom or the measure is empty.
-    """
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    if u.shape[0] != measure.dimension:
-        raise ValueError(
-            f"projection dimension {u.shape[0]} != measure dimension {measure.dimension}"
-        )
-    alpha = measure.alpha
-    sigma_a = float(np.sum(measure.weights * np.abs(measure.directions @ u) ** alpha))
-    return StableParams(alpha, sigma_a ** (1.0 / alpha))
+def _compressed_size(measure: SpectralMeasure, target: int) -> int:
+    """Atom count of :func:`compress_measure` of ``measure``."""
+    n_bias = 0 if measure.bias_index is None else 1
+    return n_bias + min(measure.n_atoms - n_bias, target)
 
 
 def compress_measure(
     measure: SpectralMeasure, target: int, rng: np.random.Generator
 ) -> SpectralMeasure:
-    """Mass-preserving stratified resampling down to ``target`` atoms.
+    """Mass-preserving stratified resampling of the non-bias atoms down to
+    ``target``.
 
-    The cumulative weight is cut into ``target`` equal slices and one atom
-    is drawn at an independent uniform point of each (``target`` draws).
-    Every surviving atom carries total_mass / target, so the expected
-    measure is preserved.  The picks are independent across slices, so
-    their error cannot line up with a periodic order of the atoms, as one
-    offset shared by every slice (systematic resampling) does on a Monte
-    Carlo measure's blocks of one atom per filter offset.  A measure with
-    at most ``target`` atoms is returned unchanged.  The bias tag does not
-    survive resampling.
+    A tagged bias atom is kept exactly: it goes first, with its weight, and
+    is tagged 0.  The cumulative weight of the other atoms is cut into
+    ``target`` equal slices and one atom is drawn at an independent uniform
+    point of each (``target`` draws).  Every surviving atom carries their
+    total mass / target, so the expected measure is preserved.  The picks
+    are independent across slices, so their error cannot line up with a
+    periodic order of the atoms, as one offset shared by every slice
+    (systematic resampling) does on a Monte Carlo measure's blocks of one
+    atom per filter offset.  A measure with at most ``target`` non-bias
+    atoms is returned unchanged and consumes no random numbers.
     """
     if target < 1:
         raise ValueError("target must be >= 1")
-    if measure.n_atoms <= target:
+    if _compressed_size(measure, target) == measure.n_atoms:
         return measure
-    total = measure.total_mass
-    cum = np.cumsum(measure.weights)
+    b = measure.bias_index
+    rest = np.flatnonzero(np.arange(measure.n_atoms) != b)
+    weights = measure.weights[rest]
+    total = float(weights.sum())
+    cum = np.cumsum(weights)
     cum[-1] = total
     points = (np.arange(target) + rng.uniform(size=target)) / target * total
-    idx = np.minimum(np.searchsorted(cum, points, side="left"), measure.n_atoms - 1)
-    weights = np.full(target, total / target)
-    return SpectralMeasure(measure.alpha, weights, measure.directions[idx])
+    picks = rest[np.minimum(np.searchsorted(cum, points, side="left"), len(rest) - 1)]
+    head = slice(0) if b is None else slice(b, b + 1)
+    return SpectralMeasure(
+        measure.alpha,
+        np.concatenate([measure.weights[head], np.full(target, total / target)]),
+        np.concatenate([measure.directions[head], measure.directions[picks]]),
+        bias_index=None if b is None else 0,
+    )
 
 
 def _measure_text(measure: SpectralMeasure) -> Iterator[str]:

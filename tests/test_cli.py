@@ -156,6 +156,23 @@ class TestConfig:
         np.save(x, 100 * np.load(x))
         assert load_config(path).config_hash != first
 
+    def test_file_input_loaded_once_per_hash(self, tmp_path, monkeypatch):
+        # one load builds the network and one keys the run directory; the
+        # written hash and the directory name come from that one hash
+        x = tmp_path / "x.npy"
+        np.save(x, np.random.default_rng(0).standard_normal((1, 4, 2)))
+        path = tmp_path / "file.ini"
+        path.write_text(TINY_CONFIG.replace("kind = gaussian", f"kind = file\npath = {x}"))
+        out = tmp_path / "runs"
+        loads = []
+        load = np.load
+        monkeypatch.setattr(np, "load", lambda *a, **k: loads.append(a) or load(*a, **k))
+        assert main(["limit", "-c", str(path), "-o", str(out)]) == 0
+        assert len(loads) == 2
+        monkeypatch.undo()
+        run = run_dir_of(path, out)
+        assert (run / "config_hash.txt").read_text() == run.name + "\n"
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["limit", "-c", str(tmp_path / "nope.ini"), "-o", str(tmp_path)]) == 2
 
@@ -210,6 +227,9 @@ class TestConfig:
         ("limit", ("kind = gaussian", "kind = bogus")),
         ("limit", ("[limit]", "[limit]\natom_cap = 0")),
         ("limit", ("mc_samples = 2000\nseed = 3", "mc_samples = 2000\nseed = -1")),
+        ("limit", ("sigma_w = 1.0", "sigma_w = nan")),
+        ("limit", ("sigma_b = 1.0", "sigma_b = inf")),
+        ("verify", ("max_sup_dist = 0.2", "max_sup_dist = nan")),
         ("verify", ("n_replicas = 3000", "n_replicas = 0")),
         ("verify", ("n_probes = 20", "n_probes = 0")),
         ("verify", ("n_probes = 20", "n_probes = 2")),
@@ -220,7 +240,7 @@ class TestConfig:
         ("simulate --replicas -3", None),
         ("simulate --channels 0", None),
     ], ids=["filter", "activation", "relu", "alpha", "mc_samples", "kind", "atom_cap",
-            "limit_seed_negative",
+            "limit_seed_negative", "sigma_w_nan", "sigma_b_inf", "max_sup_dist_nan",
             "n_replicas", "n_probes", "n_probes_2", "channel_counts", "workers_0",
             "workers_negative",
             "replicas_flag_0", "replicas_flag_negative", "channels_flag_0"])

@@ -209,8 +209,9 @@ class TestGammaNextMC:
 
 
 class TestCompressKeepingBias:
-    """The bias-first stratified compression that draws Monte Carlo fields
-    and applies ``atom_cap``."""
+    """compress_measure keeps a tagged bias atom first and exactly; it
+    resamples the measures Monte Carlo fields are drawn from and applies
+    ``atom_cap``."""
 
     @staticmethod
     def layer2(bias_last=False):
@@ -234,7 +235,7 @@ class TestCompressKeepingBias:
                 prev.alpha, prev.weights[order], prev.directions[order],
                 bias_index=int(np.flatnonzero(order == prev.bias_index)[0]),
             )
-        out = limits._compress_keeping_bias(prev, k, np.random.default_rng(3))
+        out = sc.compress_measure(prev, k, np.random.default_rng(3))
         assert out.bias_index == 0
         assert out.weights[0] == prev.bias_mass
         assert np.array_equal(out.directions[0], prev.directions[prev.bias_index])
@@ -244,7 +245,7 @@ class TestCompressKeepingBias:
     def test_untagged_measure_resampled_whole(self):
         m = self.layer2()
         untagged = sc.SpectralMeasure(m.alpha, m.weights, m.directions)
-        out = limits._compress_keeping_bias(untagged, 50, np.random.default_rng(3))
+        out = sc.compress_measure(untagged, 50, np.random.default_rng(3))
         assert out.bias_index is None
         assert out.n_atoms <= 50
         assert out.total_mass == pytest.approx(m.total_mass, rel=1e-12)
@@ -260,11 +261,11 @@ class TestCompressKeepingBias:
             m, k = sc.SpectralMeasure(m.alpha, m.weights, m.directions), m.n_atoms
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
-        assert limits._compress_keeping_bias(m, k, rng) is m
+        assert sc.compress_measure(m, k, rng) is m
         assert rng.bit_generator.state == state
 
 
-_resample = limits._compress_keeping_bias
+_resample = sc.compress_measure
 
 
 def _drop_bias(measure, target, rng):
@@ -298,7 +299,7 @@ class TestResampleAgreement:
         probe_src = sc.limit_measures(toy_spec(), sc.LimitConfig(mc_samples=cls.M, seed=99))
         probes = sc.generate_probes(probe_src[-1], n_probes=20, seed=5).probes[1:]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limits, "_compress_keeping_bias", resample)
+            mp.setattr(limits, "compress_measure", resample)
             stacks = [
                 sc.limit_measures(toy_spec(n_layers=4), sc.LimitConfig(mc_samples=cls.M, seed=s))
                 for s in cls.SEEDS

@@ -63,6 +63,13 @@ class TestNetworkSpec:
                 inputs=toy_inputs(spatial=(5,)), seed=0,
             )
 
+    @pytest.mark.parametrize("scale", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["sigma_w", "sigma_b"])
+    def test_bad_scale_rejected(self, name, scale):
+        # a NaN weight scale would leave only the bias atoms in the limit
+        with pytest.raises(ValueError):
+            toy_spec(**{name: scale})
+
     def test_out_dim(self):
         assert toy_spec().out_dim == 4 * 2
 
@@ -122,7 +129,7 @@ class TestForwardFinite:
         spec = _shifted_tanh_spec()
         out = sc.forward_finite(spec, 2, np.random.default_rng(0))
         fields, biases = _gather_then_activate(spec, 2, 1, np.random.default_rng(0))
-        assert np.array_equal(out.flat, fields[0])
+        assert np.array_equal(out.fields.reshape(2, -1), fields[0])
         assert np.array_equal(out.last_biases, biases[0])
 
     def test_padding_reads_activation_at_zero_in_blocks(self):

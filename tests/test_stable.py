@@ -21,57 +21,48 @@ def make_measure(rng, dim=4, n_atoms=6, alpha=1.5, bias=False):
     return sc.SpectralMeasure(alpha, weights, dirs, bias_index=0 if bias else None)
 
 
-class TestStableParams:
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 2.5])
-    def test_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError):
-            sc.StableParams(alpha, 1.0)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            sc.StableParams(1.5, -1.0)
-        assert sc.StableParams(1.5, 0.0).sigma == 0.0
+def law_1d(alpha, sigma):
+    """The univariate symmetric stable law of scale ``sigma`` as a 1-D measure."""
+    return sc.SpectralMeasure(alpha, [sigma**alpha], [[1.0]])
 
 
 class TestUnivariateCF:
     def test_symmetric_unit(self):
-        assert sc.cf_univariate(sc.StableParams(1.5, 1.0), 1.0) == pytest.approx(
-            np.exp(-1.0)
-        )
+        assert sc.cf_multivariate(law_1d(1.5, 1.0), [1.0]) == pytest.approx(np.exp(-1.0))
 
     @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.7])
     def test_cf_at_zero_is_one(self, alpha):
-        assert sc.cf_univariate(sc.StableParams(alpha, 2.0), 0.0) == 1.0
+        assert sc.cf_multivariate(law_1d(alpha, 2.0), [0.0]) == 1.0
 
     def test_scale_identity(self):
         # scale sigma at probe t equals unit scale at probe sigma*t
-        p2 = sc.StableParams(1.5, 2.0)
-        p1 = sc.StableParams(1.5, 1.0)
+        p2 = law_1d(1.5, 2.0)
+        p1 = law_1d(1.5, 1.0)
         for t in [0.25, 1.0, 3.0]:
-            assert sc.cf_univariate(p2, t) == pytest.approx(
-                sc.cf_univariate(p1, 2.0 * t), rel=1e-14
+            assert sc.cf_multivariate(p2, [t]) == pytest.approx(
+                sc.cf_multivariate(p1, [2.0 * t]), rel=1e-14
             )
 
     def test_alpha_one_branch(self):
         # alpha = 1 needs no expression of its own: the Cauchy CF exp(-sigma|t|)
-        p = sc.StableParams(1.0, 2.0)
         t = np.array([-3.0, 0.5, 2.0])
-        assert np.allclose(sc.cf_univariate(p, t), np.exp(-2.0 * np.abs(t)), rtol=1e-15, atol=0)
+        cf = sc.cf_multivariate(law_1d(1.0, 2.0), t[:, None])
+        assert np.allclose(cf, np.exp(-2.0 * np.abs(t)), rtol=1e-15, atol=0)
 
 
 class TestUnivariateSampler:
     def test_gaussian_endpoint_variance(self, rng):
-        draws = sc.sample_univariate(sc.StableParams(2.0, 1.0), rng, size=100_000)
+        draws = sc.sample_standard(2.0, 100_000, rng)
         assert draws.var() == pytest.approx(2.0, abs=0.05)
 
     def test_cauchy_quartiles(self, rng):
-        draws = sc.sample_univariate(sc.StableParams(1.0, 1.0), rng, size=100_000)
+        draws = sc.sample_standard(1.0, 100_000, rng)
         q1, q3 = np.quantile(draws, [0.25, 0.75])
         assert q1 == pytest.approx(-1.0, abs=0.05)
         assert q3 == pytest.approx(1.0, abs=0.05)
 
     def test_heavy_tail_empirical_cf(self, rng):
-        draws = sc.sample_univariate(sc.StableParams(0.5, 1.0), rng, size=100_000)
+        draws = sc.sample_standard(0.5, 100_000, rng)
         ecf = np.exp(1j * draws).mean()
         assert abs(ecf - np.exp(-1.0)) < 0.01
 
@@ -366,12 +357,20 @@ class TestHalfAngleTransform:
         assert np.array_equal(np.signbit(out[signed]), np.signbit(ref[signed]))
 
 
+def scale_alpha(measure, u):
+    """sigma(u)^alpha = sum_j w_j |<u, s_j>|^alpha: the law of <u, X> is
+    symmetric stable with scale sigma(u)."""
+    return float(np.sum(measure.weights * np.abs(measure.directions @ u) ** measure.alpha))
+
+
 class TestProject1d:
+    """The law of <u, X>: its CF at t is that of X at t * u."""
+
     def test_single_pair_atom(self):
         m = sc.SpectralMeasure(1.5, np.array([1.0]), np.array([[1.0, 0.0]]))
-        proj = sc.project_1d(m, np.array([1.0, 0.0]))
-        assert type(proj) is sc.StableParams and proj.alpha == 1.5
-        assert proj.sigma == pytest.approx(1.0, abs=1e-14)
+        u = np.array([1.0, 0.0])
+        for t in [0.5, 1.0, 3.0]:
+            assert sc.cf_multivariate(m, t * u) == pytest.approx(np.exp(-(t**1.5)), abs=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
     def test_degenerate_projection(self, alpha):
@@ -380,15 +379,15 @@ class TestProject1d:
         m = sc.SpectralMeasure(alpha, np.array([1.0, 2.0]), np.array([[1.0, 0, 0], [0, 1.0, 0]]))
         t = np.array([0.0, 0.5, 3.0, 1e6])
         for measure, u in [(m, [0.0, 0.0, 2.0]), (sc.empty_measure(alpha, 3), [1.0, 2.0, 3.0])]:
-            proj = sc.project_1d(measure, u)
-            assert proj == sc.StableParams(alpha, 0.0)
-            assert np.array_equal(sc.cf_univariate(proj, t), np.ones(4))
-            assert sc.cf_univariate(proj, 7.0) == 1.0
+            u = np.array(u)
+            assert scale_alpha(measure, u) == 0.0
+            assert np.array_equal(sc.cf_multivariate(measure, t[:, None] * u), np.ones(4))
+            assert sc.cf_multivariate(measure, 7.0 * u) == 1.0
 
     def test_dimension_mismatch(self, rng):
         m = make_measure(rng)
         with pytest.raises(ValueError):
-            sc.project_1d(m, np.zeros(m.dimension + 1))
+            sc.cf_multivariate(m, 2.0 * np.ones(m.dimension + 1))
 
     def test_coordinate_projection_of_conditional_measure(self, rng):
         # sigma(u)^alpha at a coordinate direction must reproduce the
@@ -402,12 +401,12 @@ class TestProject1d:
         for flat_idx in [0, 3, 7]:
             u = np.zeros(cfg.n_positions_out * k)
             u[flat_idx] = 1.0
-            proj = sc.project_1d(measure, u)
+            sigma_a = scale_alpha(measure, u)
             brute = 0.0
             for w, s in zip(measure.weights, measure.directions):
                 brute += 0.5 * w * abs(u @ s) ** alpha
                 brute += 0.5 * w * abs(u @ -s) ** alpha
-            assert proj.sigma**alpha == pytest.approx(brute, rel=1e-12)
+            assert sigma_a == pytest.approx(brute, rel=1e-12)
             patches = sc.patch_map_for(cfg).gather(
                 prev.reshape(c, cfg.n_positions_in, k), axis=1
             )
@@ -415,16 +414,16 @@ class TestProject1d:
             direct = sigma_b**alpha + sigma_w**alpha / c * np.sum(
                 np.abs(acts[:, flat_idx]) ** alpha
             )
-            assert proj.sigma**alpha == pytest.approx(direct, rel=1e-12)
+            assert sigma_a == pytest.approx(direct, rel=1e-12)
 
     def test_projection_consistent_with_sampler(self, rng):
         m = make_measure(rng, dim=5, n_atoms=4, alpha=1.2)
         u = rng.standard_normal(5)
-        proj = sc.project_1d(m, u)
+        sigma = scale_alpha(m, u) ** (1.0 / m.alpha)
         draws = sc.sample_multivariate(m, rng, size=60_000) @ u
-        for t in [0.5 / proj.sigma, 1.0 / proj.sigma]:
+        for t in [0.5 / sigma, 1.0 / sigma]:
             emp = np.exp(1j * t * draws).mean()
-            assert abs(emp - sc.cf_univariate(proj, t)) < 0.02
+            assert abs(emp - sc.cf_multivariate(m, t * u)) < 0.02
 
 
 class TestCompressMeasure:
@@ -581,6 +580,13 @@ class TestSerialization:
 
 
 class TestMeasureInvariants:
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 2.5])
+    def test_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            sc.SpectralMeasure(alpha, [1.0], [[1.0]])
+        with pytest.raises(ValueError):
+            sc.sample_standard(alpha, 10, np.random.default_rng(0))
+
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):
             sc.SpectralMeasure(1.5, np.array([1.0]), np.array([[1.0, 1.0]]))
@@ -588,6 +594,9 @@ class TestMeasureInvariants:
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError):
             sc.SpectralMeasure(1.5, np.array([0.0]), np.array([[1.0, 0.0]]))
+        # nor a negative one
+        with pytest.raises(ValueError):
+            sc.SpectralMeasure(1.5, np.array([-1.0]), np.array([[1.0]]))
 
     def test_bias_index_range(self):
         with pytest.raises(ValueError):
