@@ -30,6 +30,7 @@ from .config import RunConfig, load_config
 from .limits import LimitConfig, _peak_rss_mb, limit_measures, mixture_measure
 from .network import (
     NetworkSpec,
+    ReplicaSet,
     load_replicas,
     replica_block_size,
     sample_replicas,
@@ -74,17 +75,28 @@ def _measure_path(run: Path, layer: int) -> Path:
     return d / f"layer_{layer:02d}.txt"
 
 
-def _log_measure_io(stage: str, layer: int, measure, t0: float) -> None:
-    """One ``run.log`` line per measure file written or read, with this
+def _replica_path(run: Path, channels: int) -> Path:
+    return run / f"replicas_C{channels}.bin"
+
+
+def _log_io(stage: str, t0: float, **counts) -> None:
+    """One ``run.log`` line per measure or replica file written or read:
+    ``counts`` (e.g. layer and atoms), the seconds since ``t0``, and this
     process's peak resident memory so far."""
     log.info(
-        "stage=%s layer=%d atoms=%d seconds=%.3f peak_rss_mb=%.1f",
+        "stage=%s %s seconds=%.3f peak_rss_mb=%.1f",
         stage,
-        layer,
-        measure.n_atoms,
+        " ".join(f"{key}={value}" for key, value in counts.items()),
         time.perf_counter() - t0,
         _peak_rss_mb(),
     )
+
+
+def _load_replica_cache(path: Path, channels) -> ReplicaSet:
+    t0 = time.perf_counter()
+    reps = load_replicas(path)
+    _log_io("load_replicas", t0, C=channels, replicas=reps.n_replicas)
+    return reps
 
 
 def _compute_and_save_limit(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path):
@@ -92,7 +104,7 @@ def _compute_and_save_limit(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path
     for layer, measure in enumerate(measures, start=1):
         t0 = time.perf_counter()
         save_measure(measure, _measure_path(run, layer))
-        _log_measure_io("save_measure", layer, measure, t0)
+        _log_io("save_measure", t0, layer=layer, atoms=measure.n_atoms)
     return measures
 
 
@@ -107,14 +119,16 @@ def cmd_simulate(cfg: RunConfig, spec: NetworkSpec, run: Path, replicas: int | N
     t0 = time.perf_counter()
     reps = sample_replicas(spec, n, n_channels=2, workers=cfg.workers)
     seconds = time.perf_counter() - t0
-    path = run / f"replicas_C{spec.channels}.bin"
+    path = _replica_path(run, spec.channels)
+    t0 = time.perf_counter()
     save_replicas(path, reps)
+    _log_io("save_replicas", t0, C=spec.channels, replicas=n)
     log.info(
         "wrote %d replicas at C=%d to %s (block=%d, %.0f replicas/s)",
         n,
         spec.channels,
         path,
-        replica_block_size(spec, 2),
+        replica_block_size(spec),
         n / seconds,
     )
     return 0
@@ -126,7 +140,7 @@ def _load_or_compute_target(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path
         log.info("using cached limit measure %s", last)
         t0 = time.perf_counter()
         measure = read_measure(last)
-        _log_measure_io("read_measure", spec.n_layers, measure, t0)
+        _log_io("read_measure", t0, layer=spec.n_layers, atoms=measure.n_atoms)
         return measure
     return _compute_and_save_limit(spec, limit_cfg, run)[-1]
 
@@ -144,6 +158,13 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
     probes = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed)
     theo = cf_multivariate(target, probes.probes)
     _write_probe_csv(run, probes, theo)
+    # `simulate` caches at swept counts, read once: the sweep takes channel 0
+    # of each in place of sampling, and the largest feeds the joint checks
+    caches = {
+        c: _load_replica_cache(_replica_path(run, c), c)
+        for c in cfg.channel_counts
+        if _replica_path(run, c).exists()
+    }
     report = convergence_sweep(
         spec,
         cfg.channel_counts,
@@ -152,17 +173,22 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
         probes=probes,
         workers=cfg.workers,
         target=target,
+        caches=caches,
     )
     (run / "sweep.csv").write_text(report.to_csv(timing=cfg.timing_in_csv))
     for row in report.rows:
+        if row.cached:
+            source = "source=cache"
+        else:
+            block = replica_block_size(spec.with_channels(row.channels))
+            source = f"block={block}, {row.n_replicas / row.seconds:.0f} replicas/s"
         log.info(
-            "C=%d sup=%.4f mean=%.4f (%.1fs, block=%d, %.0f replicas/s)",
+            "C=%d sup=%.4f mean=%.4f (%.1fs, %s)",
             row.channels,
             row.sup_cf_dist,
             row.mean_cf_dist,
             row.seconds,
-            replica_block_size(spec.with_channels(row.channels)),
-            row.n_replicas / row.seconds,
+            source,
         )
     failures = []
     final = report.rows[-1]
@@ -173,21 +199,22 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
     if cfg.require_decreasing and len(report.rows) > 1:
         if final.sup_cf_dist >= report.rows[0].sup_cf_dist:
             failures.append("sup CF distance did not decrease over the sweep")
-    failures += _independence_from_cache(cfg, run, target)
+    largest = max(cfg.channel_counts)
+    if largest in caches:
+        failures += _independence_from_cache(cfg, run, caches[largest], target)
     for msg in failures:
         log.error("check failed: %s", msg)
     return 1 if failures else 0
 
 
-def _independence_from_cache(cfg: RunConfig, run: Path, target) -> list[str]:
-    """Joint-law checks against a `simulate` replica cache, when one exists
-    for the largest swept channel count."""
-    cache = run / f"replicas_C{max(cfg.channel_counts)}.bin"
-    if not cache.exists():
-        return []
-    reps = load_replicas(cache)
+def _independence_from_cache(cfg: RunConfig, run: Path, reps: ReplicaSet, target) -> list[str]:
+    """Joint-law checks against the `simulate` replica cache of the largest
+    swept channel count."""
     if reps.outputs.shape[1] < 2:
-        log.warning("%s has a single channel; skipping independence checks", cache)
+        log.warning(
+            "%s has a single channel; skipping independence checks",
+            _replica_path(run, max(cfg.channel_counts)),
+        )
         return []
     z = [1.0, 1.0]
     pa = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed + 1).probes[1:]
@@ -255,8 +282,7 @@ def cmd_report(run: Path) -> int:
     (run / "plot_sweep.csv").write_text("\n".join(plot_lines) + "\n")
     # replica caches round-trip through here so stale files surface early
     for cache in sorted(run.glob("replicas_C*.bin")):
-        reps = load_replicas(cache)
-        log.info("cache %s: %d replicas", cache.name, reps.n_replicas)
+        _load_replica_cache(cache, cache.stem.removeprefix("replicas_C"))
     log.info("wrote %s", run / "plot_sweep.csv")
     return 0
 
@@ -296,9 +322,10 @@ def main(argv=None) -> int:
         limit_cfg = cfg.limit_config(cfg.oracle_mc_samples if args.command == "oracle" else None)
         if args.command == "oracle" and cfg.alpha != 2.0:
             raise ValueError("the oracle command requires alpha = 2 in the configuration")
-        # hashed once: the hash of a kind = file input reads the file, and
-        # the report check below must see the directory the run then uses
-        run = Path(args.out) / cfg.config_hash
+        # hashed once, over the inputs the spec already holds, so a kind =
+        # file input is read once; the report check below must see the
+        # directory the run then uses
+        run = Path(args.out) / cfg.hash_with_inputs(spec.inputs)
         if args.command == "report" and not (run / "sweep.csv").exists():
             raise ValueError(f"no sweep.csv in {run}; run `verify` first")
     except Exception as exc:  # bad config is a usage error, not a crash

@@ -147,9 +147,16 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
+        return self.hash_with_inputs(self.make_inputs() if self.input_kind == "file" else None)
+
+    def hash_with_inputs(self, inputs) -> str:
+        """The configuration hash, given the array :meth:`make_inputs` returns
+        (or the spec built from it holds), so a caller that has it does not
+        load a kind = file input again.  Only a kind = file input's array
+        enters the hash; ``inputs`` is not read otherwise."""
         digest = hashlib.sha256(self.resolved_text().encode())
         if self.input_kind == "file":
-            digest.update(self.make_inputs().tobytes())
+            digest.update(inputs.tobytes())
         return digest.hexdigest()[:16]
 
     def layer_configs(self) -> tuple[ConvLayerConfig, ...]:

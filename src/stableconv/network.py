@@ -11,13 +11,17 @@ feeds phi(0) into the next contraction.
 
 Replicas are simulated in blocks: one block pushes B network realizations
 through the stack together, with one weight draw, one bias draw and one
-batched matmul per layer.  Each block draws from its own generator, keyed by
-(seed, block index).  B is derived from the spec and the number of output
-channels alone (see :func:`replica_block_size`), and every block draws all B
-replicas even when only part of the last one is kept.  A replica's values
-therefore depend only on (seed, spec, channels, index): the first k replicas
-do not depend on the total, and a worker pool given whole blocks reproduces
-the serial draws exactly.
+batched matmul per hidden layer.  The last layer repeats those three steps
+once per output channel, one channel wide, so its channels are drawn one
+after another.  Each block draws from its own generator, keyed by (seed,
+block index).  B is derived from the spec alone (see
+:func:`replica_block_size`), and every block draws all B replicas even when
+only part of the last one is kept.  Channel j of a replica therefore depends
+only on (seed, spec, index, j): for k <= k' and N <= N', channel j < k of N
+replicas with k output channels equals channel j of N' replicas with k'
+output channels bit for bit, and a worker pool given whole blocks
+reproduces the serial draws exactly.  So channel 0 of a replica cache
+written by ``simulate`` is exactly what a one-channel sweep would sample.
 
 Every stream the package derives from a configured seed, here and in the
 limit recursion, the probe sets and the synthetic inputs, is built by
@@ -212,22 +216,38 @@ class FiniteOutputs:
     last_biases: np.ndarray
 
 
+def _affine(
+    spec: NetworkSpec, slab: np.ndarray, m_out: int, batch: int, scaled: bool, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """One weight draw (batch, m_out, fan_in), then one bias draw (batch,
+    m_out), then the batched product with ``slab`` (..., fan_in, n):
+    returns the fields (batch, m_out, n), times C^(-1/alpha) if ``scaled``,
+    and the biases."""
+    w = spec.sigma_w * sample_standard(spec.alpha, (batch, m_out, slab.shape[-2]), rng)
+    biases = spec.sigma_b * sample_standard(spec.alpha, (batch, m_out), rng)
+    field = w @ slab
+    if scaled:
+        field *= spec.channels ** (-1.0 / spec.alpha)
+    field += biases[..., None]
+    return field, biases
+
+
 def _forward_block(
     spec: NetworkSpec, n_channels_out: int, batch: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Push ``batch`` fresh network realizations through the stack together.
 
-    Each layer takes one weight draw of shape (batch, m_out, c_in * n_off),
-    then one bias draw of shape (batch, m_out), then one batched matmul.  The
-    inputs are fixed, so the first layer's patches are shared by the block.
-    Returns the output fields (batch, n_channels_out, positions*K) and the
-    last layer's biases (batch, n_channels_out).
+    Each hidden layer takes one weight draw of shape (batch, C, c_in * n_off),
+    then one bias draw of shape (batch, C), then one batched matmul.  The
+    last layer draws one output channel at a time, in the same three steps
+    with one row, so channel j's values do not depend on how many channels
+    are drawn.  The inputs are fixed, so the first layer's patches are
+    shared by the block.  Returns the output fields (batch, n_channels_out,
+    positions*K) and the last layer's biases (batch, n_channels_out).
     """
-    scale = spec.channels ** (-1.0 / spec.alpha)
     k = spec.n_inputs
     phi0 = spec.activation(np.zeros(1))[0]
     field = spec.inputs.reshape(spec.in_channels, -1, k)
-    biases = None
     for l, cfg in enumerate(spec.layers):
         fill = 0.0
         if l > 0:
@@ -238,16 +258,17 @@ def _forward_block(
         # (..., C_in, n_off, n_pos, K)
         patches = patch_map_for(cfg).gather(field, axis=-2, fill=fill)
         fan_in = patches.shape[-4] * cfg.n_offsets
-        n_pos = cfg.n_positions_out
-        m_out = n_channels_out if l == spec.n_layers - 1 else spec.channels
-        w = spec.sigma_w * sample_standard(spec.alpha, (batch, m_out, fan_in), rng)
-        biases = spec.sigma_b * sample_standard(spec.alpha, (batch, m_out), rng)
-        field = w @ patches.reshape(patches.shape[:-4] + (fan_in, n_pos * k))
-        if l > 0:
-            field *= scale
-        field += biases[..., None]
-        field = field.reshape(batch, m_out, n_pos, k)
-    return field.reshape(batch, n_channels_out, -1), biases
+        slab = patches.reshape(patches.shape[:-4] + (fan_in, cfg.n_positions_out * k))
+        if l < spec.n_layers - 1:
+            field, _ = _affine(spec, slab, spec.channels, batch, l > 0, rng)
+            field = field.reshape(batch, spec.channels, cfg.n_positions_out, k)
+    parts = [_affine(spec, slab, 1, batch, spec.n_layers > 1, rng) for _ in range(n_channels_out)]
+    if n_channels_out == 1:
+        return parts[0]
+    return (
+        np.concatenate([f for f, _ in parts], axis=1),
+        np.concatenate([b for _, b in parts], axis=1),
+    )
 
 
 def forward_finite(
@@ -257,8 +278,9 @@ def forward_finite(
 
     Only the channels actually consumed are materialized: C at hidden layers,
     ``n_channels_out`` at the last.  Draw order is fixed (weights then bias,
-    layer by layer), so equal seeds give bit-identical outputs.  This is the
-    one-replica case of the block kernel behind :func:`sample_replicas`.
+    layer by layer, and output channel by output channel at the last), so
+    equal seeds give bit-identical outputs.  This is the one-replica case of
+    the block kernel behind :func:`sample_replicas`.
     """
     if n_channels_out < 1:
         raise ValueError("n_channels_out must be >= 1")
@@ -267,20 +289,21 @@ def forward_finite(
     return FiniteOutputs(fields=fields[0].reshape(out_shape), last_biases=biases[0])
 
 
-def replica_block_size(spec: NetworkSpec, n_channels: int = 1) -> int:
+def replica_block_size(spec: NetworkSpec) -> int:
     """Replicas per block in :func:`sample_replicas`.
 
     A fixed byte budget divided by the largest per-replica working set over
     the layers (patches, weights and output field), capped at a fixed
-    maximum.  It depends on nothing but the spec's geometry and
-    ``n_channels``, so the block partition, and with it every draw, is the
-    same for any worker count.
+    maximum.  The last layer counts at one output channel, the width it
+    draws at a time.  The size depends on nothing but the spec's geometry,
+    so the block partition, and with it every draw, is the same for any
+    worker count and any number of output channels.
     """
     k = spec.n_inputs
     worst = 1
     for l, cfg in enumerate(spec.layers):
         c_in = spec.in_channels if l == 0 else spec.channels
-        m_out = n_channels if l == spec.n_layers - 1 else spec.channels
+        m_out = 1 if l == spec.n_layers - 1 else spec.channels
         fan_in = c_in * cfg.n_offsets
         n_out = cfg.n_positions_out * k
         worst = max(worst, fan_in * n_out + m_out * fan_in + m_out * n_out)
@@ -348,14 +371,16 @@ def sample_replicas(
     everything is independent.  Block b holds replicas [b*B, (b+1)*B) with
     B = :func:`replica_block_size`, and draws from ``replica_rng(spec.seed, b)``.
     Every block draws all B replicas, so the first k replicas do not depend
-    on ``n_replicas``.  ``workers`` > 1 gives each pool job a contiguous range
-    of whole blocks; the results do not depend on the worker count.
+    on ``n_replicas``, and output channels are drawn one after another, so
+    the first channels do not depend on ``n_channels``.  ``workers`` > 1
+    gives each pool job a contiguous range of whole blocks; the results do
+    not depend on the worker count.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
-    size = replica_block_size(spec, n_channels)
+    size = replica_block_size(spec)
     n_blocks = -(-n_replicas // size)
     n_jobs = max(1, min(workers, n_blocks))
     bounds = np.linspace(0, n_blocks, n_jobs + 1).astype(int)
@@ -391,14 +416,17 @@ def channel_mixture(outputs, z, biases) -> np.ndarray:
     return np.einsum("c,...cd->...d", z, stripped)
 
 
-_CACHE_MAGIC = b"SCREPL1\x00"
+# version 2: output channels drawn one at a time.  A version-1 file holds
+# other draws for n_channels >= 2, so reading it as a prefix of a sweep's
+# draws would be wrong; it is refused.
+_CACHE_MAGIC = b"SCREPL2\x00"
 _CACHE_HEADER = struct.Struct("<dqQQQ")  # alpha, seed, n, c, d
 
 
 def save_replicas(path, reps: ReplicaSet) -> None:
-    """Binary replica cache: magic, alpha, seed, shape, then little-endian
-    float64 output and bias blocks in replica-major order, in place of
-    ``path`` once complete (:func:`stableconv.stable._replacing`)."""
+    """Binary replica cache: magic (``SCREPL2``), alpha, seed, shape, then
+    little-endian float64 output and bias blocks in replica-major order, in
+    place of ``path`` once complete (:func:`stableconv.stable._replacing`)."""
     n, c, d = reps.outputs.shape
     with _replacing(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
@@ -412,8 +440,12 @@ def load_replicas(path) -> ReplicaSet:
     header plus the 8 * (n*c*d + n*c) data bytes that header declares."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        raise ValueError(f"{path}: not a replica cache file")
+    magic = raw[: len(_CACHE_MAGIC)]
+    if magic != _CACHE_MAGIC:
+        raise ValueError(
+            f"{path}: starts with {magic!r}, not the replica cache magic "
+            f"{_CACHE_MAGIC!r}; an older cache must be written again by `simulate`"
+        )
     start = len(_CACHE_MAGIC) + _CACHE_HEADER.size
     if len(raw) < start:
         raise ValueError(f"{path}: replica cache header is truncated")

@@ -24,6 +24,7 @@ from .limits import LimitConfig, limit_measures, mixture_measure
 from .network import (
     NetworkSpec,
     RNG_DOMAIN_PROBES,
+    ReplicaSet,
     channel_mixture,
     rng_stream,
     sample_replicas,
@@ -125,6 +126,8 @@ class SweepRow:
     sup_cf_dist: float
     mean_cf_dist: float
     seconds: float
+    # the samples came from a replica cache, not from sample_replicas
+    cached: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.sup_cf_dist <= 2.0 or not 0.0 <= self.mean_cf_dist <= 2.0:
@@ -172,6 +175,7 @@ def convergence_sweep(
     n_probes: int = 20,
     workers: int = 1,
     target: SpectralMeasure | None = None,
+    caches: dict[int, ReplicaSet] | None = None,
 ) -> ConvergenceReport:
     """Empirical-vs-limit CF distances for each channel count.
 
@@ -180,6 +184,12 @@ def convergence_sweep(
     row with the sup and mean CF distance of its replica estimate against
     that fixed target.  Sweep points run one after another, which bounds
     memory; ``workers`` parallelizes the replica sampling within each point.
+
+    ``caches`` maps a channel count to replicas of ``spec`` at that count,
+    e.g. a ``simulate`` cache.  A count whose set holds at least
+    ``n_replicas`` replicas takes channel 0 of its first ``n_replicas``
+    instead of sampling: that is bit for bit what sampling would draw (see
+    :mod:`stableconv.network`), so the rows do not depend on the caches.
     """
     counts = [int(c) for c in channel_counts]
     if any(b <= a for a, b in zip(counts, counts[1:])) or not counts:
@@ -189,15 +199,19 @@ def convergence_sweep(
     if probes is None:
         probes = generate_probes(target, n_probes=n_probes, seed=spec.seed)
     theo = cf_multivariate(target, probes.probes)
+    caches = caches or {}
     rows = []
     for c in counts:
         t0 = time.perf_counter()
-        # no reference to the replicas outlives the CF estimate, so the next
-        # point does not sample while holding them
-        emp = empirical_cf(
-            sample_replicas(spec.with_channels(c), n_replicas, workers=workers).channel_samples(0),
-            probes.probes,
-        )
+        reps = caches.get(c)
+        cached = reps is not None and reps.n_replicas >= n_replicas
+        if not cached:
+            reps = sample_replicas(spec.with_channels(c), n_replicas, workers=workers)
+        # channel 0 of a cache with more channels is strided; the copy gives
+        # the CF estimate the layout of a sampled one-channel set
+        emp = empirical_cf(np.ascontiguousarray(reps.outputs[:n_replicas, 0, :]), probes.probes)
+        # the next point does not sample while holding these replicas
+        del reps
         sup, mean = cf_distance(emp, theo)
         rows.append(
             SweepRow(
@@ -207,6 +221,7 @@ def convergence_sweep(
                 sup_cf_dist=sup,
                 mean_cf_dist=mean,
                 seconds=time.perf_counter() - t0,
+                cached=cached,
             )
         )
     return ConvergenceReport(rows=rows)

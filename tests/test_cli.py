@@ -157,8 +157,9 @@ class TestConfig:
         assert load_config(path).config_hash != first
 
     def test_file_input_loaded_once_per_hash(self, tmp_path, monkeypatch):
-        # one load builds the network and one keys the run directory; the
-        # written hash and the directory name come from that one hash
+        # the one load builds the network, whose inputs then key the run
+        # directory; the written hash and the directory name come from that
+        # one hash
         x = tmp_path / "x.npy"
         np.save(x, np.random.default_rng(0).standard_normal((1, 4, 2)))
         path = tmp_path / "file.ini"
@@ -168,7 +169,7 @@ class TestConfig:
         load = np.load
         monkeypatch.setattr(np, "load", lambda *a, **k: loads.append(a) or load(*a, **k))
         assert main(["limit", "-c", str(path), "-o", str(out)]) == 0
-        assert len(loads) == 2
+        assert len(loads) == 1
         monkeypatch.undo()
         run = run_dir_of(path, out)
         assert (run / "config_hash.txt").read_text() == run.name + "\n"
@@ -335,6 +336,31 @@ class TestCommands:
         assert float(values["max_control_defect"]) > float(
             values["max_factorization_defect"]
         )
+
+    @pytest.mark.parametrize("replicas, source", [
+        (3000, r"source=cache"),
+        (2999, r"block=\d+, \d+ replicas/s"),
+    ], ids=["full", "short"])
+    def test_sweep_reads_simulate_cache(self, config_file, tmp_path, replicas, source):
+        # a cache at a swept count holding n_replicas = 3000 replicas feeds
+        # that sweep row; a shorter one is sampled again.  Either way
+        # sweep.csv is the one `verify` alone writes.
+        alone, out = tmp_path / "alone", tmp_path / "runs"
+        assert main(["verify", "-c", str(config_file), "-o", str(alone)]) == 0
+        assert main(["simulate", "-c", str(config_file), "-o", str(out),
+                     "--channels", "32", "--replicas", str(replicas)]) == 0
+        assert main(["verify", "-c", str(config_file), "-o", str(out)]) == 0
+        run = run_dir_of(config_file, out)
+        sweep = (run / "sweep.csv").read_bytes()
+        assert sweep == (run_dir_of(config_file, alone) / "sweep.csv").read_bytes()
+        log = (run / "run.log").read_text()
+        for stage in ("save_replicas", "load_replicas"):
+            line = rf"^.*stage={stage} C=32 replicas={replicas} seconds=[\d.]+ peak_rss_mb=[\d.]+$"
+            assert len(re.findall(line, log, re.M)) == 1, stage
+        rows = re.findall(r"C=(\d+) sup=\S+ mean=\S+ \([\d.]+s, (.*)\)$", log, re.M)
+        assert [c for c, _ in rows] == ["2", "8", "32"]
+        assert re.fullmatch(source, rows[-1][1])
+        assert all(re.fullmatch(r"block=\d+, \d+ replicas/s", r) for _, r in rows[:-1])
 
     def test_verify_fails_on_impossible_threshold(self, config_file, tmp_path):
         strict = config_file.parent / "strict.ini"

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -101,19 +102,19 @@ class TestForwardFinite:
             sc.forward_finite(toy_spec(), 0, np.random.default_rng(0))
 
     # SHA-256 of fields then last_biases: any change to the draws or the
-    # arithmetic of forward_finite must be deliberate.  The CMS cases (toy,
-    # three_layers, strided_2d) were recorded when the transform came to
-    # take half-angle tangents, and hold on one numpy SIMD dispatch (see the
-    # report header of the test run); the Cauchy and Gaussian cases predate
-    # the block kernel.
+    # arithmetic of forward_finite must be deliberate.  The cases with two or
+    # more output channels were recorded when the last layer came to draw
+    # its channels one at a time, and the CMS ones among them hold on one
+    # numpy SIMD dispatch (see the report header of the test run); the
+    # one-channel Cauchy case predates the block kernel.
     @pytest.mark.parametrize(
         "case, n_out, seed, digest",
         [
-            ("toy", 2, 0, "2a6465daecb9cf10f9bbc8c576445092d6d4469e7102c871effc6de5dddb6d42"),
-            ("three_layers", 3, 1, "947cb0a37a28612e62209975304c9dbfcb07f5ce9c4c8cba11ddfaae9ca3bca9"),
+            ("toy", 2, 0, "2b276a3ddb054cc827c432a91d9f244d7a70995459e26cf94fb6e05a264822f9"),
+            ("three_layers", 3, 1, "5d5d3e1b3b3f78d521552c97ac47c1742361f5079ee03e1269b421eb2e753fc6"),
             ("three_layers_cauchy", 1, 2, "bcdb92290dca78b8d662b46ed955db459f4d4b00cd1ed135db1f7f010098268b"),
-            ("three_layers_gauss", 2, 3, "fb62f34c3544a1b16f4ffe3d9951e56ac01e98ff0b89777e5b71f8febcf7f4f7"),
-            ("strided_2d", 2, 4, "a0621581c640f396c31be2b01f1d8f91344883a6220cd183b373fecf933c2f7b"),
+            ("three_layers_gauss", 2, 3, "9568a64329fdfc9a16ead4a5ac4452e9a8eb43854584b3e43540db6bf7bc71df"),
+            ("strided_2d", 2, 4, "7f4961c6ae62b78ec47e9f798689a236e1903c36d506306955ff64b86df387ff"),
         ],
     )
     def test_outputs_pinned(self, case, n_out, seed, digest):
@@ -134,7 +135,7 @@ class TestForwardFinite:
 
     def test_padding_reads_activation_at_zero_in_blocks(self):
         spec = _shifted_tanh_spec()
-        size = sc.replica_block_size(spec, 2)
+        size = sc.replica_block_size(spec)
         reps = sc.sample_replicas(spec, 5, n_channels=2)
         rng = sc.network.replica_rng(spec.seed, 0)
         fields, biases = _gather_then_activate(spec, 2, size, rng)
@@ -176,15 +177,27 @@ def _gather_then_activate(spec, n_out, batch, rng):
     for l, cfg in enumerate(spec.layers):
         c_in = fields[0].shape[0]
         fan_in = c_in * cfg.n_offsets
-        m_out = n_out if l == spec.n_layers - 1 else spec.channels
-        w = spec.sigma_w * sc.sample_standard(spec.alpha, (batch, m_out, fan_in), rng)
-        b = spec.sigma_b * sc.sample_standard(spec.alpha, (batch, m_out), rng)
+        if l < spec.n_layers - 1:
+            m_out = spec.channels
+            w = spec.sigma_w * sc.sample_standard(spec.alpha, (batch, m_out, fan_in), rng)
+            b = spec.sigma_b * sc.sample_standard(spec.alpha, (batch, m_out), rng)
+        else:
+            # the last layer draws its weights, then its bias, one output
+            # channel at a time
+            m_out = n_out
+            w, b = np.empty((batch, n_out, fan_in)), np.empty((batch, n_out))
+            for j in range(n_out):
+                w[:, j] = spec.sigma_w * sc.sample_standard(spec.alpha, (batch, fan_in), rng)
+                b[:, j] = spec.sigma_b * sc.sample_standard(spec.alpha, batch, rng)
         nxt = []
         for i in range(batch):
             patches = sc.patch_map_for(cfg).gather(fields[i], axis=1)
             if l > 0:
                 patches = spec.activation(patches)
-            f = w[i] @ patches.reshape(fan_in, -1)
+            # one product per output row at the last layer, as the kernel
+            # computes it
+            rows = [w[i]] if l < spec.n_layers - 1 else np.split(w[i], m_out)
+            f = np.vstack([r @ patches.reshape(fan_in, -1) for r in rows])
             if l > 0:
                 f *= spec.channels ** (-1.0 / spec.alpha)
             f += b[i][:, None]
@@ -212,6 +225,23 @@ class TestSampleReplicas:
         large = sc.sample_replicas(spec, 8)
         assert np.array_equal(small.outputs, large.outputs[:4])
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("geometry", ["toy", "strided_2d"])
+    def test_channels_are_prefix_stable(self, geometry, alpha):
+        # the last layer draws its channels one after another, so channel
+        # j < k of N replicas with k channels is channel j of N' >= N
+        # replicas with k' >= k channels, bit for bit: channel 0 of a
+        # two-channel cache is a one-channel sample
+        base = toy_spec(channels=64) if geometry == "toy" else _pinned_spec("strided_2d")
+        spec = replace(base.with_channels(64), alpha=alpha)
+        size = sc.replica_block_size(spec)
+        wide = sc.sample_replicas(spec, 3 * size, n_channels=3)
+        for k in (1, 2, 3):
+            for workers in (1, 2):
+                reps = sc.sample_replicas(spec, 2 * size + 1, n_channels=k, workers=workers)
+                assert reps.outputs.tobytes() == wide.outputs[: 2 * size + 1, :k].tobytes()
+                assert reps.biases.tobytes() == wide.biases[: 2 * size + 1, :k].tobytes()
+
     def test_worker_pool_matches_serial(self):
         spec = toy_spec(channels=4)
         serial = sc.sample_replicas(spec, 12, n_channels=2)
@@ -223,13 +253,12 @@ class TestSampleReplicas:
         # the block partition fixes every replica draw, so pin it
         sizes = [sc.replica_block_size(toy_spec(channels=c)) for c in (4, 64, 256)]
         assert sizes == [1024, 75, 18]
-        assert sc.replica_block_size(toy_spec(channels=256), 2) == 17
 
     def test_block_boundaries(self):
         # about 2.5 blocks, so the pool splits inside the replica range and
         # the last block is cut
         spec = toy_spec(channels=256)
-        size = sc.replica_block_size(spec, 2)
+        size = sc.replica_block_size(spec)
         n = 5 * size // 2
         runs = [sc.sample_replicas(spec, n, n_channels=2, workers=w) for w in (1, 2, 3)]
         for run in runs[1:]:
@@ -381,6 +410,18 @@ class TestReplicaCache:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a cache")
         with pytest.raises(ValueError):
+            sc.load_replicas(path)
+
+    def test_old_format_rejected(self, tmp_path):
+        # version 1 drew a replica's output channels in one weight draw, so
+        # its channel 0 is not what a one-channel sample draws
+        reps = sc.sample_replicas(toy_spec(channels=4), 3, n_channels=2)
+        path = tmp_path / "replicas_C4.bin"
+        sc.save_replicas(path, reps)
+        whole = path.read_bytes()
+        assert whole.startswith(b"SCREPL2\x00")
+        path.write_bytes(b"SCREPL1\x00" + whole[8:])
+        with pytest.raises(ValueError, match=r"replicas_C4\.bin.*SCREPL1"):
             sc.load_replicas(path)
 
     def test_length_must_match_header(self, tmp_path):
