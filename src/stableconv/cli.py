@@ -92,11 +92,23 @@ def _log_io(stage: str, t0: float, **counts) -> None:
     )
 
 
-def _load_replica_cache(path: Path, channels) -> ReplicaSet:
-    t0 = time.perf_counter()
-    reps = load_replicas(path)
-    _log_io("load_replicas", t0, C=channels, replicas=reps.n_replicas)
-    return reps
+def _usage_error(exc: Exception) -> int:
+    """Report a bad input in one line on stderr, with no traceback; exit 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _load_replica_caches(paths: dict) -> dict[object, ReplicaSet]:
+    """Each replica cache of ``paths`` (label -> path), logged as it is
+    read.  A file :func:`load_replicas` refuses, a stale or truncated cache,
+    raises its ``ValueError``; the commands read their caches before they
+    write anything, so that error leaves no new file."""
+    caches = {}
+    for channels, path in paths.items():
+        t0 = time.perf_counter()
+        caches[channels] = load_replicas(path)
+        _log_io("load_replicas", t0, C=channels, replicas=caches[channels].n_replicas)
+    return caches
 
 
 def _compute_and_save_limit(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path):
@@ -154,17 +166,18 @@ def _write_probe_csv(run: Path, probes, theo) -> None:
 
 
 def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: Path) -> int:
+    # `simulate` caches at swept counts, read once and first: the sweep takes
+    # channel 0 of each in place of sampling, and the largest feeds the
+    # joint checks
+    paths = {c: _replica_path(run, c) for c in cfg.channel_counts}
+    try:
+        caches = _load_replica_caches({c: p for c, p in paths.items() if p.exists()})
+    except ValueError as exc:
+        return _usage_error(exc)
     target = _load_or_compute_target(spec, limit_cfg, run)
     probes = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed)
     theo = cf_multivariate(target, probes.probes)
     _write_probe_csv(run, probes, theo)
-    # `simulate` caches at swept counts, read once: the sweep takes channel 0
-    # of each in place of sampling, and the largest feeds the joint checks
-    caches = {
-        c: _load_replica_cache(_replica_path(run, c), c)
-        for c in cfg.channel_counts
-        if _replica_path(run, c).exists()
-    }
     report = convergence_sweep(
         spec,
         cfg.channel_counts,
@@ -275,14 +288,17 @@ def cmd_report(run: Path) -> int:
     if not lines or lines[0] != CSV_HEADER:
         log.error("unexpected sweep.csv schema in %s", run)
         return 2
+    # replica caches round-trip through here so stale files surface early
+    paths = sorted(run.glob("replicas_C*.bin"))
+    try:
+        _load_replica_caches({p.stem.removeprefix("replicas_C"): p for p in paths})
+    except ValueError as exc:
+        return _usage_error(exc)
     plot_lines = ["C,sup_cf_dist,mean_cf_dist"]
     for row in lines[1:]:
         cells = row.split(",")
         plot_lines.append(f"{cells[0]},{cells[3]},{cells[4]}")
     (run / "plot_sweep.csv").write_text("\n".join(plot_lines) + "\n")
-    # replica caches round-trip through here so stale files surface early
-    for cache in sorted(run.glob("replicas_C*.bin")):
-        _load_replica_cache(cache, cache.stem.removeprefix("replicas_C"))
     log.info("wrote %s", run / "plot_sweep.csv")
     return 0
 
@@ -329,8 +345,7 @@ def main(argv=None) -> int:
         if args.command == "report" and not (run / "sweep.csv").exists():
             raise ValueError(f"no sweep.csv in {run}; run `verify` first")
     except Exception as exc:  # bad config is a usage error, not a crash
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     _make_run_dir(cfg, run)
     _setup_logging(run)
     if args.command == "limit":

@@ -19,20 +19,30 @@ inputs).  Its spectral measure obeys a backward recursion over layers:
 
 The previous layer's Monte Carlo measure has M * n_offsets + 1 atoms, so
 drawing M fields from it as it is would cost M * (M * n_offsets + 1) stable
-draws.  Fields are instead drawn from a resample of it by stratified
+draws.  The M fields (the ``mc_samples`` budget) are instead drawn in
+G = min(10, M) contiguous groups of as equal size as M allows, and each
+group draws its fields from its own resample of the measure by stratified
 :func:`stableconv.stable.compress_measure`: the exact bias atom first,
-unchanged, then the other atoms resampled to M (the ``mc_samples`` budget),
-keeping their total mass and their expected measure, i.e. the expected CF
-exponent.  The CF is the exponential of minus that exponent, so the
-resample adds O(1/M) error to the CF, as the layer's own Monte Carlo error
-does.  Stratified rather than systematic: the atoms come in blocks of
-n_offsets, one per sample, each about one resampling stride heavy, and one
-offset shared by every stride would pick the same filter offset from long
-runs of consecutive blocks.  A measure with at most M non-bias atoms
-(layer 1's, for one) is used as it is and consumes no random numbers.  A
-layer costs M * (M + 1) draws that way.  Only the measure that fields are
-drawn from is resampled; every layer's own measure keeps all its atoms
-unless ``atom_cap`` is set, which resamples them the same way.
+unchanged, then the other atoms resampled to K = ceil(M / G), keeping
+their total mass and their expected measure, i.e. the expected CF
+exponent.  A layer costs M * (K + 1) draws that way, about M^2 / 10.
+Each group's fields follow the mixture over resamples of their stable
+laws, whose CF is the mean of exp(-exponent) over resamples, not the exp
+of the mean exponent: a bias of O(1/K) = O(G/M) in the CF, too small to
+detect against full-measure draws over 64 limit seeds at M = 300.  The
+G resamples are independent, so their errors average over the groups and
+add O(1/M) variance to the CF, as the layer's own Monte Carlo error
+does; one resample to K shared by all M fields would not average and
+widens the seed spread of the CF about twofold.  Stratified rather than
+systematic: the atoms come in blocks of n_offsets, one per sample, each
+about one resampling stride heavy, and one offset shared by every stride
+would pick the same filter offset from long runs of consecutive blocks.
+A measure with at most K non-bias atoms (layer 1's, for one, and every
+alpha = 2 measure of at most K eigen-atoms) gives all M fields in one
+draw, as it is, and consumes no random numbers on resampling.  Only the
+measure that fields are drawn from is resampled; every layer's own
+measure keeps all its atoms unless ``atom_cap`` is set, which resamples
+them the same way.
 
 Zero slices contribute no atom.  All atom weights use the Euclidean norm of
 the flattened slice raised to the alpha power; directions are the
@@ -48,7 +58,7 @@ instead of one atom per slice: one per positive eigenvalue, at most
 ``dim``.  This reduction is exact, not Monte Carlo: both sets of atoms have
 the same CF up to rounding.  A Monte Carlo layer's fields are still drawn
 as above, but drawing M fields from such a measure costs at most
-M * (dim + 1) draws.
+M * (min(dim, K) + 1) draws, and with dim <= K it is drawn as it is.
 
 A position readout sum_p u_p X_p is again stable, with the image of the
 last layer's measure as its spectral measure (Samorodnitsky & Taqqu 1994,
@@ -91,9 +101,11 @@ log = logging.getLogger(__name__)
 class LimitConfig:
     """Monte Carlo budget of the layer recursion.
 
-    ``mc_samples`` fields are drawn per layer, from the previous measure
-    with its non-bias atoms resampled to at most ``mc_samples`` (see
-    :func:`_fields`).  ``atom_cap``, when set, resamples each Monte Carlo
+    ``mc_samples`` = M fields are drawn per layer from the previous
+    measure, in G = min(10, M) groups when it has more than
+    K = ceil(M / G) non-bias atoms, each group from its own resample of
+    those atoms to K (see :func:`_fields`); the groups add an O(G/M) bias
+    to the CF.  ``atom_cap``, when set, resamples each Monte Carlo
     layer's own non-bias atoms to at most that many, by the same
     :func:`stableconv.stable.compress_measure`, which keeps the bias atom
     exactly and first; None keeps all of a layer's at most
@@ -114,16 +126,42 @@ class LimitConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndarray:
-    """The fields a layer's measure is built from, as (n, input positions, K).
+_FIELD_GROUPS = 10
 
-    ``source`` is data or a realization with (channel, *spatial, K) axes, one
+
+def _field_groups(source: SpectralMeasure, n_draws: int) -> list[int]:
+    """The field count of each group in which :func:`_fields` draws
+    ``n_draws`` = M fields from ``source``, in draw order.
+
+    The split depends on M alone: G = min(_FIELD_GROUPS, M) contiguous
+    groups, the first M mod G of them one field larger, so the largest
+    holds K = ceil(M / G) fields and each group resamples to K atoms.  A
+    measure with at most K non-bias atoms is drawn in one group of M."""
+    n_groups = min(_FIELD_GROUPS, n_draws)
+    size, extra = divmod(n_draws, n_groups)
+    groups = [size + 1] * extra + [size] * (n_groups - extra)
+    if _compressed_size(source, groups[0]) == source.n_atoms:
+        return [n_draws]
+    return groups
+
+
+def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndarray:
+    """The fields a layer's measure is built from, as (n, input positions,
+    inputs).
+
+    ``source`` is data or a realization with (channel, *spatial, input) axes, one
     field per channel, or the previous layer's measure.  From a measure,
-    ``n_draws`` flat fields are drawn with ``rng`` after its non-bias atoms,
-    when there are more than ``n_draws``, are resampled to ``n_draws`` by
-    :func:`stableconv.stable.compress_measure`, which keeps the bias atom.
-    A measure is checked against the layer's input positions before
-    anything is drawn.
+    ``n_draws`` = M flat fields are drawn with ``rng`` in the groups of
+    :func:`_field_groups`, in order: each group resamples the measure's
+    non-bias atoms to K = ceil(M / min(10, M)) by
+    :func:`stableconv.stable.compress_measure`, which keeps the bias atom
+    exactly and first, then draws its own fields from that resample.
+    Independent resamples per group keep the CF's spread that of one
+    resample to M, at a bias of O(1/K) (see the module docstring).  A
+    measure with at most K non-bias atoms gives all M fields in one
+    :func:`stableconv.stable.sample_multivariate` call and spends no random
+    numbers on resampling.  A measure is checked against the layer's input
+    positions before anything is drawn.
     """
     n_in = cfg.n_positions_in
     if isinstance(source, SpectralMeasure):
@@ -134,8 +172,14 @@ def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndar
                 f"measure dimension {source.dimension} is not a multiple of "
                 f"the layer's {n_in} input positions"
             )
-        sampled = compress_measure(source, n_draws, rng)
-        draws = sample_multivariate(sampled, rng, size=n_draws)
+        groups = _field_groups(source, n_draws)
+        # compress_measure is looked up in this module on every call, so a
+        # tracer or a test that rebinds it here sees each group's resample
+        draws = [
+            sample_multivariate(compress_measure(source, groups[0], rng), rng, size=size)
+            for size in groups
+        ]
+        draws = draws[0] if len(draws) == 1 else np.concatenate(draws)
         return draws.reshape(n_draws, n_in, source.dimension // n_in)
     source = np.asarray(source, dtype=np.float64)
     if source.shape[1:-1] != cfg.spatial_in:
@@ -357,8 +401,10 @@ def gamma_next_mc(
     The bias atom is exact; the weight part averages activated patch slices
     of M fields drawn from the previous layer's limit law, one atom pair per
     (sample, offset) at weight sigma_w^alpha * ||slice||^alpha / M.  The
-    fields are drawn from the previous measure with its non-bias atoms
-    resampled to M (:func:`_fields`).
+    fields are drawn from the previous measure in min(10, M) groups, each
+    from its own resample of the non-bias atoms to K = ceil(M / min(10, M)),
+    when there are more than K (:func:`_fields`); that adds O(1/K) bias
+    and O(1/M) variance to the CF.
     """
     return _slice_measure(
         _fields(prev_measure, cfg, limit_cfg.mc_samples, rng),
@@ -426,8 +472,9 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
     dedicated substream of the configured seed, so any single layer can be
     replayed with :func:`gamma_next_mc`.  Returns one measure per layer, each
     with all its atoms, and logs a summary line each; a Monte Carlo layer's
-    line also gives the atom count of the measure its fields were drawn from
-    and the number of stable variates drawn.
+    line also gives the number of field groups, the atom count of the
+    measure each group's fields were drawn from and the number of stable
+    variates drawn.
     """
     t0 = time.perf_counter()
     current = gamma_first(
@@ -437,7 +484,9 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
     _log_layer(1, current, t0)
     for l in range(2, spec.n_layers + 1):
         t0 = time.perf_counter()
-        sampled_atoms = _compressed_size(current, limit_cfg.mc_samples)
+        groups = _field_groups(current, limit_cfg.mc_samples)
+        sampled = _compressed_size(current, groups[0])
+        sampling = (len(groups), sampled, limit_cfg.mc_samples * sampled)
         current = gamma_next_mc(
             current,
             spec.layers[l - 1],
@@ -449,7 +498,7 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
             rng_stream(limit_cfg.seed, RNG_DOMAIN_LIMIT, l),
         )
         measures.append(current)
-        _log_layer(l, current, t0, sampled_atoms, limit_cfg.mc_samples * sampled_atoms)
+        _log_layer(l, current, t0, sampling)
     return measures
 
 
@@ -471,16 +520,17 @@ def _log_layer(
     layer: int,
     measure: SpectralMeasure,
     t0: float,
-    sampled_atoms: int | None = None,
-    draws: int | None = None,
+    sampling: tuple[int, int, int] | None = None,
 ) -> None:
     """One summary line per layer.  ``peak_rss_mb`` is this process's own
     peak resident memory so far (:func:`_peak_rss_mb`), so the layer that
-    raises it shows.  A Monte Carlo layer's line ends with
-    ``sampled_atoms``, the atom count of the measure its fields were drawn
-    from, and ``draws``, the stable variates drawn for them (M per sampled
-    atom); with ``seconds`` that gives the layer's draws per second."""
-    sampled = "" if sampled_atoms is None else f" sampled_atoms={sampled_atoms} draws={draws}"
+    raises it shows.  A Monte Carlo layer's line ends with its ``sampling``:
+    ``groups``, the number of field groups (:func:`_field_groups`),
+    ``sampled_atoms``, the atom count of the measure each group's fields
+    were drawn from, and ``draws``, the stable variates drawn for them (M
+    per sampled atom); with ``seconds`` that gives the layer's draws per
+    second."""
+    sampled = "" if sampling is None else " groups=%d sampled_atoms=%d draws=%d" % sampling
     log.info(
         "layer=%d atoms=%d total_mass=%.6g bias_mass=%.6g seconds=%.3f peak_rss_mb=%.1f%s",
         layer,

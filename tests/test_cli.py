@@ -10,6 +10,7 @@ import pytest
 import stableconv as sc
 from stableconv.cli import main
 from stableconv.config import load_config
+from stableconv.verify import CSV_HEADER
 
 TINY_CONFIG = """
 [network]
@@ -361,6 +362,30 @@ class TestCommands:
         assert [c for c, _ in rows] == ["2", "8", "32"]
         assert re.fullmatch(source, rows[-1][1])
         assert all(re.fullmatch(r"block=\d+, \d+ replicas/s", r) for _, r in rows[:-1])
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("fault", ["stale", "truncated"])
+    def test_refused_cache_is_an_input_error(self, config_file, tmp_path, capsys, command, fault):
+        # a cache of the old format, or cut short, stops the command with one
+        # error line and exit 2 before it writes a CSV; `verify` reads its
+        # caches before the limit measure and the probes
+        out = tmp_path / "runs"
+        assert main(["simulate", "-c", str(config_file), "-o", str(out),
+                     "--channels", "32", "--replicas", "50"]) == 0
+        run = run_dir_of(config_file, out)
+        cache = run / "replicas_C32.bin"
+        raw = cache.read_bytes()
+        cache.write_bytes(b"SCREPL1\x00" + raw[8:] if fault == "stale" else raw[: len(raw) // 2])
+        if command == "report":
+            (run / "sweep.csv").write_text(CSV_HEADER + "\n2,3000,2000,0.1,0.05,0.000\n")
+        before = sorted(p.relative_to(run) for p in run.rglob("*") if p.name != "run.log")
+        capsys.readouterr()
+        assert main([command, "-c", str(config_file), "-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "replicas_C32.bin" in err[0]
+        after = sorted(p.relative_to(run) for p in run.rglob("*") if p.name != "run.log")
+        assert after == before
 
     def test_verify_fails_on_impossible_threshold(self, config_file, tmp_path):
         strict = config_file.parent / "strict.ini"

@@ -330,6 +330,122 @@ class TestResampleAgreement:
         assert z > 3.0 or spread > 1.5
 
 
+def _shared_resample():
+    """A resampler that gives every later call on the same measure the first
+    call's resample: all field groups of a layer then share one resample to
+    K = M/10 instead of drawing their own."""
+    first = {}
+
+    def resample(measure, target, rng):
+        if first.get("source") is not measure:
+            first.update(source=measure, resample=_resample(measure, target, rng))
+        return first["resample"]
+
+    return resample
+
+
+class TestGroupedResampleManySeeds(TestResampleAgreement):
+    """The same agreement with fields drawn in groups from resamples to
+    K = M/10, at M = 300 over 64 limit seeds, and its power: one resample
+    to K shared by every group widens the spread past the bound."""
+
+    M = 300
+    SEEDS = range(64)
+
+    def test_detects_shared_resample(self, full):
+        _, spread = self.agreement(self.layer_cfs(_shared_resample()), full)
+        assert spread > 1.5
+
+
+def _measure_with(n_rest, bias_at=None, dim=8, seed=0):
+    """A measure of ``n_rest`` random atoms, plus a bias atom inserted at
+    index ``bias_at`` when that is given."""
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((n_rest, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    weights = rng.uniform(0.5, 1.5, n_rest)
+    if bias_at is None:
+        return sc.SpectralMeasure(1.5, weights, directions)
+    weights = np.insert(weights, bias_at, 2.0)
+    directions = np.insert(directions, bias_at, np.full(dim, dim**-0.5), axis=0)
+    return sc.SpectralMeasure(1.5, weights, directions, bias_index=bias_at)
+
+
+class TestFieldGroups:
+    """How _fields draws M fields from a measure: in G = min(10, M) groups
+    of as equal size as M allows, each from its own resample to
+    K = ceil(M / G), or in one draw from a measure with at most K non-bias
+    atoms."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 9, 10, 11, 19, 99, 100, 101, 3000, 10_007])
+    def test_group_sizes_depend_on_m_alone(self, m):
+        many = limits._field_groups(_measure_with(2000, bias_at=0), m)
+        assert many == limits._field_groups(_measure_with(1500, seed=1), m)
+        assert sum(many) == m
+        assert len(many) == min(10, m)
+        assert many[0] == -(-m // len(many))
+        assert many == sorted(many, reverse=True) and many[0] - many[-1] <= 1
+
+    @staticmethod
+    def _recorded_fields(monkeypatch, source, m, seed=5):
+        """_fields of ``source`` with every resample and draw recorded."""
+        resamples, draws = [], []
+
+        def resample(measure, target, rng):
+            out = sc.compress_measure(measure, target, rng)
+            resamples.append((measure, target, out))
+            return out
+
+        def sample(measure, rng, size=None):
+            draws.append((measure, size))
+            return sc.sample_multivariate(measure, rng, size=size)
+
+        monkeypatch.setattr(limits, "compress_measure", resample)
+        monkeypatch.setattr(limits, "sample_multivariate", sample)
+        fields = limits._fields(source, toy_layer(), m, np.random.default_rng(seed))
+        return fields, resamples, draws
+
+    @pytest.mark.parametrize("m, n_rest", [(100, 10), (100, 3), (3000, 300), (7, 1)])
+    def test_few_atoms_drawn_in_one_call(self, monkeypatch, m, n_rest):
+        source = _measure_with(n_rest, bias_at=n_rest // 2)
+        rng = np.random.default_rng(5)
+        expected = sc.sample_multivariate(source, rng, size=m)
+        fields, resamples, draws = self._recorded_fields(monkeypatch, source, m)
+        assert fields.tobytes() == expected.tobytes()
+        assert draws == [(source, m)]
+        assert all(out is source for _, _, out in resamples)
+
+    @pytest.mark.parametrize("m, n_rest", [(95, 11), (100, 300), (3000, 9000)])
+    def test_each_group_draws_from_its_own_resample(self, monkeypatch, m, n_rest):
+        b = n_rest // 3
+        source = _measure_with(n_rest, bias_at=b)
+        fields, resamples, draws = self._recorded_fields(monkeypatch, source, m)
+        groups = limits._field_groups(source, m)
+        k = groups[0]
+        # in group order from one generator: resample, then that group's draw
+        rng = np.random.default_rng(5)
+        expected = [sc.sample_multivariate(sc.compress_measure(source, k, rng), rng, size=size)
+                    for size in groups]
+        assert fields.tobytes() == np.concatenate(expected).tobytes()
+        assert len(resamples) == len(draws) == len(groups) == 10
+        assert [size for _, size in draws] == groups
+        for (measure, target, out), (drawn, _) in zip(resamples, draws):
+            assert measure is source and target == k and drawn is out
+            assert out.n_atoms == k + 1 and out.bias_index == 0
+            assert out.weights[0] == source.weights[b]
+            assert np.array_equal(out.directions[0], source.directions[b])
+            assert out.total_mass == pytest.approx(source.total_mass, rel=1e-12)
+        assert len({out.directions[1:].tobytes() for _, _, out in resamples}) > 1
+
+    def test_fewer_fields_than_groups(self, monkeypatch):
+        source = _measure_with(40, bias_at=0)
+        assert limits._field_groups(source, 7) == [1] * 7
+        _, resamples, draws = self._recorded_fields(monkeypatch, source, 7)
+        assert [target for _, target, _ in resamples] == [1] * 7
+        assert [size for _, size in draws] == [1] * 7
+        assert all(out.n_atoms == 2 for _, _, out in resamples)
+
+
 class TestMixtureMeasure:
     def test_unit_weight_strips_bias_only(self, rng):
         base = sc.gamma_first(toy_inputs(), toy_layer(), 1.5, 1.0, 1.0)
@@ -578,20 +694,23 @@ class TestLimitPipeline:
                                          sc.LimitConfig(mc_samples=100, seed=1))
         lines = [r.message for r in caplog.records if r.message.startswith("layer=")]
         assert len(lines) == 3
-        sampled, draws = [], []
+        groups, sampled, draws = [], [], []
         for ln, measure in zip(lines, measures):
             fields = dict(tok.split("=", 1) for tok in ln.split())
             assert {"atoms", "total_mass", "bias_mass"} <= fields.keys()
             assert int(fields["atoms"]) == measure.n_atoms
             assert float(fields["seconds"]) >= 0.0
             assert float(fields["peak_rss_mb"]) > 0.0
+            groups.append(fields.get("groups"))
             sampled.append(fields.get("sampled_atoms"))
             draws.append(fields.get("draws"))
-        # layer 2 draws from layer 1's 4 atoms as they are; layer 3 from the
-        # bias atom plus layer 2's 300 other atoms resampled to M = 100; each
-        # of the M = 100 fields takes one stable variate per sampled atom
-        assert sampled == [None, "4", "101"]
-        assert draws == [None, "400", "10100"]
+        # layer 2 draws from layer 1's 4 atoms as they are, in one group;
+        # layer 3 in 10 groups of 10 fields, each from the bias atom plus
+        # layer 2's 300 other atoms resampled to K = 10; each of the M = 100
+        # fields takes one stable variate per sampled atom
+        assert groups == [None, "1", "10"]
+        assert sampled == [None, "4", "11"]
+        assert draws == [None, "400", "1100"]
 
     def test_readout_limit_single_layer_exact(self, rng):
         spec = toy_spec(n_layers=1)
@@ -687,6 +806,9 @@ class TestMeasurePins:
     # The five readout cases (readout, readout_cap, readout_limit_1,
     # readout_limit_3, sigma_w_zero) were recorded again when the readout
     # became the exact image of a measure, built with no draws of its own.
+    # The two cases with a layer 3 (readout_limit_3, stack_4) were recorded
+    # again when layers drawing from more than M/10 non-bias atoms came to
+    # draw their fields in ten groups, each from its own resample.
     @pytest.mark.parametrize("case, digest", [
         ("first",
          "97af5cb9aa41ecbe6d0555b2967abe6b8bdc4b975b8f8358ed10cec51d2f24be"),
@@ -705,9 +827,9 @@ class TestMeasurePins:
         ("readout_limit_1",
          "884fed248cfbc94926db2b08125c856998caed88992276d9b3053c419055c4a9"),
         ("readout_limit_3",
-         "00350dc61eca695be641acd8c5b36bcf9b78aa1051bf4131039c52034835b18b"),
+         "33ddbe23fd0ebb30baba2c95bec0cfc1e5c44f12846b0e738aee0379febcb463"),
         ("stack_4",
-         "e72f1ce40e1e89bac8b3bdc85f7c2ad8148898d3d789f42cc1118ebcd3371252"),
+         "277eed7a00e8b85a4266634aacdc8a866facd10b2d7ba7b3566085c1c20fc133"),
         ("sigma_w_zero",
          "995eab0ac0c594eb471644bc11fa5c9d84a6b1ebc3d17e4149f1116f567b2048"),
     ])
