@@ -10,10 +10,13 @@ Subcommands::
 
 Every command resolves the configuration file, hashes it, and works inside
 ``<out>/<hash>/`` so distinct configurations never collide.  The resolved
-configuration and the hash are written next to the outputs, wall-clock
-timings go to ``run.log``, and CSV files are byte-identical across re-runs
-with the same configuration and seed.  The exit code is nonzero iff an
-enabled check fails.
+configuration and the hash are written next to the outputs, and CSV files
+are byte-identical across re-runs with the same configuration and seed.
+Every timed step (each limit layer, each measure or replica file written or
+read, replica sampling, each sweep point, the independence and oracle
+checks) logs one ``stage=`` line to ``run.log`` through
+:func:`stableconv.limits.stage`, with its seconds and peak resident memory.
+The exit code is nonzero iff an enabled check fails.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, load_config
-from .limits import LimitConfig, _peak_rss_mb, limit_measures, mixture_measure
+from .limits import LimitConfig, limit_measures, mixture_measure, stage
 from .network import (
     NetworkSpec,
     ReplicaSet,
@@ -79,19 +81,6 @@ def _replica_path(run: Path, channels: int) -> Path:
     return run / f"replicas_C{channels}.bin"
 
 
-def _log_io(stage: str, t0: float, **counts) -> None:
-    """One ``run.log`` line per measure or replica file written or read:
-    ``counts`` (e.g. layer and atoms), the seconds since ``t0``, and this
-    process's peak resident memory so far."""
-    log.info(
-        "stage=%s %s seconds=%.3f peak_rss_mb=%.1f",
-        stage,
-        " ".join(f"{key}={value}" for key, value in counts.items()),
-        time.perf_counter() - t0,
-        _peak_rss_mb(),
-    )
-
-
 def _usage_error(exc: Exception) -> int:
     """Report a bad input in one line on stderr, with no traceback; exit 2."""
     print(f"error: {exc}", file=sys.stderr)
@@ -105,18 +94,17 @@ def _load_replica_caches(paths: dict) -> dict[object, ReplicaSet]:
     write anything, so that error leaves no new file."""
     caches = {}
     for channels, path in paths.items():
-        t0 = time.perf_counter()
-        caches[channels] = load_replicas(path)
-        _log_io("load_replicas", t0, C=channels, replicas=caches[channels].n_replicas)
+        with stage("load_replicas", C=channels) as fields:
+            caches[channels] = load_replicas(path)
+            fields["replicas"] = caches[channels].n_replicas
     return caches
 
 
 def _compute_and_save_limit(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path):
     measures = limit_measures(spec, limit_cfg)
     for layer, measure in enumerate(measures, start=1):
-        t0 = time.perf_counter()
-        save_measure(measure, _measure_path(run, layer))
-        _log_io("save_measure", t0, layer=layer, atoms=measure.n_atoms)
+        with stage("save_measure", layer=layer, atoms=measure.n_atoms):
+            save_measure(measure, _measure_path(run, layer))
     return measures
 
 
@@ -128,33 +116,14 @@ def cmd_limit(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path) -> int:
 
 def cmd_simulate(cfg: RunConfig, spec: NetworkSpec, run: Path, replicas: int | None) -> int:
     n = cfg.n_replicas if replicas is None else replicas
-    t0 = time.perf_counter()
-    reps = sample_replicas(spec, n, n_channels=2, workers=cfg.workers)
-    seconds = time.perf_counter() - t0
+    counts = dict(C=spec.channels, replicas=n)
+    with stage("sample_replicas", **counts, block=replica_block_size(spec)):
+        reps = sample_replicas(spec, n, n_channels=2, workers=cfg.workers)
     path = _replica_path(run, spec.channels)
-    t0 = time.perf_counter()
-    save_replicas(path, reps)
-    _log_io("save_replicas", t0, C=spec.channels, replicas=n)
-    log.info(
-        "wrote %d replicas at C=%d to %s (block=%d, %.0f replicas/s)",
-        n,
-        spec.channels,
-        path,
-        replica_block_size(spec),
-        n / seconds,
-    )
+    with stage("save_replicas", **counts):
+        save_replicas(path, reps)
+    log.info("wrote %s", path)
     return 0
-
-
-def _load_or_compute_target(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path):
-    last = _measure_path(run, spec.n_layers)
-    if last.exists():
-        log.info("using cached limit measure %s", last)
-        t0 = time.perf_counter()
-        measure = read_measure(last)
-        _log_io("read_measure", t0, layer=spec.n_layers, atoms=measure.n_atoms)
-        return measure
-    return _compute_and_save_limit(spec, limit_cfg, run)[-1]
 
 
 def _write_probe_csv(run: Path, probes, theo) -> None:
@@ -174,7 +143,18 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
         caches = _load_replica_caches({c: p for c, p in paths.items() if p.exists()})
     except ValueError as exc:
         return _usage_error(exc)
-    target = _load_or_compute_target(spec, limit_cfg, run)
+    # a cached measure read is an input like the caches: one that fails to
+    # parse stops the command before it writes probes.csv
+    last = _measure_path(run, spec.n_layers)
+    if last.exists():
+        try:
+            with stage("read_measure", layer=spec.n_layers) as fields:
+                target = read_measure(last)
+                fields["atoms"] = target.n_atoms
+        except ValueError as exc:
+            return _usage_error(exc)
+    else:
+        target = _compute_and_save_limit(spec, limit_cfg, run)[-1]
     probes = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed)
     theo = cf_multivariate(target, probes.probes)
     _write_probe_csv(run, probes, theo)
@@ -189,20 +169,6 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
         caches=caches,
     )
     (run / "sweep.csv").write_text(report.to_csv(timing=cfg.timing_in_csv))
-    for row in report.rows:
-        if row.cached:
-            source = "source=cache"
-        else:
-            block = replica_block_size(spec.with_channels(row.channels))
-            source = f"block={block}, {row.n_replicas / row.seconds:.0f} replicas/s"
-        log.info(
-            "C=%d sup=%.4f mean=%.4f (%.1fs, %s)",
-            row.channels,
-            row.sup_cf_dist,
-            row.mean_cf_dist,
-            row.seconds,
-            source,
-        )
     failures = []
     final = report.rows[-1]
     if final.sup_cf_dist >= cfg.max_sup_dist:
@@ -220,38 +186,37 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
     return 1 if failures else 0
 
 
+def _write_metrics(path: Path, metrics: dict) -> None:
+    """A ``metric,value`` CSV, one row per entry of ``metrics`` in order."""
+    path.write_text("metric,value\n" + "".join(f"{k},{v:.12g}\n" for k, v in metrics.items()))
+
+
 def _independence_from_cache(cfg: RunConfig, run: Path, reps: ReplicaSet, target) -> list[str]:
-    """Joint-law checks against the `simulate` replica cache of the largest
-    swept channel count."""
-    if reps.outputs.shape[1] < 2:
-        log.warning(
-            "%s has a single channel; skipping independence checks",
-            _replica_path(run, max(cfg.channel_counts)),
-        )
+    """Joint-law checks on the first ``n_replicas`` replicas of the
+    `simulate` cache of the largest swept channel count, as the sweep takes
+    them; a cache with fewer, or with one channel, is skipped with a
+    warning."""
+    n = cfg.n_replicas
+    if reps.outputs.shape[1] < 2 or reps.n_replicas < n:
+        log.warning("%s holds %d replicas of %d channels, not n_replicas = %d of 2; skipping "
+                    "independence checks", _replica_path(run, max(cfg.channel_counts)),
+                    reps.n_replicas, reps.outputs.shape[1], n)
         return []
     z = [1.0, 1.0]
-    pa = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed + 1).probes[1:]
-    pb = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed + 2).probes[1:]
-    mix_probes = generate_probes(
-        mixture_measure(target, z), n_probes=cfg.n_probes, seed=cfg.seed + 3
-    ).probes
-    rep = independence_check(
-        reps.outputs, reps.biases, target, z, pa, pb, mixture_probes=mix_probes
-    )
-    lines = [
-        "metric,value",
-        f"max_factorization_defect,{rep.max_defect:.12g}",
-        f"max_control_defect,{rep.max_control_defect:.12g}",
-        f"mixture_sup_dist,{rep.mixture_sup:.12g}",
-        f"mixture_mean_dist,{rep.mixture_mean:.12g}",
-    ]
-    (run / "independence.csv").write_text("\n".join(lines) + "\n")
-    log.info(
-        "independence: factorization=%.4g control=%.4g mixture=%.4g",
-        rep.max_defect,
-        rep.max_control_defect,
-        rep.mixture_sup,
-    )
+    with stage("independence", C=max(cfg.channel_counts), replicas=n) as fields:
+        pa = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed + 1).probes[1:]
+        pb = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed + 2).probes[1:]
+        mix_probes = generate_probes(
+            mixture_measure(target, z), n_probes=cfg.n_probes, seed=cfg.seed + 3
+        ).probes
+        rep = independence_check(
+            reps.outputs[:n], reps.biases[:n], target, z, pa, pb, mixture_probes=mix_probes
+        )
+        metrics = dict(max_factorization_defect=rep.max_defect,
+                       max_control_defect=rep.max_control_defect,
+                       mixture_sup_dist=rep.mixture_sup, mixture_mean_dist=rep.mixture_mean)
+        fields.update(metrics)
+    _write_metrics(run / "independence.csv", metrics)
     failures = []
     if rep.max_defect >= cfg.max_factorization_defect:
         failures.append(
@@ -265,14 +230,12 @@ def _independence_from_cache(cfg: RunConfig, run: Path, reps: ReplicaSet, target
 
 
 def cmd_oracle(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: Path) -> int:
-    result = gaussian_oracle_check(spec, limit_cfg)
-    lines = [
-        "metric,value",
-        f"max_diag_rel_err,{result.max_diag_rel_err:.12g}",
-        f"max_offdiag_abs_err,{result.max_offdiag_abs_err:.12g}",
-    ]
-    (run / "oracle.csv").write_text("\n".join(lines) + "\n")
-    log.info("oracle diag rel err %.4g", result.max_diag_rel_err)
+    with stage("oracle", mc_samples=limit_cfg.mc_samples) as fields:
+        result = gaussian_oracle_check(spec, limit_cfg)
+        metrics = dict(max_diag_rel_err=result.max_diag_rel_err,
+                       max_offdiag_abs_err=result.max_offdiag_abs_err)
+        fields.update(metrics)
+    _write_metrics(run / "oracle.csv", metrics)
     if result.max_diag_rel_err >= cfg.oracle_max_diag_rel_err:
         log.error(
             "check failed: diagonal relative error %.4g >= %.4g",

@@ -78,6 +78,7 @@ from __future__ import annotations
 import logging
 import resource
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import prod
 
@@ -94,7 +95,7 @@ from .stable import (
 )
 from .tensors import ConvLayerConfig, patch_map_for
 
-log = logging.getLogger(__name__)
+_stage_log = logging.getLogger("stableconv.stage")
 
 
 @dataclass(frozen=True)
@@ -471,34 +472,33 @@ def limit_measures(spec: NetworkSpec, limit_cfg: LimitConfig) -> list[SpectralMe
     Layer 1 is exact; each deeper layer draws its Monte Carlo fields from a
     dedicated substream of the configured seed, so any single layer can be
     replayed with :func:`gamma_next_mc`.  Returns one measure per layer, each
-    with all its atoms, and logs a summary line each; a Monte Carlo layer's
-    line also gives the number of field groups, the atom count of the
-    measure each group's fields were drawn from and the number of stable
-    variates drawn.
+    with all its atoms, and logs one ``stage=layer`` line each
+    (:func:`stage`) with its ``atoms``, ``total_mass`` and ``bias_mass``.  A
+    Monte Carlo layer's line also gives ``groups``, the number of field
+    groups (:func:`_field_groups`), ``sampled_atoms``, the atom count of the
+    measure each group's fields were drawn from, and ``draws``, the stable
+    variates drawn for them (M per sampled atom); with ``seconds`` that
+    gives the layer's draws per second.
     """
-    t0 = time.perf_counter()
-    current = gamma_first(
-        spec.inputs, spec.layers[0], spec.alpha, spec.sigma_w, spec.sigma_b
-    )
-    measures = [current]
-    _log_layer(1, current, t0)
-    for l in range(2, spec.n_layers + 1):
-        t0 = time.perf_counter()
-        groups = _field_groups(current, limit_cfg.mc_samples)
-        sampled = _compressed_size(current, groups[0])
-        sampling = (len(groups), sampled, limit_cfg.mc_samples * sampled)
-        current = gamma_next_mc(
-            current,
-            spec.layers[l - 1],
-            spec.alpha,
-            spec.sigma_w,
-            spec.sigma_b,
-            spec.activation,
-            limit_cfg,
-            rng_stream(limit_cfg.seed, RNG_DOMAIN_LIMIT, l),
-        )
+    measures = []
+    for l in range(1, spec.n_layers + 1):
+        with stage("layer", layer=l) as fields:
+            if l == 1:
+                current = gamma_first(
+                    spec.inputs, spec.layers[0], spec.alpha, spec.sigma_w, spec.sigma_b
+                )
+            else:
+                groups = _field_groups(current, limit_cfg.mc_samples)
+                sampled = _compressed_size(current, groups[0])
+                fields.update(groups=len(groups), sampled_atoms=sampled,
+                              draws=limit_cfg.mc_samples * sampled)
+                current = gamma_next_mc(
+                    current, spec.layers[l - 1], spec.alpha, spec.sigma_w, spec.sigma_b,
+                    spec.activation, limit_cfg, rng_stream(limit_cfg.seed, RNG_DOMAIN_LIMIT, l),
+                )
+            fields.update(atoms=current.n_atoms, total_mass=current.total_mass,
+                          bias_mass=current.bias_mass)
         measures.append(current)
-        _log_layer(l, current, t0, sampling)
     return measures
 
 
@@ -516,28 +516,22 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _log_layer(
-    layer: int,
-    measure: SpectralMeasure,
-    t0: float,
-    sampling: tuple[int, int, int] | None = None,
-) -> None:
-    """One summary line per layer.  ``peak_rss_mb`` is this process's own
-    peak resident memory so far (:func:`_peak_rss_mb`), so the layer that
-    raises it shows.  A Monte Carlo layer's line ends with its ``sampling``:
-    ``groups``, the number of field groups (:func:`_field_groups`),
-    ``sampled_atoms``, the atom count of the measure each group's fields
-    were drawn from, and ``draws``, the stable variates drawn for them (M
-    per sampled atom); with ``seconds`` that gives the layer's draws per
-    second."""
-    sampled = "" if sampling is None else " groups=%d sampled_atoms=%d draws=%d" % sampling
-    log.info(
-        "layer=%d atoms=%d total_mass=%.6g bias_mass=%.6g seconds=%.3f peak_rss_mb=%.1f%s",
-        layer,
-        measure.n_atoms,
-        measure.total_mass,
-        measure.bias_mass,
-        time.perf_counter() - t0,
-        _peak_rss_mb(),
-        sampled,
+@contextmanager
+def stage(name: str, **fields):
+    """Time the block and, once it completes, log one line
+    ``stage=<name> <key>=<value>... seconds=... peak_rss_mb=...`` through the
+    ``stableconv.stage`` logger: ``fields`` in order, then those the block
+    adds to the dict it is given, floats to 6 significant digits.
+    ``peak_rss_mb`` is this process's own peak resident memory so far
+    (:func:`_peak_rss_mb`), so the stage that raises it shows.  The dict
+    holds ``seconds`` afterwards.  A block that raises logs nothing."""
+    t0 = time.perf_counter()
+    yield fields
+    fields["seconds"] = time.perf_counter() - t0
+    tokens = [f"stage={name}"] + [
+        f"{key}={value:.6g}" if isinstance(value, float) else f"{key}={value}"
+        for key, value in fields.items() if key != "seconds"
+    ]
+    _stage_log.info(
+        "%s seconds=%.3f peak_rss_mb=%.1f", " ".join(tokens), fields["seconds"], _peak_rss_mb()
     )

@@ -382,11 +382,15 @@ def dump_measure(measure: SpectralMeasure) -> str:
 
 
 def load_measure(text: str) -> SpectralMeasure:
-    """Parse the text format written by :func:`dump_measure`."""
+    """Parse the text format written by :func:`dump_measure`; malformed text
+    raises ``ValueError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty measure file")
-    fields = dict(tok.split("=", 1) for tok in lines[0].split())
+    fields = dict(tok.partition("=")[::2] for tok in lines[0].split())
+    missing = {"dimension", "alpha", "total_mass"} - fields.keys()
+    if missing:
+        raise ValueError(f"measure header lacks {', '.join(sorted(missing))}")
     dimension = int(fields["dimension"])
     alpha = float(fields["alpha"])
     bias_index = int(fields["bias_index"]) if "bias_index" in fields else None
@@ -431,5 +435,10 @@ def save_measure(measure: SpectralMeasure, path) -> None:
 
 
 def read_measure(path) -> SpectralMeasure:
-    with open(path) as fh:
-        return load_measure(fh.read())
+    """:func:`load_measure` of the file at ``path``; its ``ValueError`` names
+    the file."""
+    try:
+        with open(path) as fh:
+            return load_measure(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -29,13 +29,15 @@ OUT_OF_BOUNDS = -1
 
 
 def input_tensor(data) -> np.ndarray:
-    """Check an input array of shape (channels, *spatial, inputs) and return
-    it as float64."""
+    """Check an input array of shape (channels, *spatial, inputs) of finite
+    values and return it as float64."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim < 3:
         raise ValueError("inputs need at least (channel, spatial, input) axes")
     if any(e < 1 for e in arr.shape):
         raise ValueError("all extents must be >= 1")
+    if not np.isfinite(arr).all():
+        raise ValueError("input values must be finite")
     return arr
 
 

@@ -15,17 +15,17 @@ probe, which sets the tolerances used by the acceptance suite.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .limits import LimitConfig, limit_measures, mixture_measure
+from .limits import LimitConfig, limit_measures, mixture_measure, stage
 from .network import (
     NetworkSpec,
     RNG_DOMAIN_PROBES,
     ReplicaSet,
     channel_mixture,
+    replica_block_size,
     rng_stream,
     sample_replicas,
 )
@@ -126,8 +126,6 @@ class SweepRow:
     sup_cf_dist: float
     mean_cf_dist: float
     seconds: float
-    # the samples came from a replica cache, not from sample_replicas
-    cached: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.sup_cf_dist <= 2.0 or not 0.0 <= self.mean_cf_dist <= 2.0:
@@ -190,6 +188,9 @@ def convergence_sweep(
     ``n_replicas`` replicas takes channel 0 of its first ``n_replicas``
     instead of sampling: that is bit for bit what sampling would draw (see
     :mod:`stableconv.network`), so the rows do not depend on the caches.
+    Each point logs a ``stage=sweep`` line (:func:`stableconv.limits.stage`)
+    with ``source=cache`` or the ``block`` size it sampled in, and its sup
+    and mean distances; its ``seconds`` are the row's.
     """
     counts = [int(c) for c in channel_counts]
     if any(b <= a for a, b in zip(counts, counts[1:])) or not counts:
@@ -202,26 +203,30 @@ def convergence_sweep(
     caches = caches or {}
     rows = []
     for c in counts:
-        t0 = time.perf_counter()
         reps = caches.get(c)
-        cached = reps is not None and reps.n_replicas >= n_replicas
-        if not cached:
-            reps = sample_replicas(spec.with_channels(c), n_replicas, workers=workers)
-        # channel 0 of a cache with more channels is strided; the copy gives
-        # the CF estimate the layout of a sampled one-channel set
-        emp = empirical_cf(np.ascontiguousarray(reps.outputs[:n_replicas, 0, :]), probes.probes)
-        # the next point does not sample while holding these replicas
-        del reps
-        sup, mean = cf_distance(emp, theo)
+        if reps is not None and reps.n_replicas >= n_replicas:
+            source = {"source": "cache"}
+        else:
+            reps, source = None, {"block": replica_block_size(spec.with_channels(c))}
+        with stage("sweep", C=c, replicas=n_replicas, **source) as fields:
+            if reps is None:
+                reps = sample_replicas(spec.with_channels(c), n_replicas, workers=workers)
+            # channel 0 of a cache with more channels is strided; the copy
+            # gives the CF estimate the layout of a sampled one-channel set
+            emp = empirical_cf(
+                np.ascontiguousarray(reps.outputs[:n_replicas, 0, :]), probes.probes
+            )
+            # the next point does not sample while holding these replicas
+            del reps
+            fields["sup"], fields["mean"] = cf_distance(emp, theo)
         rows.append(
             SweepRow(
                 channels=c,
                 n_replicas=n_replicas,
                 mc_samples=limit_cfg.mc_samples,
-                sup_cf_dist=sup,
-                mean_cf_dist=mean,
-                seconds=time.perf_counter() - t0,
-                cached=cached,
+                sup_cf_dist=fields["sup"],
+                mean_cf_dist=fields["mean"],
+                seconds=fields["seconds"],
             )
         )
     return ConvergenceReport(rows=rows)

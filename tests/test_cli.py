@@ -257,8 +257,50 @@ class TestConfig:
         assert main([*command.split(), "-c", str(path), "-o", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_input_exits_before_writing(self, tmp_path, value):
+        # a NaN slice weight would drop out of the layer-1 measure unseen
+        x = np.random.default_rng(0).standard_normal((1, 4, 2))
+        x[0, 2, 1] = value
+        np.save(tmp_path / "x.npy", x)
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace(
+            "kind = gaussian", f"kind = file\npath = {tmp_path / 'x.npy'}"))
+        out = tmp_path / "runs"
+        for command in ("limit", "verify"):
+            assert main([command, "-c", str(path), "-o", str(out)]) == 2
+        assert not out.exists()
+
+
+# every timed run.log line, whatever the command
+STAGE_LINE = re.compile(
+    r"^INFO stableconv\.stage: stage=(\w+)( \w+=\S+)* seconds=\d+\.\d{3} peak_rss_mb=\d+\.\d$"
+)
+
 
 class TestCommands:
+    def test_stage_lines_share_one_format(self, config_file, tmp_path):
+        out = tmp_path / "runs"
+        gauss = tmp_path / "gauss.ini"
+        gauss.write_text(TINY_CONFIG.replace("alpha = 1.5", "alpha = 2"))
+        for argv in (["limit"], ["simulate", "--channels", "32"], ["verify"], ["report"]):
+            assert main([*argv, "-c", str(config_file), "-o", str(out)]) == 0
+        assert main(["oracle", "-c", str(gauss), "-o", str(out)]) == 0
+        stages = []
+        for cfg in (config_file, gauss):
+            for line in (run_dir_of(cfg, out) / "run.log").read_text().splitlines():
+                if "seconds=" in line:
+                    match = STAGE_LINE.match(line)
+                    assert match, line
+                    stages.append(match.group(1))
+        # two layers each for `limit` and `oracle`; the sweep's three
+        # points; `verify` and `report` each read the C = 32 cache
+        assert sorted(stages) == sorted(
+            ["layer"] * 4 + ["save_measure"] * 2 + ["sample_replicas", "save_replicas"]
+            + ["load_replicas"] * 2 + ["read_measure"] + ["sweep"] * 3
+            + ["independence", "oracle"]
+        )
+
     def test_limit_writes_loadable_measures(self, config_file, tmp_path):
         out = tmp_path / "runs"
         assert main(["limit", "-c", str(config_file), "-o", str(out)]) == 0
@@ -302,7 +344,9 @@ class TestCommands:
         reps = sc.load_replicas(run / "replicas_C4.bin")
         assert reps.outputs.shape == (50, 2, 8)
         log = (run / "run.log").read_text()
-        assert re.search(r"wrote 50 replicas at C=4 .*\(block=\d+, \d+ replicas/s\)", log)
+        block = sc.replica_block_size(load_config(config_file).build_spec(4))
+        assert re.search(rf"stage=sample_replicas C=4 replicas=50 block={block} seconds=", log)
+        assert re.search(r"stage=save_replicas C=4 replicas=50 seconds=", log)
 
     def test_verify_passes_and_is_reproducible(self, config_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -317,8 +361,9 @@ class TestCommands:
         # the zero probe reports a theoretical CF of exactly 1
         first = probes_a.splitlines()[1].split(",")
         assert first[1] == "0" and first[2] == "1"
-        rows = re.findall(r"C=\d+ sup=.*, block=\d+, \d+ replicas/s\)", (run_a / "run.log").read_text())
-        assert len(rows) == len(sweep_a.decode().splitlines()) - 1
+        rows = re.findall(r"stage=sweep C=(\d+) replicas=3000 block=\d+ sup=",
+                          (run_a / "run.log").read_text())
+        assert rows == [ln.split(",")[0] for ln in sweep_a.decode().splitlines()[1:]]
 
     def test_verify_uses_cached_measures(self, config_file, tmp_path):
         out = tmp_path / "runs"
@@ -340,7 +385,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("replicas, source", [
         (3000, r"source=cache"),
-        (2999, r"block=\d+, \d+ replicas/s"),
+        (2999, r"block=\d+"),
     ], ids=["full", "short"])
     def test_sweep_reads_simulate_cache(self, config_file, tmp_path, replicas, source):
         # a cache at a swept count holding n_replicas = 3000 replicas feeds
@@ -358,10 +403,55 @@ class TestCommands:
         for stage in ("save_replicas", "load_replicas"):
             line = rf"^.*stage={stage} C=32 replicas={replicas} seconds=[\d.]+ peak_rss_mb=[\d.]+$"
             assert len(re.findall(line, log, re.M)) == 1, stage
-        rows = re.findall(r"C=(\d+) sup=\S+ mean=\S+ \([\d.]+s, (.*)\)$", log, re.M)
+        rows = re.findall(r"stage=sweep C=(\d+) replicas=3000 (\S+) sup=\S+ mean=\S+ ", log)
         assert [c for c, _ in rows] == ["2", "8", "32"]
         assert re.fullmatch(source, rows[-1][1])
-        assert all(re.fullmatch(r"block=\d+, \d+ replicas/s", r) for _, r in rows[:-1])
+        assert all(re.fullmatch(r"block=\d+", r) for _, r in rows[:-1])
+
+    def test_short_cache_skips_independence(self, config_file, tmp_path):
+        # 40 cached replicas fail both independence bounds on noise alone;
+        # the checks need n_replicas = 3000 of them, as the sweep does
+        out = tmp_path / "runs"
+        assert main(["simulate", "-c", str(config_file), "-o", str(out),
+                     "--channels", "32", "--replicas", "40"]) == 0
+        assert main(["verify", "-c", str(config_file), "-o", str(out)]) == 0
+        run = run_dir_of(config_file, out)
+        assert not (run / "independence.csv").exists()
+        log = (run / "run.log").read_text()
+        assert re.search(r"replicas_C32\.bin holds 40 replicas .*n_replicas = 3000", log)
+        assert "check failed" not in log
+
+    def test_independence_reads_the_first_n_replicas(self, tmp_path):
+        # a cache of twice n_replicas gives the bytes of one of n_replicas
+        cfg = tmp_path / "small.ini"
+        cfg.write_text(TINY_CONFIG.replace("n_replicas = 3000", "n_replicas = 400"))
+        csvs = []
+        for replicas in (400, 800):
+            out = tmp_path / str(replicas)
+            assert main(["simulate", "-c", str(cfg), "-o", str(out),
+                         "--channels", "32", "--replicas", str(replicas)]) == 0
+            assert main(["verify", "-c", str(cfg), "-o", str(out)]) in (0, 1)
+            csvs.append((run_dir_of(cfg, out) / "independence.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text.rstrip("\n").rsplit(" ", 1)[0] + "\n",
+        lambda text: re.sub(r"dimension=\d+ ", "", text, count=1),
+        lambda text: re.sub(r"total_mass=\S+", "total_mass=1e9", text, count=1),
+    ], ids=["truncated_atom_line", "no_dimension", "total_mass"])
+    def test_damaged_cached_measure_is_an_input_error(self, config_file, tmp_path, capsys,
+                                                      damage):
+        out = tmp_path / "runs"
+        assert main(["limit", "-c", str(config_file), "-o", str(out)]) == 0
+        run = run_dir_of(config_file, out)
+        measure = run / "measures" / "layer_02.txt"
+        measure.write_text(damage(measure.read_text()))
+        capsys.readouterr()
+        assert main(["verify", "-c", str(config_file), "-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "layer_02.txt" in err[0]
+        assert not list(run.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("fault", ["stale", "truncated"])

@@ -689,14 +689,15 @@ class TestLimitPipeline:
             assert np.array_equal(ma.directions, mb.directions)
 
     def test_summary_lines_logged(self, caplog):
-        with caplog.at_level(logging.INFO, logger="stableconv.limits"):
+        with caplog.at_level(logging.INFO, logger="stableconv.stage"):
             measures = sc.limit_measures(toy_spec(n_layers=3),
                                          sc.LimitConfig(mc_samples=100, seed=1))
-        lines = [r.message for r in caplog.records if r.message.startswith("layer=")]
+        lines = [r.message for r in caplog.records if r.message.startswith("stage=layer ")]
         assert len(lines) == 3
         groups, sampled, draws = [], [], []
-        for ln, measure in zip(lines, measures):
+        for layer, (ln, measure) in enumerate(zip(lines, measures), start=1):
             fields = dict(tok.split("=", 1) for tok in ln.split())
+            assert fields["layer"] == str(layer)
             assert {"atoms", "total_mass", "bias_mass"} <= fields.keys()
             assert int(fields["atoms"]) == measure.n_atoms
             assert float(fields["seconds"]) >= 0.0

@@ -575,8 +575,12 @@ class TestSerialization:
     def test_corrupt_header_rejected(self):
         with pytest.raises(ValueError):
             sc.load_measure("")
-        with pytest.raises((ValueError, KeyError)):
-            sc.load_measure("dimension=2 alpha=1.5\n1 1 0\n")
+        # a header that lacks a field, or holds a token without "=", is a
+        # ValueError like any other malformed text
+        for header in ("dimension=2 alpha=1.5", "x=1", "alpha=1.5 total_mass=1",
+                       "dimension=2 alpha total_mass=1"):
+            with pytest.raises(ValueError):
+                sc.load_measure(f"{header}\n1 1 0\n")
 
 
 class TestMeasureInvariants:

@@ -132,11 +132,16 @@ def test_shallow_convolution_composition(rng, two_d):
 
 
 def test_tensor_invariants():
-    # inputs are checked (channel, *spatial, input) arrays of float64
+    # inputs are checked (channel, *spatial, input) arrays of finite float64
     with pytest.raises(ValueError):
         sc.input_tensor(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         sc.input_tensor(np.ones((2, 0, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((1, 4, 2))
+        values[0, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sc.input_tensor(values)
     x = sc.input_tensor(np.arange(120).reshape(2, 5, 4, 3))
     assert type(x) is np.ndarray
     assert x.shape == (2, 5, 4, 3)
