@@ -24,12 +24,13 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, load_config
-from .limits import LimitConfig, limit_measures, mixture_measure, stage
+from .limits import LimitConfig, gamma_first, limit_measures, mixture_measure, stage
 from .network import (
     NetworkSpec,
     ReplicaSet,
@@ -58,17 +59,24 @@ def _make_run_dir(cfg: RunConfig, run: Path) -> None:
     (run / "config_hash.txt").write_text(run.name + "\n")
 
 
-def _setup_logging(run: Path) -> None:
+@contextmanager
+def _run_logging(run: Path):
+    """Log to stderr and ``run.log`` for the block, then give the
+    ``stableconv`` logger back its handlers and level, closing those added."""
     root = logging.getLogger("stableconv")
+    handlers, level = root.handlers, root.level
+    added = [logging.StreamHandler(sys.stderr), logging.FileHandler(run / "run.log")]
+    root.handlers = added
+    for h in added:
+        h.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     root.setLevel(logging.INFO)
-    for h in list(root.handlers):
-        root.removeHandler(h)
-    stream = logging.StreamHandler(sys.stderr)
-    stream.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    root.addHandler(stream)
-    fileh = logging.FileHandler(run / "run.log")
-    fileh.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    root.addHandler(fileh)
+    try:
+        yield
+    finally:
+        for h in added:
+            h.close()
+        root.handlers = handlers
+        root.setLevel(level)
 
 
 def _measure_path(run: Path, layer: int) -> Path:
@@ -301,6 +309,11 @@ def main(argv=None) -> int:
         limit_cfg = cfg.limit_config(cfg.oracle_mc_samples if args.command == "oracle" else None)
         if args.command == "oracle" and cfg.alpha != 2.0:
             raise ValueError("the oracle command requires alpha = 2 in the configuration")
+        # exact and cheap; no layer or probe set can be built on a null law
+        if args.command in ("limit", "verify", "oracle") and not gamma_first(
+                spec.inputs, spec.layers[0], spec.alpha, spec.sigma_w, spec.sigma_b).n_atoms:
+            raise ValueError("the layer-1 limit measure has no atoms (sigma_w = sigma_b = 0, "
+                             "or sigma_b = 0 on all-zero inputs)")
         # hashed once, over the inputs the spec already holds, so a kind =
         # file input is read once; the report check below must see the
         # directory the run then uses
@@ -310,17 +323,17 @@ def main(argv=None) -> int:
     except Exception as exc:  # bad config is a usage error, not a crash
         return _usage_error(exc)
     _make_run_dir(cfg, run)
-    _setup_logging(run)
-    if args.command == "limit":
-        return cmd_limit(spec, limit_cfg, run)
-    if args.command == "simulate":
-        return cmd_simulate(cfg, spec, run, args.replicas)
-    if args.command == "verify":
-        return cmd_verify(cfg, spec, limit_cfg, run)
-    if args.command == "oracle":
-        return cmd_oracle(cfg, spec, limit_cfg, run)
-    if args.command == "report":
-        return cmd_report(run)
+    with _run_logging(run):
+        if args.command == "limit":
+            return cmd_limit(spec, limit_cfg, run)
+        if args.command == "simulate":
+            return cmd_simulate(cfg, spec, run, args.replicas)
+        if args.command == "verify":
+            return cmd_verify(cfg, spec, limit_cfg, run)
+        if args.command == "oracle":
+            return cmd_oracle(cfg, spec, limit_cfg, run)
+        if args.command == "report":
+            return cmd_report(run)
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -65,12 +65,14 @@ last layer's measure as its spectral measure (Samorodnitsky & Taqqu 1994,
 ch. 2); :func:`readout_measure` maps it exactly, with no draws.
 
 That rule and the bias atom are written once, in :func:`_atom_measure`,
-which ends both the patch-slice builder :func:`_slice_measure`, behind every
-layer constructor, and :func:`readout_measure`.
-The closed-form characteristic functions (``cf_layer1_closed_form`` and
-``cf_conditional_closed_form``) evaluate the same laws by a direct product
-formula with their own index arithmetic; they share no code with the
-builder and serve as exact oracles for it.
+which ends both :func:`readout_measure` and the patch-slice builder
+:func:`_slice_measure`.  That builder makes every layer: layer 1 from the
+data, a conditional layer from a realization's activated fields at weight
+1/C, and a Monte Carlo layer is exactly the conditional law of the M fields
+:func:`_draw_fields` draws.  The closed-form characteristic functions
+(``cf_layer1_closed_form`` and ``cf_conditional_closed_form``) evaluate the
+first-layer and conditional laws by one product formula with its own index
+arithmetic; they share no code with the builder and are its exact oracles.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class LimitConfig:
     ``mc_samples`` = M fields are drawn per layer from the previous
     measure, in G = min(10, M) groups when it has more than
     K = ceil(M / G) non-bias atoms, each group from its own resample of
-    those atoms to K (see :func:`_fields`); the groups add an O(G/M) bias
+    those atoms to K (see :func:`_draw_fields`); the groups add an O(G/M) bias
     to the CF.  ``atom_cap``, when set, resamples each Monte Carlo
     layer's own non-bias atoms to at most that many, by the same
     :func:`stableconv.stable.compress_measure`, which keeps the bias atom
@@ -131,7 +133,7 @@ _FIELD_GROUPS = 10
 
 
 def _field_groups(source: SpectralMeasure, n_draws: int) -> list[int]:
-    """The field count of each group in which :func:`_fields` draws
+    """The field count of each group in which :func:`_draw_fields` draws
     ``n_draws`` = M fields from ``source``, in draw order.
 
     The split depends on M alone: G = min(_FIELD_GROUPS, M) contiguous
@@ -146,46 +148,38 @@ def _field_groups(source: SpectralMeasure, n_draws: int) -> list[int]:
     return groups
 
 
-def _fields(source, cfg: ConvLayerConfig, n_draws: int = 0, rng=None) -> np.ndarray:
-    """The fields a layer's measure is built from, as (n, input positions,
-    inputs).
+def _draw_fields(measure: SpectralMeasure, cfg: ConvLayerConfig, n_draws: int, rng) -> np.ndarray:
+    """``n_draws`` = M fields drawn with ``rng`` from the previous layer's
+    limit ``measure``, as (M, *input spatial, inputs).
 
-    ``source`` is data or a realization with (channel, *spatial, input) axes, one
-    field per channel, or the previous layer's measure.  From a measure,
-    ``n_draws`` = M flat fields are drawn with ``rng`` in the groups of
-    :func:`_field_groups`, in order: each group resamples the measure's
-    non-bias atoms to K = ceil(M / min(10, M)) by
-    :func:`stableconv.stable.compress_measure`, which keeps the bias atom
+    The fields come in the groups of :func:`_field_groups`, in order: each
+    group resamples the measure's non-bias atoms to K = ceil(M / min(10, M))
+    by :func:`stableconv.stable.compress_measure`, which keeps the bias atom
     exactly and first, then draws its own fields from that resample.
     Independent resamples per group keep the CF's spread that of one
     resample to M, at a bias of O(1/K) (see the module docstring).  A
     measure with at most K non-bias atoms gives all M fields in one
     :func:`stableconv.stable.sample_multivariate` call and spends no random
-    numbers on resampling.  A measure is checked against the layer's input
+    numbers on resampling.  The measure is checked against the layer's input
     positions before anything is drawn.
     """
     n_in = cfg.n_positions_in
-    if isinstance(source, SpectralMeasure):
-        if source.n_atoms == 0:
-            raise ValueError("previous layer's measure is empty")
-        if source.dimension % n_in != 0:
-            raise ValueError(
-                f"measure dimension {source.dimension} is not a multiple of "
-                f"the layer's {n_in} input positions"
-            )
-        groups = _field_groups(source, n_draws)
-        # compress_measure is looked up in this module on every call, so a
-        # tracer or a test that rebinds it here sees each group's resample
-        draws = [
-            sample_multivariate(compress_measure(source, groups[0], rng), rng, size=size)
-            for size in groups
-        ]
-        draws = draws[0] if len(draws) == 1 else np.concatenate(draws)
-        return draws.reshape(n_draws, n_in, source.dimension // n_in)
-    source = np.asarray(source, dtype=np.float64)
-    if source.shape[1:-1] != cfg.spatial_in:
-        raise ValueError("fields must have (channel, *spatial, input) axes matching the layer")
-    return source.reshape(source.shape[0], n_in, source.shape[-1])
+    if measure.n_atoms == 0:
+        raise ValueError("previous layer's measure is empty")
+    if measure.dimension % n_in != 0:
+        raise ValueError(
+            f"measure dimension {measure.dimension} is not a multiple of "
+            f"the layer's {n_in} input positions"
+        )
+    groups = _field_groups(measure, n_draws)
+    # compress_measure is looked up in this module on every call, so a
+    # tracer or a test that rebinds it here sees each group's resample
+    draws = [
+        sample_multivariate(compress_measure(measure, groups[0], rng), rng, size=size)
+        for size in groups
+    ]
+    draws = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    return draws.reshape(n_draws, *cfg.spatial_in, measure.dimension // n_in)
 
 
 def _slice_measure(
@@ -195,10 +189,9 @@ def _slice_measure(
     sigma_w: float,
     sigma_b: float,
     activation: ActivationSpec | None = None,
-    atom_cap: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> SpectralMeasure:
-    """A layer's spectral measure from the patch slices of n ``fields``.
+    """A layer's spectral measure from the patch slices of n ``fields``,
+    given with (field, *input spatial, input) axes.
 
     When ``activation`` is given (hidden layers) the fields are activated and
     their (filter offset, output position) patches gathered with phi(0) in
@@ -208,10 +201,13 @@ def _slice_measure(
     v / ||v||, reduced at alpha = 2 to the eigen-atoms of
     S = sigma_w^2 sum_v v v^T by :func:`_atom_measure`.  The exact bias
     atom, sigma_b^alpha * dim^(alpha/2) along the all-ones direction, goes
-    first.  ``atom_cap`` resamples the other atoms with ``rng``, keeping the
-    bias atom (:func:`stableconv.stable.compress_measure`).
+    first.
     """
+    fields = np.asarray(fields, dtype=np.float64)
+    if fields.shape[1:-1] != cfg.spatial_in:
+        raise ValueError("fields must have (channel, *spatial, input) axes matching the layer")
     n = fields.shape[0]
+    fields = fields.reshape(n, cfg.n_positions_in, fields.shape[-1])
     pm = patch_map_for(cfg)
     if activation is None:
         slices = pm.gather(fields, axis=1)  # (n, n_off, n_pos, K)
@@ -230,11 +226,10 @@ def _slice_measure(
     for start in range(0, len(slices), rows):
         norms[start : start + rows] = np.linalg.norm(slices[start : start + rows], axis=1)
     bias = None if sigma_b == 0.0 else sigma_b**alpha * dim ** (alpha / 2.0)
-    measure = _atom_measure(
+    return _atom_measure(
         slices, norms, sigma_w**alpha * norms**alpha, alpha, sigma_w**2, bias,
         1 if activation is None else n,
     )
-    return measure if atom_cap is None else compress_measure(measure, atom_cap, rng)
 
 
 def _atom_measure(rows, norms, weights, alpha: float, gram_scale: float, bias, n=1):
@@ -278,7 +273,7 @@ def gamma_first(
     filter offset) carries the normalized patch slice of the data, weighted
     by sigma_w^alpha times its norm to the alpha.  Deterministic.
     """
-    return _slice_measure(_fields(x, cfg), cfg, alpha, sigma_w, sigma_b)
+    return _slice_measure(x, cfg, alpha, sigma_w, sigma_b)
 
 
 def _patch_value(x: np.ndarray, cfg: ConvLayerConfig, c, p_multi, g_multi, k):
@@ -315,13 +310,27 @@ def _oracle_slices(x: np.ndarray, cfg: ConvLayerConfig):
             yield vec
 
 
+def _closed_form_cf(x, cfg: ConvLayerConfig, alpha, weight, sigma_b, t, activation=None):
+    """exp(-sigma_b^alpha |sum t|^alpha - weight * sum_v |<t, phi(v)>|^alpha)
+    over the :func:`_oracle_slices` v of ``x``, phi the ``activation`` or
+    none, at one flat probe ``t`` (a float) or a batch of them (an array)."""
+    arr = np.asarray(t, dtype=np.float64)
+    single = arr.ndim == 1
+    probes = np.atleast_2d(arr)
+    dim = cfg.n_positions_out * x.shape[-1]
+    if probes.shape[1] != dim:
+        raise ValueError(f"probe dimension {probes.shape[1]} != {dim}")
+    expo = sigma_b**alpha * np.abs(probes.sum(axis=1)) ** alpha
+    for vec in _oracle_slices(x, cfg):
+        if activation is not None:
+            vec = activation(vec)
+        expo = expo + weight * np.abs(probes @ vec) ** alpha
+    out = np.exp(-expo)
+    return float(out[0]) if single else out
+
+
 def cf_layer1_closed_form(
-    x: np.ndarray,
-    cfg: ConvLayerConfig,
-    alpha: float,
-    sigma_w: float,
-    sigma_b: float,
-    t,
+    x: np.ndarray, cfg: ConvLayerConfig, alpha: float, sigma_w: float, sigma_b: float, t
 ):
     """Product-form characteristic function of a first-layer channel,
     evaluated directly from the data without building a measure.
@@ -329,18 +338,7 @@ def cf_layer1_closed_form(
     Serves as the exact oracle for :func:`gamma_first`.  ``t`` is one flat
     probe (positions*K,) or a batch (n, positions*K).
     """
-    arr = np.asarray(t, dtype=np.float64)
-    single = arr.ndim == 1
-    probes = np.atleast_2d(arr)
-    k = x.shape[-1]
-    dim = cfg.n_positions_out * k
-    if probes.shape[1] != dim:
-        raise ValueError(f"probe dimension {probes.shape[1]} != {dim}")
-    expo = sigma_b**alpha * np.abs(probes.sum(axis=1)) ** alpha
-    for vec in _oracle_slices(x, cfg):
-        expo = expo + sigma_w**alpha * np.abs(probes @ vec) ** alpha
-    out = np.exp(-expo)
-    return float(out[0]) if single else out
+    return _closed_form_cf(x, cfg, alpha, sigma_w**alpha, sigma_b, t)
 
 
 def gamma_conditional(
@@ -357,34 +355,17 @@ def gamma_conditional(
     Same structure as the first layer with data replaced by activated patch
     slices of the realization and each slice weight divided by C.
     """
-    return _slice_measure(_fields(prev, cfg), cfg, alpha, sigma_w, sigma_b, activation)
+    return _slice_measure(prev, cfg, alpha, sigma_w, sigma_b, activation)
 
 
 def cf_conditional_closed_form(
-    prev: np.ndarray,
-    cfg: ConvLayerConfig,
-    alpha: float,
-    sigma_w: float,
-    sigma_b: float,
-    activation: ActivationSpec,
-    t,
+    prev: np.ndarray, cfg: ConvLayerConfig, alpha: float, sigma_w: float, sigma_b: float,
+    activation: ActivationSpec, t,
 ):
     """Product-form conditional characteristic function; exact oracle for
     :func:`gamma_conditional`, again with its own index arithmetic."""
-    arr = np.asarray(t, dtype=np.float64)
-    single = arr.ndim == 1
-    probes = np.atleast_2d(arr)
-    c = prev.shape[0]
-    k = prev.shape[-1]
-    dim = cfg.n_positions_out * k
-    if probes.shape[1] != dim:
-        raise ValueError(f"probe dimension {probes.shape[1]} != {dim}")
-    expo = sigma_b**alpha * np.abs(probes.sum(axis=1)) ** alpha
-    for vec in _oracle_slices(prev, cfg):
-        phi_vec = activation(vec)
-        expo = expo + sigma_w**alpha / c * np.abs(probes @ phi_vec) ** alpha
-    out = np.exp(-expo)
-    return float(out[0]) if single else out
+    return _closed_form_cf(prev, cfg, alpha, sigma_w**alpha / prev.shape[0], sigma_b, t,
+                           activation)
 
 
 def gamma_next_mc(
@@ -397,22 +378,19 @@ def gamma_next_mc(
     limit_cfg: LimitConfig,
     rng: np.random.Generator,
 ) -> SpectralMeasure:
-    """Monte Carlo estimate of the next layer's limiting spectral measure.
-
-    The bias atom is exact; the weight part averages activated patch slices
-    of M fields drawn from the previous layer's limit law, one atom pair per
-    (sample, offset) at weight sigma_w^alpha * ||slice||^alpha / M.  The
-    fields are drawn from the previous measure in min(10, M) groups, each
-    from its own resample of the non-bias atoms to K = ceil(M / min(10, M)),
-    when there are more than K (:func:`_fields`); that adds O(1/K) bias
-    and O(1/M) variance to the CF.
+    """Monte Carlo estimate of the next layer's limiting spectral measure:
+    the conditional law (:func:`gamma_conditional`) of M fields drawn from
+    the previous layer's limit law, so the bias atom is exact and each
+    (field, offset) activated slice carries sigma_w^alpha ||slice||^alpha / M.
+    The fields come in min(10, M) groups, each from its own resample of the
+    non-bias atoms to K = ceil(M / min(10, M)) when there are more than K
+    (:func:`_draw_fields`): O(1/K) bias and O(1/M) variance in the CF.
+    ``atom_cap`` then resamples the result with the same generator.
     """
-    return _slice_measure(
-        _fields(prev_measure, cfg, limit_cfg.mc_samples, rng),
-        cfg, alpha, sigma_w, sigma_b, activation,
-        atom_cap=limit_cfg.atom_cap,
-        rng=rng,
-    )
+    fields = _draw_fields(prev_measure, cfg, limit_cfg.mc_samples, rng)
+    measure = gamma_conditional(fields, cfg, alpha, sigma_w, sigma_b, activation)
+    cap = limit_cfg.atom_cap
+    return measure if cap is None else compress_measure(measure, cap, rng)
 
 
 def mixture_measure(base: SpectralMeasure, z) -> SpectralMeasure:

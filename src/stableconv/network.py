@@ -52,15 +52,9 @@ RNG_DOMAIN_INPUTS = 4
 # block holds more than _MAX_BLOCK replicas
 _MAX_BLOCK = 1024
 
-_ENVELOPE_GRID = None
-
-
-def _envelope_grid() -> np.ndarray:
-    global _ENVELOPE_GRID
-    if _ENVELOPE_GRID is None:
-        pos = np.logspace(-6.0, 6.0, 121)
-        _ENVELOPE_GRID = np.concatenate([[0.0], pos, -pos])
-    return _ENVELOPE_GRID
+# the envelope check's grid: 0 and 121 log-spaced magnitudes in [1e-6, 1e6] of either sign
+_ENVELOPE_GRID = np.logspace(-6.0, 6.0, 121)
+_ENVELOPE_GRID = np.concatenate([[0.0], _ENVELOPE_GRID, -_ENVELOPE_GRID])
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,7 @@ class ActivationSpec:
     def __post_init__(self):
         if self.a <= 0 or self.b <= 0 or self.beta < 0:
             raise ValueError("envelope requires a > 0, b > 0, beta >= 0")
-        s = _envelope_grid()
+        s = _ENVELOPE_GRID
         bound = self.a + self.b * np.abs(s) ** self.beta
         values = np.abs(self.fn(s))
         if np.any(values > bound + 1e-9):

@@ -316,47 +316,40 @@ def implied_covariance(measure: SpectralMeasure) -> np.ndarray:
     return 2.0 * (measure.directions.T * measure.weights) @ measure.directions
 
 
-def _first_layer_covariance(spec: NetworkSpec) -> np.ndarray:
-    """Exact Gaussian field covariance after the first layer at alpha = 2."""
-    cfg = spec.layers[0]
-    k = spec.n_inputs
-    pm = patch_map_for(cfg)
-    patches = pm.gather(spec.inputs.reshape(spec.in_channels, -1, k), axis=1)
-    slices = patches.reshape(spec.in_channels * cfg.n_offsets, -1)
-    dim = slices.shape[1]
-    return 2.0 * spec.sigma_b**2 * np.ones((dim, dim)) + 2.0 * spec.sigma_w**2 * (
-        slices.T @ slices
-    )
-
-
 def gaussian_kernel_recursion(
     spec: NetworkSpec, mc_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Direct Gaussian covariance recursion for alpha = 2 networks.
 
-    Layer 1 is the exact closed form; each deeper layer samples Gaussian
-    fields with the previous covariance, pushes activated patch slices
-    through, and averages their outer products.  This path never touches the
-    spectral-measure machinery.
+    One loop over the layers: each maps its fields to the covariance
+    2 sigma_b^2 11^T + scale * S^T S of their patch slices S.  Layer 1 is
+    exact and draws nothing: its fields are the input channels, not
+    activated, at scale 2 sigma_w^2.  Each deeper layer draws
+    ``mc_samples`` = M Gaussian fields with the previous covariance from
+    ``rng`` and slices their activated patches, at scale 2 sigma_w^2 / M.
+    This path never touches the spectral-measure machinery; it stays apart
+    from :func:`stableconv.limits._slice_measure`, which it checks.
     """
     if spec.alpha != 2.0:
         raise ValueError("the Gaussian recursion requires alpha = 2")
-    cov = _first_layer_covariance(spec)
     k = spec.n_inputs
-    for cfg in spec.layers[1:]:
-        evals, evecs = np.linalg.eigh(cov)
-        evals = np.clip(evals, 0.0, None)
-        draws = rng.standard_normal((mc_samples, cov.shape[0]))
-        fields = (draws * np.sqrt(evals)) @ evecs.T
-        pm = patch_map_for(cfg)
-        acts = spec.activation(
-            pm.gather(fields.reshape(mc_samples, cfg.n_positions_in, k), axis=1)
-        )
-        slices = acts.reshape(mc_samples * cfg.n_offsets, cfg.n_positions_out * k)
+    cov = None
+    for cfg in spec.layers:
+        if cov is None:
+            fields, scale = spec.inputs, 2.0 * spec.sigma_w**2
+        else:
+            evals, evecs = np.linalg.eigh(cov)
+            evals = np.clip(evals, 0.0, None)
+            draws = rng.standard_normal((mc_samples, cov.shape[0]))
+            fields = (draws * np.sqrt(evals)) @ evecs.T
+            scale = 2.0 * spec.sigma_w**2 / mc_samples
+        fields = fields.reshape(len(fields), cfg.n_positions_in, k)
+        slices = patch_map_for(cfg).gather(fields, axis=1)
+        if cov is not None:
+            slices = spec.activation(slices)
+        slices = slices.reshape(-1, cfg.n_positions_out * k)
         dim = slices.shape[1]
-        cov = 2.0 * spec.sigma_b**2 * np.ones((dim, dim)) + (
-            2.0 * spec.sigma_w**2 / mc_samples
-        ) * (slices.T @ slices)
+        cov = 2.0 * spec.sigma_b**2 * np.ones((dim, dim)) + scale * (slices.T @ slices)
     return cov
 
 

@@ -1,3 +1,4 @@
+import logging
 import os
 import re
 import subprocess
@@ -11,6 +12,8 @@ import stableconv as sc
 from stableconv.cli import main
 from stableconv.config import load_config
 from stableconv.verify import CSV_HEADER
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 TINY_CONFIG = """
 [network]
@@ -185,8 +188,7 @@ class TestConfig:
         ("gauss.ini", "14eb251892c6cc65"),
     ])
     def test_demo_config_hash_pinned(self, name, digest):
-        demos = Path(__file__).resolve().parents[1] / "demos"
-        assert load_config(demos / name).config_hash == digest
+        assert load_config(DEMOS / name).config_hash == digest
 
     @pytest.mark.parametrize("key", ["require_decreasing", "timing_in_csv"])
     @pytest.mark.parametrize("raw, value", [
@@ -270,6 +272,47 @@ class TestConfig:
         for command in ("limit", "verify"):
             assert main([command, "-c", str(path), "-o", str(out)]) == 2
         assert not out.exists()
+
+    # a layer-1 law with no atoms: zero scales, or sigma_b = 0 on all-zero
+    # inputs; it is a bad input (exit 2), not a failed check (exit 1)
+    @pytest.mark.parametrize("demo, command, zero_inputs", [
+        ("toy.ini", "limit", False), ("toy.ini", "verify", False),
+        ("toy.ini", "limit", True), ("toy.ini", "verify", True),
+        ("gauss.ini", "oracle", False), ("gauss.ini", "oracle", True),
+    ])
+    def test_empty_first_layer_exits_before_writing(self, tmp_path, capsys, demo, command,
+                                                    zero_inputs):
+        text = (DEMOS / demo).read_text().replace("sigma_b = 1.0", "sigma_b = 0")
+        if zero_inputs:
+            np.save(tmp_path / "x.npy", np.zeros((1, 4, 2)))
+            text = text.replace("kind = gaussian", f"kind = file\npath = {tmp_path / 'x.npy'}")
+        else:
+            text = text.replace("sigma_w = 1.0", "sigma_w = 0")
+        path = tmp_path / "empty.ini"
+        path.write_text(text)
+        out = tmp_path / "runs"
+        assert main([command, "-c", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_main_restores_the_log_handlers(self, config_file, tmp_path):
+        root = logging.getLogger("stableconv")
+        own = logging.NullHandler()
+        root.addHandler(own)
+        before = (list(root.handlers), root.level)
+        try:
+            out = tmp_path / "runs"
+            assert main(["limit", "-c", str(config_file), "-o", str(out)]) == 0
+            assert (list(root.handlers), root.level) == before
+            log = run_dir_of(config_file, out) / "run.log"
+            text = log.read_text()
+            assert "stage=layer" in text
+            root.setLevel(logging.INFO)
+            sc.limit_measures(load_config(config_file).build_spec(), sc.LimitConfig(mc_samples=10))
+            assert log.read_text() == text
+        finally:
+            root.removeHandler(own)
+            root.setLevel(before[1])
 
 
 # every timed run.log line, whatever the command

@@ -372,7 +372,7 @@ def _measure_with(n_rest, bias_at=None, dim=8, seed=0):
 
 
 class TestFieldGroups:
-    """How _fields draws M fields from a measure: in G = min(10, M) groups
+    """How _draw_fields draws M fields from a measure: in G = min(10, M) groups
     of as equal size as M allows, each from its own resample to
     K = ceil(M / G), or in one draw from a measure with at most K non-bias
     atoms."""
@@ -388,7 +388,7 @@ class TestFieldGroups:
 
     @staticmethod
     def _recorded_fields(monkeypatch, source, m, seed=5):
-        """_fields of ``source`` with every resample and draw recorded."""
+        """_draw_fields of ``source`` with every resample and draw recorded."""
         resamples, draws = [], []
 
         def resample(measure, target, rng):
@@ -402,7 +402,9 @@ class TestFieldGroups:
 
         monkeypatch.setattr(limits, "compress_measure", resample)
         monkeypatch.setattr(limits, "sample_multivariate", sample)
-        fields = limits._fields(source, toy_layer(), m, np.random.default_rng(seed))
+        cfg = toy_layer()
+        fields = limits._draw_fields(source, cfg, m, np.random.default_rng(seed))
+        assert fields.shape == (m, *cfg.spatial_in, source.dimension // cfg.n_positions_in)
         return fields, resamples, draws
 
     @pytest.mark.parametrize("m, n_rest", [(100, 10), (100, 3), (3000, 300), (7, 1)])
@@ -444,6 +446,44 @@ class TestFieldGroups:
         assert [target for _, target, _ in resamples] == [1] * 7
         assert [size for _, size in draws] == [1] * 7
         assert all(out.n_atoms == 2 for _, _, out in resamples)
+
+
+class TestConditionalLawOfDrawnFields:
+    """A Monte Carlo layer is the conditional law of the fields it draws,
+    bit for bit, with ``atom_cap`` resampling after the draws from the
+    same generator."""
+
+    @staticmethod
+    def _same(a, b):
+        assert a.bias_index == b.bias_index
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.directions, b.directions)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.5, 2.0])
+    def test_next_mc_is_gamma_conditional_of_draw_fields(self, alpha):
+        # a layer-2 measure has more than K atoms at alpha < 2, so the
+        # grouped resample-and-draw path runs
+        prev = sc.limit_measures(toy_spec(alpha=alpha), sc.LimitConfig(mc_samples=200, seed=1))[-1]
+        m = 150
+        for cap in (None, 5):
+            got = sc.gamma_next_mc(prev, toy_layer(), alpha, 1.1, 0.7, TANH,
+                                   sc.LimitConfig(mc_samples=m, atom_cap=cap),
+                                   np.random.default_rng(9))
+            rng = np.random.default_rng(9)
+            fields = limits._draw_fields(prev, toy_layer(), m, rng)
+            want = sc.gamma_conditional(fields, toy_layer(), alpha, 1.1, 0.7, TANH)
+            if cap is not None:
+                assert want.n_atoms > cap + 1
+                want = sc.compress_measure(want, cap, rng)
+            self._same(got, want)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 2), (2, 4), (2, 4, 1, 2)])
+    def test_spatial_axes_checked(self, shape):
+        bad = np.ones(shape)
+        with pytest.raises(ValueError):
+            sc.gamma_first(bad, toy_layer(), 1.5, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            sc.gamma_conditional(bad, toy_layer(), 1.5, 1.0, 1.0, TANH)
 
 
 class TestMixtureMeasure:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import stableconv as sc
+from stableconv import limits
 
-from conftest import toy_spec
+from conftest import random_conv_case, toy_spec
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,20 @@ class TestGaussianOracle:
         report = sc.gaussian_oracle_check(spec, sc.LimitConfig(mc_samples=10))
         assert report.max_diag_rel_err < 1e-12
         assert report.max_offdiag_abs_err < 1e-12
+
+    def test_one_layer_recursion_is_exact_and_draws_nothing(self, rng):
+        for two_d in (False, True):
+            cfg, x = random_conv_case(rng, two_d=two_d)
+            spec = sc.NetworkSpec(alpha=2.0, sigma_w=0.9, sigma_b=0.6, layers=(cfg,),
+                                  activation=sc.get_activation("tanh"), channels=4, inputs=x,
+                                  seed=1)
+            gen = np.random.default_rng(5)
+            state = gen.bit_generator.state
+            cov = sc.gaussian_kernel_recursion(spec, 100, gen)
+            assert gen.bit_generator.state == state
+            s = np.array(list(limits._oracle_slices(x, cfg)))
+            expected = 2 * 0.6**2 * np.ones((s.shape[1],) * 2) + 2 * 0.9**2 * s.T @ s
+            assert np.abs(cov - expected).max() < 1e-12
 
     def test_zero_weight_scale(self):
         spec = toy_spec(alpha=2.0, sigma_w=0.0)
