@@ -254,21 +254,32 @@ def cmd_oracle(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
     return 0
 
 
-def cmd_report(run: Path) -> int:
-    lines = (run / "sweep.csv").read_text().splitlines()
+def _plot_lines(sweep: Path) -> list[str]:
+    """The lines of ``plot_sweep.csv`` from the sweep file ``sweep``.  A
+    missing file, or a header or row that is not ``CSV_HEADER``'s six
+    cells, raises ``ValueError`` naming the file."""
+    if not sweep.exists():
+        raise ValueError(f"no sweep.csv in {sweep.parent}; run `verify` first")
+    lines = sweep.read_text().splitlines()
     if not lines or lines[0] != CSV_HEADER:
-        log.error("unexpected sweep.csv schema in %s", run)
-        return 2
+        raise ValueError(f"{sweep}: the header is not {CSV_HEADER}")
+    n_cells = len(CSV_HEADER.split(","))
+    plot_lines = ["C,sup_cf_dist,mean_cf_dist"]
+    for number, row in enumerate(lines[1:], start=2):
+        cells = row.split(",")
+        if len(cells) != n_cells:
+            raise ValueError(f"{sweep}: line {number} has {len(cells)} cells, not {n_cells}")
+        plot_lines.append(f"{cells[0]},{cells[3]},{cells[4]}")
+    return plot_lines
+
+
+def cmd_report(run: Path, plot_lines: list[str]) -> int:
     # replica caches round-trip through here so stale files surface early
     paths = sorted(run.glob("replicas_C*.bin"))
     try:
         _load_replica_caches({p.stem.removeprefix("replicas_C"): p for p in paths})
     except ValueError as exc:
         return _usage_error(exc)
-    plot_lines = ["C,sup_cf_dist,mean_cf_dist"]
-    for row in lines[1:]:
-        cells = row.split(",")
-        plot_lines.append(f"{cells[0]},{cells[3]},{cells[4]}")
     (run / "plot_sweep.csv").write_text("\n".join(plot_lines) + "\n")
     log.info("wrote %s", run / "plot_sweep.csv")
     return 0
@@ -318,8 +329,8 @@ def main(argv=None) -> int:
         # file input is read once; the report check below must see the
         # directory the run then uses
         run = Path(args.out) / cfg.hash_with_inputs(spec.inputs)
-        if args.command == "report" and not (run / "sweep.csv").exists():
-            raise ValueError(f"no sweep.csv in {run}; run `verify` first")
+        if args.command == "report":
+            plot_lines = _plot_lines(run / "sweep.csv")
     except Exception as exc:  # bad config is a usage error, not a crash
         return _usage_error(exc)
     _make_run_dir(cfg, run)
@@ -333,7 +344,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, spec, limit_cfg, run)
         if args.command == "report":
-            return cmd_report(run)
+            return cmd_report(run, plot_lines)
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -238,9 +238,19 @@ def load_config(path) -> RunConfig:
             raise ValueError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
     if not layer_sections:
         raise ValueError("at least one [layer.N] section is required")
-    layer_sections.sort(key=lambda s: int(s.split(".", 1)[1]))
-    layers = []
+    numbers = {}
     for s in layer_sections:
-        layers.append(_layer(parser[s], layers[-1].spatial_out if layers else values["spatial"]))
+        suffix = s.removeprefix("layer.")
+        if not (suffix.isascii() and suffix.isdigit()):
+            raise ValueError(f"[{s}]: a layer section is [layer.N] with N a number")
+        numbers[int(suffix)] = s
+    # a number used twice leaves fewer keys than sections
+    if sorted(numbers) != list(range(1, len(layer_sections) + 1)):
+        got = ", ".join(f"[{s}]" for s in layer_sections)
+        raise ValueError(f"[layer.N] sections need N = 1 to {len(layer_sections)} once each: {got}")
+    layers = []
+    for n in sorted(numbers):
+        spatial_in = layers[-1].spatial_out if layers else values["spatial"]
+        layers.append(_layer(parser[numbers[n]], spatial_in))
     values["layers"] = tuple(layers)
     return RunConfig(**values)

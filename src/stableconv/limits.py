@@ -46,10 +46,10 @@ them the same way.
 
 Zero slices contribute no atom.  All atom weights use the Euclidean norm of
 the flattened slice raised to the alpha power; directions are the
-Euclidean-normalized slices.  A hidden layer's fields are activated before
-their slices are gathered, with phi(0) in the padding slots, as in the
-finite network: the next convolution sees the zero padding through the
-activation.
+Euclidean-normalized slices.  The slices come from ``PatchMap.slab``, as
+the finite network's patches do: a hidden layer's fields are activated
+first, with phi(0) in the padding slots, since the next convolution sees
+the zero padding through the activation.
 
 At the Gaussian endpoint alpha = 2 the CF exponent sum_j w_j <t, s_j>^2 of
 any measure is t^T S t with S = sum_j w_j s_j s_j^T.  So a layer with more
@@ -82,7 +82,6 @@ import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -193,10 +192,9 @@ def _slice_measure(
     """A layer's spectral measure from the patch slices of n ``fields``,
     given with (field, *input spatial, input) axes.
 
-    When ``activation`` is given (hidden layers) the fields are activated and
-    their (filter offset, output position) patches gathered with phi(0) in
-    the padding slots.
-    Each nonzero slice v then carries one atom pair of weight
+    Its slices are the rows of ``PatchMap.slab`` of the fields, activated
+    with phi(0) in the padding slots when ``activation`` is given (hidden
+    layers).  Each nonzero slice v then carries one atom pair of weight
     sigma_w^alpha * ||v||^alpha, divided by n on hidden layers, at direction
     v / ||v||, reduced at alpha = 2 to the eigen-atoms of
     S = sigma_w^2 sum_v v v^T by :func:`_atom_measure`.  The exact bias
@@ -208,16 +206,8 @@ def _slice_measure(
         raise ValueError("fields must have (channel, *spatial, input) axes matching the layer")
     n = fields.shape[0]
     fields = fields.reshape(n, cfg.n_positions_in, fields.shape[-1])
-    pm = patch_map_for(cfg)
-    if activation is None:
-        slices = pm.gather(fields, axis=1)  # (n, n_off, n_pos, K)
-    else:
-        # activating the fields, not their slices, evaluates phi once per
-        # value instead of once per patch slot; no name holds the activated
-        # fields, so they are freed once gathered
-        slices = pm.gather(activation(fields), axis=1, fill=activation(np.zeros(1))[0])
-    dim = prod(slices.shape[2:])
-    slices = slices.reshape(n * cfg.n_offsets, dim)
+    slices = patch_map_for(cfg).slab(fields, activation)  # (n * n_off, n_pos * K)
+    dim = slices.shape[1]
     # No full-size temporary is made from here on: one freed below the
     # measure's directions would stay resident, and forked replica workers
     # would inherit it.  Norms by row blocks equal those of one whole call.

@@ -5,9 +5,9 @@ Weights and biases are drawn iid symmetric stable with scales sigma_w and
 sigma_b.  The first layer applies the convolution as-is; deeper layers divide
 the weight term by C^(1/alpha), where C is the channel count shared by all
 hidden layers.  The activation is applied to each hidden field, whose patches
-are then gathered with phi(0) in the padding slots (``PatchMap.gather``'s
-``fill``): the patches equal the activated zero-padded patches, so padding
-feeds phi(0) into the next contraction.
+are then gathered with phi(0) in the padding slots (``PatchMap.slab``):
+the patches equal the activated zero-padded patches, so padding feeds phi(0)
+into the next contraction.
 
 Replicas are simulated in blocks: one block pushes B network realizations
 through the stack together, with one weight draw, one bias draw and one
@@ -240,19 +240,9 @@ def _forward_block(
     positions*K) and the last layer's biases (batch, n_channels_out).
     """
     k = spec.n_inputs
-    phi0 = spec.activation(np.zeros(1))[0]
     field = spec.inputs.reshape(spec.in_channels, -1, k)
     for l, cfg in enumerate(spec.layers):
-        fill = 0.0
-        if l > 0:
-            # activating the field, not its patches, evaluates phi once per
-            # value instead of once per patch slot
-            field = spec.activation(field)
-            fill = phi0
-        # (..., C_in, n_off, n_pos, K)
-        patches = patch_map_for(cfg).gather(field, axis=-2, fill=fill)
-        fan_in = patches.shape[-4] * cfg.n_offsets
-        slab = patches.reshape(patches.shape[:-4] + (fan_in, cfg.n_positions_out * k))
+        slab = patch_map_for(cfg).slab(field, spec.activation if l > 0 else None)
         if l < spec.n_layers - 1:
             field, _ = _affine(spec, slab, spec.channels, batch, l > 0, rng)
             field = field.reshape(batch, spec.channels, cfg.n_positions_out, k)

@@ -20,28 +20,22 @@ A univariate law is the one-dimensional case: scale sigma is
 Standard draws use the Chambers-Mallows-Stuck transform (Chambers,
 Mallows & Stuck 1976; Weron 1996), with the Gaussian and Cauchy endpoints
 special-cased to avoid the trigonometric singularities there.  The uniform
-and exponential inputs of the transform are drawn serially from the caller's
-generator; the elementwise transform of a large draw is split into
-contiguous chunks, one per available core, on a private thread pool created
-on first use.  Elementwise ufuncs give the same bits on any chunk, so the
-values do not depend on the thread count.  A process forked from this one
-(such as a replica pool worker) transforms serially, so a process pool runs
-one transforming thread per worker.
+and then the exponential inputs of the transform are drawn from the caller's
+generator, and the transform runs on the calling thread; the replica process
+pool of :mod:`stableconv.network` is the package's one parallel path.
 
 The transform takes its sines and cosines from tangents of half angles,
 because numpy computes float64 ``sin`` and ``cos`` one value at a time and
-``tan`` in SIMD lanes; each chunk is worked in cache-sized blocks.  The values
-equal those of the sine and cosine expression to rounding, not bit for bit
-(see :func:`_cms_transform`).
+``tan`` in SIMD lanes, and it works in cache-sized blocks.  The values equal
+those of the sine and cosine expression to rounding, not bit for bit (see
+:func:`_cms_transform`).
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -51,10 +45,6 @@ import numpy as np
 # of :mod:`stableconv.network` and the row blocks of sample_multivariate
 _BLOCK_BYTES = 1 << 20
 
-# a thread's share of one CMS transform is at least this many variates, so a
-# draw is split only where the hand-off to the pool costs little against it
-_MIN_CHUNK = 4096
-
 # atoms formatted per block of measure text; bounds the Python floats held
 # at once (a whole 45k-atom measure would take about 130 MB of them)
 _TEXT_ROWS = 256
@@ -62,24 +52,6 @@ _TEXT_ROWS = 256
 # values per block of the CMS transform: its six block-sized arrays (v, w,
 # out and three scratch blocks, 768 KiB) stay in a core's L2 cache
 _CMS_BLOCK = 16384
-
-# cores this process may run on; a forked child sets it to 1
-_THREADS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _serial_after_fork() -> None:
-    # a forked child inherits the pool object but none of its threads, so
-    # work submitted to it would wait forever
-    global _THREADS, _pool, _pool_lock
-    _THREADS, _pool, _pool_lock = 1, None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_serial_after_fork)
-
 
 def _cos_half_angle(x: np.ndarray, tmp: np.ndarray, den: np.ndarray) -> None:
     """cos of 2 * ``x`` in place, from t = tan(x) as (1 - t)(1 + t) / (1 + t^2);
@@ -144,25 +116,13 @@ def _cms_transform(alpha: float, v: np.ndarray, w: np.ndarray, out: np.ndarray) 
         ob *= ta
 
 
-def _thread_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _THREADS - 1), thread_name_prefix="stableconv-cms")
-        return _pool
-
-
 def sample_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
     """Draws with characteristic function exp(-|t|^alpha), i.e. symmetric
     stable with unit scale.
 
     Gaussian (alpha = 2) and Cauchy (alpha = 1) use their closed forms; other
-    indices use the Chambers-Mallows-Stuck transform.  Its uniform and then
-    its exponential inputs are drawn serially from ``rng``; a draw of at
-    least ``2 * _MIN_CHUNK`` variates is transformed in contiguous chunks of
-    at least ``_MIN_CHUNK``, one per available core, the calling thread
-    taking the first.  The values do not depend on the thread count, and a
-    forked process (a replica pool worker) transforms serially.
+    indices use the Chambers-Mallows-Stuck transform of uniform and then
+    exponential inputs drawn from ``rng``, on the calling thread.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
@@ -177,16 +137,7 @@ def sample_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
     v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     w = rng.standard_exponential(size)
     out = np.empty_like(v)
-    parts = min(_THREADS, v.size // _MIN_CHUNK)
-    if parts < 2:
-        _cms_transform(alpha, v, w, out)
-        return out
-    pool = _thread_pool()
-    jobs = list(zip(*(np.array_split(a.reshape(-1), parts) for a in (v, w, out))))
-    futures = [pool.submit(_cms_transform, alpha, *job) for job in jobs[1:]]
-    _cms_transform(alpha, *jobs[0])
-    for future in futures:
-        future.result()
+    _cms_transform(alpha, v, w, out)
     return out
 
 

@@ -13,8 +13,9 @@ flat input position, with out-of-bounds slots marked.  Extraction itself is a
 gather that writes a fill value into the out-of-bounds slots: zero for data
 (zero padding), and phi(0) for a hidden layer's activated field, since the
 next convolution sees that layer's zero-padded positions through the
-activation.  A convolution is that gather followed by one matmul against the
-flattened filters.
+activation.  :meth:`PatchMap.slab` makes that choice once, for the finite
+network and the limit recursion alike, and lays the patches out as the rows
+of a convolution's one matmul against the flattened filters.
 """
 
 from __future__ import annotations
@@ -146,6 +147,21 @@ class PatchMap:
             + values.shape[axis + 1 :]
         )
         return took.reshape(new_shape)
+
+    def slab(self, values: np.ndarray, phi=None) -> np.ndarray:
+        """The patches of ``values`` (..., C, n_positions_in, K) as the rows
+        of the layer's product: shape (..., C * n_offsets, n_positions_out *
+        K), rows channel-major, offset-minor.  With an activation ``phi`` (a
+        hidden layer's field) the values are activated first and the padding
+        slots hold phi(0); otherwise they hold 0.  Activating the values,
+        not their patches, evaluates phi once per value instead of once per
+        patch slot."""
+        fill = 0.0
+        if phi is not None:
+            values, fill = phi(values), phi(np.zeros(1))[0]
+        *lead, c, _, k = values.shape
+        patches = self.gather(values, axis=-2, fill=fill)
+        return patches.reshape(*lead, c * self.config.n_offsets, self.config.n_positions_out * k)
 
 
 @lru_cache(maxsize=128)

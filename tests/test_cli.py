@@ -259,6 +259,42 @@ class TestConfig:
         assert main([*command.split(), "-c", str(path), "-o", str(out)]) == 2
         assert not out.exists()
 
+    # two layer sections numbered other than 1, 2; the error names ``named``
+    @pytest.mark.parametrize("first, second, named", [
+        ("layer.1", "layer.3", "layer.3"),
+        ("layer.0", "layer.2", "layer.0"),
+        ("layer.1", "layer.01", "layer.01"),
+        ("layer.1", "layer.x", "layer.x"),
+        ("layer.1", "layer.+2", "layer.+2"),
+    ], ids=["gap", "from_zero", "duplicate", "not_a_number", "signed"])
+    def test_misnumbered_layers_exit_before_writing(self, tmp_path, capsys, first, second,
+                                                    named):
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace("[layer.1]", f"[{first}]")
+                        .replace("[layer.2]", f"[{second}]"))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        assert main(["limit", "-c", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"[{named}]" in err[0]
+        assert not out.exists()
+
+    def test_layers_follow_their_numbers(self, tmp_path):
+        # [layer.01] ... [layer.10], the last written first: numeric order,
+        # leading zeros allowed, canonical [layer.N] in the resolved text
+        same = "filter = 3\nstride = 1\npadding = 1\n"
+        sections = "[layer.10]\nfilter = 1\n\n" + "".join(
+            f"[layer.{n:02d}]\n{same}\n" for n in range(1, 10))
+        text = TINY_CONFIG[: TINY_CONFIG.index("[layer.1]")] + sections + TINY_CONFIG[
+            TINY_CONFIG.index("[limit]"):]
+        path = tmp_path / "ten.ini"
+        path.write_text(text)
+        cfg = load_config(path)
+        assert [layer.filter_shape for layer in cfg.layers] == [(3,)] * 9 + [(1,)]
+        resolved = cfg.resolved_text()
+        assert [f"[layer.{n}]" in resolved for n in range(1, 11)] == [True] * 10
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_input_exits_before_writing(self, tmp_path, value):
         # a NaN slice weight would drop out of the layer-1 measure unseen
@@ -589,3 +625,21 @@ class TestCommands:
         plot = (run / "plot_sweep.csv").read_text().splitlines()
         assert plot[0] == "C,sup_cf_dist,mean_cf_dist"
         assert len(plot) == 4
+
+    @pytest.mark.parametrize("damage", [
+        ("2,3000,2000,0.1,0.05,0.000", "2,300"),
+        ("2,3000,2000,0.1,0.05,0.000", "2,3000,2000,0.1,0.05,0.000,7"),
+        (CSV_HEADER, CSV_HEADER.replace("seconds", "secs")),
+    ], ids=["short_row", "long_row", "header"])
+    def test_malformed_sweep_is_an_input_error(self, config_file, tmp_path, capsys, damage):
+        # one error line naming the file, exit 2, and the run directory as it was
+        run = run_dir_of(config_file, tmp_path / "runs")
+        run.mkdir(parents=True)
+        good = CSV_HEADER + "\n2,3000,2000,0.1,0.05,0.000\n8,3000,2000,0.08,0.04,0.000\n"
+        (run / "sweep.csv").write_text(good.replace(*damage))
+        capsys.readouterr()
+        assert main(["report", "-c", str(config_file), "-o", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "sweep.csv" in err[0]
+        assert [p.name for p in run.iterdir()] == ["sweep.csv"]

@@ -1,10 +1,5 @@
 import hashlib
-import os
-import signal
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -267,48 +262,6 @@ class TestSampleReplicas:
         head = sc.sample_replicas(spec, size + 1, n_channels=2)
         assert np.array_equal(head.outputs, runs[0].outputs[: size + 1])
         assert np.array_equal(head.biases, runs[0].biases[: size + 1])
-
-    def test_forked_workers_after_threaded_draw(self):
-        # A draw large enough to split starts the parent's thread pool before
-        # the replica pool forks.  A child that inherited that pool without
-        # its threads would wait forever on its first split draw (C=256
-        # weights are millions of variates), so this runs in a fresh process
-        # with a timeout.
-        code = (
-            "import threading\n"
-            "import numpy as np\n"
-            "import stableconv as sc\n"
-            "from stableconv import stable\n"
-            "from conftest import toy_spec\n"
-            "assert stable._pool is None and threading.active_count() == 1\n"
-            "stable._THREADS = 2\n"
-            "sc.sample_standard(1.5, 1 << 16, np.random.default_rng(0))\n"
-            "assert stable._pool is not None\n"
-            "spec = toy_spec(alpha=1.5, channels=256)\n"
-            "n = 5 * sc.replica_block_size(spec) // 2\n"
-            "serial = sc.sample_replicas(spec, n, workers=1)\n"
-            "pooled = sc.sample_replicas(spec, n, workers=2)\n"
-            "assert serial.outputs.tobytes() == pooled.outputs.tobytes()\n"
-            "assert serial.biases.tobytes() == pooled.biases.tobytes()\n"
-        )
-        here = Path(__file__).resolve().parent
-        path = os.pathsep.join([str(Path(sc.__file__).resolve().parents[1]), str(here)])
-        # a session of its own, so hung pool workers can be killed with it
-        proc = subprocess.Popen(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=path),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            start_new_session=True,
-        )
-        try:
-            _, err = proc.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail("forked replica workers hung on the inherited thread pool")
-        assert proc.returncode == 0, err
 
     def test_layer_one_law_matches_exact_measure(self):
         # the first layer's law is exact at any channel count

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -224,8 +225,8 @@ class TestBlockedSampler:
         assert np.all(np.abs(cos.mean(axis=0) - theo) < 5.0 * se)
 
 
-# around the two-thread split threshold (2 x 4096 variates), a 2-D draw that
-# splits three ways on three threads, and around one and two transform blocks
+# sizes around 2 x 4096 variates, a 2-D draw of 5 x 4099, and around one and
+# two transform blocks
 _BLOCK = stable_module._CMS_BLOCK
 _DRAW_SIZES = [None, 0, 1, 8191, 8193, (5, 4099), _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1]
 # SHA-256 of _draw_digest's stream, recorded when the transform came to take
@@ -250,12 +251,34 @@ def _draw_digest(alpha):
     return h.hexdigest()
 
 
+def _on_threads(fn, threads):
+    """``fn()`` run on ``threads`` threads at once; their results."""
+    results = [None] * threads
+
+    def run(i):
+        results[i] = fn()
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+    return results
+
+
 class TestThreadedTransform:
+    # ``threads`` callers draw at once, each from its own generator: the
+    # transform keeps no state between calls, so each gets the pinned bits
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("alpha", sorted(_DRAW_PINS))
-    def test_draws_pinned_for_any_thread_count(self, monkeypatch, alpha, threads):
-        monkeypatch.setattr(stable_module, "_THREADS", threads)
-        assert _draw_digest(alpha) == _DRAW_PINS[alpha]
+    def test_draws_pinned_for_any_thread_count(self, alpha, threads):
+        assert _on_threads(lambda: _draw_digest(alpha), threads) == [_DRAW_PINS[alpha]] * threads
+
+    def test_transform_runs_on_the_calling_thread(self):
+        sc.sample_standard(1.5, 1 << 20, np.random.default_rng(0))
+        names = [t.name for t in threading.enumerate()]
+        assert not any(name.startswith("stableconv-cms") for name in names), names
 
     @pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
     def test_scalar_draw_is_first_of_one(self, alpha):
@@ -320,14 +343,13 @@ class TestHalfAngleTransform:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_equals_sine_cosine_form_to_rounding(self, monkeypatch, alpha, threads):
-        monkeypatch.setattr(stable_module, "_THREADS", threads)
+    def test_equals_sine_cosine_form_to_rounding(self, alpha, threads):
+        # on ``threads`` concurrent callers, as the pins above
         for size in (_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1):
-            assert _within_rounding(alpha, size), size
+            assert all(_on_threads(lambda: _within_rounding(alpha, size), threads)), size
 
     def test_tan_of_the_whole_angle_fails(self, monkeypatch):
         monkeypatch.setattr(stable_module, "np", _TanOfWholeAngle())
-        monkeypatch.setattr(stable_module, "_THREADS", 1)  # errstate is per thread
         with np.errstate(invalid="ignore"):  # cos(2v) < 0 to a fractional power
             assert not _within_rounding(1.5, _BLOCK + 1)
 

@@ -89,6 +89,21 @@ class TestExtractPatches:
             assert np.all(filled[:, oob, :] == -0.5)
             assert np.array_equal(filled[:, ~oob, :], out[:, ~oob, :])
 
+    def test_slab_rows_are_activated_padded_patches(self, rng):
+        # phi(0) != 0, so the padding slots show whether phi saw them
+        def phi(v):
+            return np.tanh(v) + 0.5
+
+        for _ in range(5):
+            cfg, x = random_conv_case(rng, two_d=bool(rng.integers(2)))
+            pm = sc.patch_map_for(cfg)
+            c0, k = x.shape[0], x.shape[-1]
+            fields = np.stack([x, -x]).reshape(2, c0, cfg.n_positions_in, k)
+            rows = (2, c0 * cfg.n_offsets, cfg.n_positions_out * k)
+            patches = pm.gather(fields, axis=-2)  # zeros in the padding
+            assert np.array_equal(pm.slab(fields), patches.reshape(rows))
+            assert np.array_equal(pm.slab(fields, phi), phi(patches).reshape(rows))
+
     def test_spatial_mismatch_rejected(self, rng):
         cfg = sc.ConvLayerConfig(spatial_in=4, filter_shape=3, padding=1)
         with pytest.raises(ValueError):
