@@ -26,14 +26,12 @@ print(report.to_csv(timing=True))
 # --- independence across channels at large C ----------------------------------
 limit = sc.limit_measures(spec, lcfg)[-1]
 reps = sc.sample_replicas(spec.with_channels(256), 10_000, n_channels=2)
-pa = sc.generate_probes(limit, n_probes=20, seed=31).probes[1:]
-pb = sc.generate_probes(limit, n_probes=20, seed=77).probes[1:]
-mix_probes = sc.generate_probes(
-    sc.mixture_measure(limit, [1.0, 1.0]), n_probes=20, seed=13
-).probes
-rep = sc.independence_check(
-    reps.outputs, reps.biases, limit, [1.0, 1.0], pa, pb, mixture_probes=mix_probes
-)
+# each probe set carries the CF of the law it was calibrated on; the
+# mixture is compared with its own rescaled, bias-stripped law
+pa = sc.generate_probes(limit, n_probes=20, seed=31)
+pb = sc.generate_probes(limit, n_probes=20, seed=77)
+mix_probes = sc.generate_probes(sc.mixture_measure(limit, [1.0, 1.0]), n_probes=20, seed=13)
+rep = sc.independence_check(reps.outputs, reps.biases, [1.0, 1.0], pa, pb, mix_probes)
 print(f"factorization defect (independent channels): {rep.max_defect:.4f}")
 print(f"factorization defect (channel paired with itself): "
       f"{rep.max_control_defect:.4f}   <- dependence is visible")
@@ -45,9 +43,7 @@ print(f"mixture statistic vs rescaled weight-only measure: "
 u = np.full(4, 0.25)
 readout = sc.readout_measure(limit, u)
 contracted = np.einsum("p,npk->nk", u, reps.channel_samples(0).reshape(-1, 4, 2))
-rprobes = sc.generate_probes(readout, n_probes=20, seed=9).probes
-sup, mean = sc.cf_distance(
-    sc.empirical_cf(contracted, rprobes), sc.cf_multivariate(readout, rprobes)
-)
+rprobes = sc.generate_probes(readout, n_probes=20, seed=9)
+sup, mean = sc.cf_distance(sc.empirical_cf(contracted, rprobes.probes), rprobes.cf)
 print(f"\nposition-averaged outputs vs readout measure over K=2 inputs: "
       f"sup {sup:.4f}, mean {mean:.4f}")

@@ -39,9 +39,10 @@ from .network import (
     sample_replicas,
     save_replicas,
 )
-from .stable import cf_multivariate, read_measure, save_measure
+from .stable import read_measure, save_measure
 from .verify import (
     CSV_HEADER,
+    ProbeSet,
     convergence_sweep,
     gaussian_oracle_check,
     generate_probes,
@@ -134,10 +135,10 @@ def cmd_simulate(cfg: RunConfig, spec: NetworkSpec, run: Path, replicas: int | N
     return 0
 
 
-def _write_probe_csv(run: Path, probes, theo) -> None:
+def _write_probe_csv(run: Path, probes: ProbeSet) -> None:
     lines = ["probe_index,radius,theoretical_cf"]
     radii = np.linalg.norm(probes.probes, axis=1)
-    for i, (r, c) in enumerate(zip(radii, theo)):
+    for i, (r, c) in enumerate(zip(radii, probes.cf)):
         lines.append(f"{i},{r:.12g},{c:.12g}")
     (run / "probes.csv").write_text("\n".join(lines) + "\n")
 
@@ -164,8 +165,7 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
     else:
         target = _compute_and_save_limit(spec, limit_cfg, run)[-1]
     probes = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed)
-    theo = cf_multivariate(target, probes.probes)
-    _write_probe_csv(run, probes, theo)
+    _write_probe_csv(run, probes)
     report = convergence_sweep(
         spec,
         cfg.channel_counts,
@@ -173,7 +173,6 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
         limit_cfg,
         probes=probes,
         workers=cfg.workers,
-        target=target,
         caches=caches,
     )
     (run / "sweep.csv").write_text(report.to_csv(timing=cfg.timing_in_csv))
@@ -212,14 +211,13 @@ def _independence_from_cache(cfg: RunConfig, run: Path, reps: ReplicaSet, target
         return []
     z = [1.0, 1.0]
     with stage("independence", C=max(cfg.channel_counts), replicas=n) as fields:
-        pa = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed + 1).probes[1:]
-        pb = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed + 2).probes[1:]
-        mix_probes = generate_probes(
-            mixture_measure(target, z), n_probes=cfg.n_probes, seed=cfg.seed + 3
-        ).probes
-        rep = independence_check(
-            reps.outputs[:n], reps.biases[:n], target, z, pa, pb, mixture_probes=mix_probes
-        )
+        pa = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed + 1)
+        pb = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed + 2)
+        mixture = mixture_measure(target, z)
+        # a null mixture law (sigma_w = 0) has CF 1 everywhere
+        mix_probes = (generate_probes(mixture, n_probes=cfg.n_probes, seed=cfg.seed + 3)
+                      if mixture.n_atoms else ProbeSet(pa.probes, np.ones(pa.n_probes)))
+        rep = independence_check(reps.outputs[:n], reps.biases[:n], z, pa, pb, mix_probes)
         metrics = dict(max_factorization_defect=rep.max_defect,
                        max_control_defect=rep.max_control_defect,
                        mixture_sup_dist=rep.mixture_sup, mixture_mean_dist=rep.mixture_mean)

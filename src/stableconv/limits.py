@@ -387,19 +387,15 @@ def mixture_measure(base: SpectralMeasure, z) -> SpectralMeasure:
     """Spectral measure of a bias-stripped channel mixture with weights z.
 
     Drops the tagged bias atom and multiplies the remaining weights by
-    sum_c |z_c|^alpha.  The base measure must carry its bias tag.
+    sum_c |z_c|^alpha.  A base measure with no bias atom (sigma_b = 0,
+    where the biases are exactly 0) keeps every atom.
     """
     alpha = base.alpha
-    if base.bias_index is None:
-        raise ValueError("base measure has no tagged bias atom")
-    z = np.asarray(z, dtype=np.float64)
-    z_norm = float(np.sum(np.abs(z) ** alpha))
-    keep = np.arange(base.n_atoms) != base.bias_index
+    z_norm = float(np.sum(np.abs(np.asarray(z, dtype=np.float64)) ** alpha))
     if z_norm == 0.0:
         return empty_measure(alpha, base.dimension)
-    return SpectralMeasure(
-        alpha, base.weights[keep] * z_norm, base.directions[keep], bias_index=None
-    )
+    keep = np.arange(base.n_atoms) != (-1 if base.bias_index is None else base.bias_index)
+    return SpectralMeasure(alpha, base.weights[keep] * z_norm, base.directions[keep])
 
 
 def readout_measure(measure: SpectralMeasure, u) -> SpectralMeasure:

@@ -153,6 +153,8 @@ class NetworkSpec:
             raise ValueError("at least one layer required")
         if self.channels < 1:
             raise ValueError("channel count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for prev, nxt in zip(layers, layers[1:]):
             if prev.spatial_out != nxt.spatial_in:
                 raise ValueError(

@@ -3,11 +3,14 @@
 Convergence of the finite-channel network to its limiting stable law is
 checked in the only metric that is cheap on both sides: pointwise
 characteristic functions over a finite probe set.  Probes are drawn
-isotropically at radii {0.25, 0.5, 1, 2} times a base radius calibrated so
-the theoretical CF at the median probe is about one half; a probe set is
-regenerated until it contains at least one clearly small (< 0.2) and one
-clearly large (> 0.8) theoretical CF value, so the comparison has power.
-The zero probe is always included (both CFs are exactly 1 there).
+isotropically at radii f^(max(alpha, 1.5)/alpha), f in {0.25, 0.5, 1, 2},
+times a base radius at which the theoretical CF of the median direction is
+one half, so along it the CF is 2^(-f^max(alpha, 1.5)), 0.14 to 0.92 at any
+alpha; a probe set is regenerated until it contains at least one clearly
+small (< 0.2) and one clearly large (> 0.8) theoretical CF value, so the
+comparison has power.  The zero probe is always included (both CFs are
+exactly 1 there).  A :class:`ProbeSet` carries the theoretical CF at each
+of its probes.
 
 The estimator mean_n exp(i <t, X_n>) has standard error about 1/sqrt(N) per
 probe, which sets the tolerances used by the acceptance suite.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limits import LimitConfig, limit_measures, mixture_measure, stage
+from .limits import LimitConfig, limit_measures, stage
 from .network import (
     NetworkSpec,
     RNG_DOMAIN_PROBES,
@@ -39,18 +42,24 @@ _ORACLE_SEED = 321
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """Flat probe vectors for CF comparison; row 0 is the zero probe."""
+    """Flat probe vectors for CF comparison, row 0 the zero probe, and
+    ``cf``, the CF at each probe of the law the set was calibrated on."""
 
     probes: np.ndarray
+    cf: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.probes, dtype=np.float64)
+        cf = np.asarray(self.cf, dtype=np.float64)
         if p.ndim != 2 or not np.all(p[0] == 0.0):
             raise ValueError("probes must be (n, d) with a leading zero probe")
         if len(np.unique(p, axis=0)) != p.shape[0]:
             raise ValueError("probes must be deduplicated")
-        p.setflags(write=False)
-        object.__setattr__(self, "probes", p)
+        if cf.shape != (p.shape[0],):
+            raise ValueError(f"cf must have shape ({p.shape[0]},), got {cf.shape}")
+        for name, arr in (("probes", p), ("cf", cf)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_probes(self) -> int:
@@ -58,30 +67,29 @@ class ProbeSet:
 
 
 def generate_probes(measure: SpectralMeasure, n_probes: int = 20, seed: int = 0) -> ProbeSet:
-    """Isotropic probes scaled to the law described by ``measure``.
+    """Isotropic probes scaled to the law of ``measure``, with its CF at each.
 
     The base radius solves CF = 1/2 at the median random direction; the
-    ``RADIUS_FACTORS`` then spread probes across the informative range of
-    the CF.  Up to ``_MAX_PROBE_ATTEMPTS`` probe sets are drawn.
+    ``RADIUS_FACTORS``, raised to max(alpha, 1.5) / alpha, then spread
+    probes across the informative range of the CF.  Up to
+    ``_MAX_PROBE_ATTEMPTS`` probe sets are drawn.
     """
     if measure.n_atoms == 0:
         raise ValueError("cannot calibrate probes against an empty measure")
-    d = measure.dimension
+    d, alpha = measure.dimension, measure.alpha
+    factors = np.asarray(RADIUS_FACTORS) ** (max(alpha, 1.5) / alpha)
     for attempt in range(_MAX_PROBE_ATTEMPTS):
         rng = rng_stream(seed, RNG_DOMAIN_PROBES, attempt)
         dirs = rng.standard_normal((n_probes, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        unit_expo = (
-            np.abs(dirs @ measure.directions.T) ** measure.alpha @ measure.weights
-        )
-        base = (np.log(2.0) / np.median(unit_expo)) ** (1.0 / measure.alpha)
-        radii = base * np.asarray(RADIUS_FACTORS)[np.arange(n_probes) % len(RADIUS_FACTORS)]
-        probes = dirs * radii[:, None]
-        theo = cf_multivariate(measure, probes)
-        if theo.min() < 0.2 and theo.max() > 0.8:
-            probes = np.vstack([np.zeros(d), probes])
-            if len(np.unique(probes, axis=0)) == probes.shape[0]:
-                return ProbeSet(probes)
+        unit_expo = np.abs(dirs @ measure.directions.T) ** alpha @ measure.weights
+        base = (np.log(2.0) / np.median(unit_expo)) ** (1.0 / alpha)
+        radii = base * factors[np.arange(n_probes) % len(factors)]
+        probes = np.vstack([np.zeros(d), dirs * radii[:, None]])
+        cf = cf_multivariate(measure, probes)
+        if (cf[1:].min() < 0.2 and cf[1:].max() > 0.8
+                and len(np.unique(probes, axis=0)) == probes.shape[0]):
+            return ProbeSet(probes, cf)
     raise RuntimeError("failed to generate a discriminative probe set")
 
 
@@ -172,15 +180,15 @@ def convergence_sweep(
     probes: ProbeSet | None = None,
     n_probes: int = 20,
     workers: int = 1,
-    target: SpectralMeasure | None = None,
     caches: dict[int, ReplicaSet] | None = None,
 ) -> ConvergenceReport:
     """Empirical-vs-limit CF distances for each channel count.
 
-    The limiting measure of the last layer is computed once (or supplied as
-    ``target``, e.g. from a cache); every channel count then contributes one
-    row with the sup and mean CF distance of its replica estimate against
-    that fixed target.  Sweep points run one after another, which bounds
+    Every channel count contributes one row with the sup and mean CF
+    distance of its replica estimate against ``probes.cf``, the CF of the
+    law the probes were calibrated on.  Without ``probes``, the limiting
+    measure of the last layer is computed once and ``n_probes`` probes are
+    calibrated on it.  Sweep points run one after another, which bounds
     memory; ``workers`` parallelizes the replica sampling within each point.
 
     ``caches`` maps a channel count to replicas of ``spec`` at that count,
@@ -195,11 +203,8 @@ def convergence_sweep(
     counts = [int(c) for c in channel_counts]
     if any(b <= a for a, b in zip(counts, counts[1:])) or not counts:
         raise ValueError("channel counts must be strictly increasing")
-    if target is None:
-        target = limit_measures(spec, limit_cfg)[-1]
     if probes is None:
-        probes = generate_probes(target, n_probes=n_probes, seed=spec.seed)
-    theo = cf_multivariate(target, probes.probes)
+        probes = generate_probes(limit_measures(spec, limit_cfg)[-1], n_probes, spec.seed)
     caches = caches or {}
     rows = []
     for c in counts:
@@ -218,7 +223,7 @@ def convergence_sweep(
             )
             # the next point does not sample while holding these replicas
             del reps
-            fields["sup"], fields["mean"] = cf_distance(emp, theo)
+            fields["sup"], fields["mean"] = cf_distance(emp, probes.cf)
         rows.append(
             SweepRow(
                 channels=c,
@@ -273,33 +278,31 @@ class IndependenceReport:
 def independence_check(
     outputs: np.ndarray,
     biases: np.ndarray,
-    limit_measure: SpectralMeasure,
     z,
-    probes_a: np.ndarray,
-    probes_b: np.ndarray,
-    mixture_probes: np.ndarray | None = None,
+    probes_a: ProbeSet,
+    probes_b: ProbeSet,
+    mixture_probes: ProbeSet,
 ) -> IndependenceReport:
     """Two-channel independence diagnostics against the joint limit law.
 
     ``outputs`` is a replica batch (N, 2, d) of the same network; the check
     reports (i) the cross-factorization defect of the two channels over the
-    probe pairs, with the dependent pairing (channel 1 against itself) as a
-    negative control, and (ii) the CF distance between the bias-stripped
-    channel mixture with weights z and the mixture form of the limit law.
+    probe pairs of ``probes_a`` and ``probes_b``, with the dependent pairing
+    (channel 1 against itself) as a negative control, and (ii) the CF
+    distance between the bias-stripped channel mixture with weights z and
+    ``mixture_probes.cf``, which is calibrated on the mixture form of the
+    limit law (:func:`stableconv.limits.mixture_measure`).  The defect at
+    the pair of zero probes is exactly 0.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     if outputs.ndim != 3 or outputs.shape[1] < 2:
         raise ValueError("need paired channel outputs (N, 2, d)")
     f1 = outputs[:, 0, :]
     f2 = outputs[:, 1, :]
-    defects = cross_factorization_defect(f1, f2, probes_a, probes_b)
-    control = cross_factorization_defect(f1, f1, probes_a, probes_b)
-    delta = mixture_measure(limit_measure, z)
-    mix_samples = channel_mixture(outputs, z, biases)
-    probes = probes_a if mixture_probes is None else mixture_probes
-    emp = empirical_cf(mix_samples, probes)
-    theo = cf_multivariate(delta, probes)
-    sup, mean = cf_distance(emp, theo)
+    defects = cross_factorization_defect(f1, f2, probes_a.probes, probes_b.probes)
+    control = cross_factorization_defect(f1, f1, probes_a.probes, probes_b.probes)
+    emp = empirical_cf(channel_mixture(outputs, z, biases), mixture_probes.probes)
+    sup, mean = cf_distance(emp, mixture_probes.cf)
     return IndependenceReport(
         factorization_defects=defects,
         control_defects=control,

@@ -134,13 +134,12 @@ def test_criterion_5_convergence_in_channels():
 def test_criterion_6_joint_independence(toy):
     with criterion(6, "channels decouple at large C and mixtures match", 600):
         spec, limit, reps = toy
-        pa = sc.generate_probes(limit, n_probes=20, seed=31).probes[1:]
-        pb = sc.generate_probes(limit, n_probes=20, seed=77).probes[1:]
+        pa = sc.generate_probes(limit, n_probes=20, seed=31)
+        pb = sc.generate_probes(limit, n_probes=20, seed=77)
         mixture = sc.mixture_measure(limit, [1.0, 1.0])
-        mix_probes = sc.generate_probes(mixture, n_probes=20, seed=13).probes
+        mix_probes = sc.generate_probes(mixture, n_probes=20, seed=13)
         report = sc.independence_check(
-            reps.outputs, reps.biases, limit, [1.0, 1.0], pa, pb,
-            mixture_probes=mix_probes,
+            reps.outputs, reps.biases, [1.0, 1.0], pa, pb, mix_probes
         )
         print(
             f"    factorization={report.max_defect:.4f} "

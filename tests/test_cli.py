@@ -556,6 +556,46 @@ class TestCommands:
         after = sorted(p.relative_to(run) for p in run.rglob("*") if p.name != "run.log")
         assert after == before
 
+    # degenerate laws a run must survive, and one input it must refuse: at
+    # sigma_b = 0 the target has no bias atom to strip for the mixture, at
+    # sigma_w = 0 the mixture law is empty, at alpha = 0.5 the probe radii
+    # must still reach both ends of the CF; a negative network seed is an
+    # input error even where no gaussian input draws from it
+    @pytest.mark.parametrize("edits, commands", [
+        ([("sigma_b = 1.0", "sigma_b = 0.0")], ["simulate --channels 32", "verify"]),
+        ([("sigma_w = 1.0", "sigma_w = 0.0")], ["simulate --channels 32", "verify"]),
+        ([("alpha = 1.5", "alpha = 0.5")], ["verify"]),
+        ([("seed = 7", "seed = -1"), ("kind = gaussian", "kind = file\npath = {x}")],
+         ["simulate"]),
+    ], ids=["sigma_b_0", "sigma_w_0", "alpha_0.5", "network_seed_negative_file_input"])
+    def test_edge_configurations_run_or_exit_2(self, tmp_path, edits, commands):
+        x = tmp_path / "x.npy"
+        np.save(x, np.random.default_rng(0).standard_normal((1, 4, 2)))
+        text = TINY_CONFIG
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new.format(x=x))
+        path = tmp_path / "edge.ini"
+        path.write_text(text)
+        out = tmp_path / "runs"
+        refused = "seed = -1" in text
+        for command in commands:
+            rc = main([*command.split(), "-c", str(path), "-o", str(out)])
+            if refused:
+                assert rc == 2
+            else:
+                assert rc == 0 if command.startswith("simulate") else rc in (0, 1)
+        if refused:
+            assert not out.exists()
+            return
+        run = run_dir_of(path, out)
+        assert (run / "sweep.csv").read_text().startswith(CSV_HEADER + "\n")
+        if commands[0].startswith("simulate"):
+            lines = (run / "independence.csv").read_text().splitlines()
+            assert [ln.split(",")[0] for ln in lines] == [
+                "metric", "max_factorization_defect", "max_control_defect",
+                "mixture_sup_dist", "mixture_mean_dist"]
+
     def test_verify_fails_on_impossible_threshold(self, config_file, tmp_path):
         strict = config_file.parent / "strict.ini"
         strict.write_text(TINY_CONFIG.replace("max_sup_dist = 0.2", "max_sup_dist = 1e-9"))

@@ -503,12 +503,16 @@ class TestMixtureMeasure:
         out = sc.mixture_measure(base, [1.0, 1.0])
         assert out.total_mass == pytest.approx(2 * (base.total_mass - base.bias_mass))
 
-    def test_untagged_base_rejected(self, rng):
+    def test_untagged_base_scaled(self, rng):
+        # sigma_b = 0: no bias atom and zero biases, so the stripped mixture
+        # is sum_c z_c f_c, the whole law scaled by sum_c |z_c|^alpha
         dirs = rng.standard_normal((3, 4))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        measure = sc.SpectralMeasure(1.5, np.ones(3), dirs)
-        with pytest.raises(ValueError):
-            sc.mixture_measure(measure, [1.0])
+        measure = sc.SpectralMeasure(1.5, np.array([1.0, 2.0, 0.5]), dirs)
+        out = sc.mixture_measure(measure, [1.0, -2.0])
+        assert out.bias_index is None
+        assert np.array_equal(out.directions, measure.directions)
+        assert np.allclose(out.weights, (1.0 + 2.0**1.5) * measure.weights, rtol=1e-15)
 
 
 class TestReadoutMeasure:

@@ -28,9 +28,34 @@ class TestProbeSet:
         probes = sc.generate_probes(measure, n_probes=30, seed=2).probes
         assert len(np.unique(probes, axis=0)) == probes.shape[0]
 
+    def test_cf_is_the_calibration_laws_cf(self, toy_limit):
+        _, measure = toy_limit
+        probes = sc.generate_probes(measure, n_probes=20, seed=1)
+        assert np.array_equal(probes.cf, sc.cf_multivariate(measure, probes.probes))
+        assert probes.cf[0] == 1.0
+        with pytest.raises(ValueError):
+            probes.cf[1] = 0.5
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    @pytest.mark.parametrize("limit_seed", range(5))
+    def test_discriminative_at_small_alpha(self, alpha, limit_seed):
+        # radius factors {0.25, 0.5, 1, 2} alone would keep the CF along the
+        # median direction inside (0.2, 0.8) at alpha <= 0.6
+        measure = sc.limit_measures(
+            toy_spec(alpha=alpha), sc.LimitConfig(mc_samples=2_000, seed=limit_seed))[-1]
+        probes = sc.generate_probes(measure, n_probes=20, seed=0)
+        assert probes.cf[1:].min() < 0.2 and probes.cf[1:].max() > 0.8
+
     def test_constructor_guards(self):
         with pytest.raises(ValueError):
-            sc.ProbeSet(np.ones((3, 2)))
+            sc.ProbeSet(np.ones((3, 2)), np.ones(3))
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_cf_shape_checked(self, shape):
+        probes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert sc.ProbeSet(probes, np.ones(3)).n_probes == 3
+        with pytest.raises(ValueError):
+            sc.ProbeSet(probes, np.ones(shape))
 
     def test_empty_measure_rejected(self):
         with pytest.raises(ValueError):
@@ -126,11 +151,10 @@ class TestIndependence:
     def test_negative_control_fails_factorization(self, toy_limit, rng):
         spec, measure = toy_limit
         reps = sc.sample_replicas(spec.with_channels(32), 4_000, n_channels=2)
-        pa = sc.generate_probes(measure, n_probes=20, seed=31).probes[1:]
-        pb = sc.generate_probes(measure, n_probes=20, seed=77).probes[1:]
-        report = sc.independence_check(
-            reps.outputs, reps.biases, measure, [1.0, 1.0], pa, pb
-        )
+        pa = sc.generate_probes(measure, n_probes=20, seed=31)
+        pb = sc.generate_probes(measure, n_probes=20, seed=77)
+        mix = sc.generate_probes(sc.mixture_measure(measure, [1.0, 1.0]), n_probes=20, seed=13)
+        report = sc.independence_check(reps.outputs, reps.biases, [1.0, 1.0], pa, pb, mix)
         assert report.max_control_defect > 0.1
         assert report.max_defect < report.max_control_defect
 
