@@ -59,10 +59,17 @@ for m in [500, 5_000, 50_000]:
     d = np.abs(sc.cf_multivariate(a, pr) - sc.cf_multivariate(b, pr)).max()
     print(f"  M={m:>6}: sup CF difference {d:.4f}")
 
-# --- measures serialize to a flat text format ---------------------------------
+# --- measures serialize to exact text: the hex of their float64 bytes --------
+# one line per atom: weight, then direction components, 16 hex digits each
 text = sc.dump_measure(g1)
+atom = text.splitlines()[1]
 print("\nserialized layer-1 measure (header + first atom line):")
 print("  " + text.splitlines()[0])
-print("  " + text.splitlines()[1][:70] + "...")
+print("  " + atom[:64] + "...")
+first = float(np.frombuffer(bytes.fromhex(atom[:16]), "<f8")[0])
+print(f"  its first 16 digits as little-endian float64: {first!r} "
+      f"(weight {float(g1.weights[0])!r})")
 round_trip = sc.load_measure(text)
-print("round trip exact:", np.array_equal(round_trip.weights, g1.weights))
+print("round trip bit for bit:",
+      round_trip.weights.tobytes() == g1.weights.tobytes()
+      and round_trip.directions.tobytes() == g1.directions.tobytes())

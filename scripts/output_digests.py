@@ -9,9 +9,12 @@ full-size INI file for benchmark seed SEED, runs the workload's CLI
 commands in order, each in a fresh process with the sources under ``./src``
 and one fresh output directory per workload, and prints one line
 ``<sha256>  <workload>/<path>`` per file written, ``run.log`` left out (it
-holds timings).  A line ``# <workload> <command> rc=<code>`` precedes each
-workload's digests.  Two checkouts whose outputs agree bit for bit print
-the same lines.
+holds timings).  Each measure file also gets a line
+``<sha256>  <workload>/<path>:values``, the digest of the values it holds
+(:func:`measure_value_digest`), which stays the same when only the file
+encoding changes.  A line ``# <workload> <command> rc=<code>`` precedes
+each workload's digests.  Two checkouts whose outputs agree bit for bit
+print the same lines.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from stableconv.stable import read_measure  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -34,6 +40,18 @@ def _digest(path: Path) -> str:
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
+    return h.hexdigest()
+
+
+def measure_value_digest(path: Path) -> str:
+    """SHA-256 of the measure :func:`read_measure` reads from ``path``: alpha
+    and the bias index (-1 when untagged), then the weights, then the
+    directions row by row, all as little-endian float64 bytes."""
+    measure = read_measure(path)
+    bias = -1 if measure.bias_index is None else measure.bias_index
+    h = hashlib.sha256(np.array([measure.alpha, bias], dtype="<f8").tobytes())
+    h.update(measure.weights.astype("<f8").tobytes())
+    h.update(measure.directions.astype("<f8").tobytes())
     return h.hexdigest()
 
 
@@ -57,6 +75,8 @@ def workload_digests(name: str, seed: int, scratch: Path) -> list[str]:
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "run.log":
             lines.append(f"{_digest(path)}  {name}/{path.relative_to(out)}")
+            if path.parent.name == "measures":
+                lines.append(f"{measure_value_digest(path)}  {name}/{path.relative_to(out)}:values")
     return lines
 
 

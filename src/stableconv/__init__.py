@@ -44,6 +44,7 @@ from .verify import (
     ConvergenceReport,
     GaussianOracleReport,
     IndependenceReport,
+    NonFiniteReplicas,
     ProbeSet,
     SweepRow,
     cf_distance,

@@ -42,6 +42,7 @@ from .network import (
 from .stable import read_measure, save_measure
 from .verify import (
     CSV_HEADER,
+    NonFiniteReplicas,
     ProbeSet,
     convergence_sweep,
     gaussian_oracle_check,
@@ -166,15 +167,19 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
         target = _compute_and_save_limit(spec, limit_cfg, run)[-1]
     probes = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed)
     _write_probe_csv(run, probes)
-    report = convergence_sweep(
-        spec,
-        cfg.channel_counts,
-        cfg.n_replicas,
-        limit_cfg,
-        probes=probes,
-        workers=cfg.workers,
-        caches=caches,
-    )
+    try:
+        report = convergence_sweep(
+            spec,
+            cfg.channel_counts,
+            cfg.n_replicas,
+            limit_cfg,
+            probes=probes,
+            workers=cfg.workers,
+            caches=caches,
+        )
+    except NonFiniteReplicas as exc:
+        log.error("check failed: %s", exc)
+        return 1
     (run / "sweep.csv").write_text(report.to_csv(timing=cfg.timing_in_csv))
     failures = []
     final = report.rows[-1]

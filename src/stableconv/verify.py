@@ -143,6 +143,12 @@ class SweepRow:
 CSV_HEADER = "C,n_replicas,M,sup_cf_dist,mean_cf_dist,seconds"
 
 
+class NonFiniteReplicas(ArithmeticError):
+    """Replica outputs of a sweep point hold an infinite or NaN value, so
+    they have no CF distance: at small alpha the stable weight draws can
+    exceed the float64 range."""
+
+
 @dataclass
 class ConvergenceReport:
     """Sweep results over increasing channel counts."""
@@ -198,7 +204,8 @@ def convergence_sweep(
     :mod:`stableconv.network`), so the rows do not depend on the caches.
     Each point logs a ``stage=sweep`` line (:func:`stableconv.limits.stage`)
     with ``source=cache`` or the ``block`` size it sampled in, and its sup
-    and mean distances; its ``seconds`` are the row's.
+    and mean distances; its ``seconds`` are the row's.  A point whose
+    replicas hold a non-finite output raises :class:`NonFiniteReplicas`.
     """
     counts = [int(c) for c in channel_counts]
     if any(b <= a for a, b in zip(counts, counts[1:])) or not counts:
@@ -216,13 +223,18 @@ def convergence_sweep(
         with stage("sweep", C=c, replicas=n_replicas, **source) as fields:
             if reps is None:
                 reps = sample_replicas(spec.with_channels(c), n_replicas, workers=workers)
+            channel0 = reps.outputs[:n_replicas, 0, :]
+            bad = int(np.count_nonzero(~np.isfinite(channel0).all(axis=1)))
+            if bad:
+                raise NonFiniteReplicas(
+                    f"{bad} of {n_replicas} replicas at C = {c} have non-finite outputs "
+                    f"(alpha = {spec.alpha:g})"
+                )
             # channel 0 of a cache with more channels is strided; the copy
             # gives the CF estimate the layout of a sampled one-channel set
-            emp = empirical_cf(
-                np.ascontiguousarray(reps.outputs[:n_replicas, 0, :]), probes.probes
-            )
+            emp = empirical_cf(np.ascontiguousarray(channel0), probes.probes)
             # the next point does not sample while holding these replicas
-            del reps
+            del reps, channel0
             fields["sup"], fields["mean"] = cf_distance(emp, probes.cf)
         rows.append(
             SweepRow(

@@ -27,6 +27,19 @@ def toy_spec(alpha=1.5, channels=64, n_layers=2, seed=11, activation="tanh",
     )
 
 
+def decimal_measure_text(measure):
+    """A measure as the 17-digit decimal text the package wrote before its
+    files became hex of float64: a header with dimension, alpha, total mass
+    and the bias tag, then weight and direction components per atom line.
+    The measure pins hash this text, and old files hold it."""
+    header = (f"dimension={measure.dimension} alpha={measure.alpha:.17g} "
+              f"total_mass={measure.total_mass:.17g}")
+    if measure.bias_index is not None:
+        header += f" bias_index={measure.bias_index}"
+    rows = np.column_stack([measure.weights, measure.directions]).tolist()
+    return header + "\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ import stableconv as sc
 from stableconv.cli import main
 from stableconv.config import load_config
 from stableconv.verify import CSV_HEADER
+
+from conftest import decimal_measure_text
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -514,10 +517,13 @@ class TestCommands:
         assert csvs[0] == csvs[1]
 
     @pytest.mark.parametrize("damage", [
-        lambda text: text.rstrip("\n").rsplit(" ", 1)[0] + "\n",
+        # the last atom line loses its last value
+        lambda text: text.rstrip("\n")[:-16] + "\n",
         lambda text: re.sub(r"dimension=\d+ ", "", text, count=1),
         lambda text: re.sub(r"total_mass=\S+", "total_mass=1e9", text, count=1),
-    ], ids=["truncated_atom_line", "no_dimension", "total_mass"])
+        # a file the package wrote before measures became hex of float64
+        lambda text: decimal_measure_text(sc.load_measure(text)),
+    ], ids=["truncated_atom_line", "no_dimension", "total_mass", "decimal_text"])
     def test_damaged_cached_measure_is_an_input_error(self, config_file, tmp_path, capsys,
                                                       damage):
         out = tmp_path / "runs"
@@ -531,6 +537,25 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "layer_02.txt" in err[0]
         assert not list(run.glob("*.csv"))
+
+    def test_non_finite_replicas_fail_one_check(self, config_file, capsys):
+        # at alpha = 0.02 some stable weight draws exceed the float64 range,
+        # and a replica output with one of them has no CF distance
+        tiny = config_file.parent / "tiny_alpha.ini"
+        tiny.write_text(TINY_CONFIG.replace("alpha = 1.5", "alpha = 0.02"))
+        out = config_file.parent / "runs"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["verify", "-c", str(tiny), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        failed = [line for line in err.splitlines() if "check failed" in line]
+        assert len(failed) == 1, err
+        assert re.search(r"check failed: \d+ of 3000 replicas at C = \d+ have non-finite "
+                         r"outputs \(alpha = 0\.02\)$", failed[0]), failed
+        assert "Traceback" not in err
+        run = run_dir_of(tiny, out)
+        assert (run / "probes.csv").exists() and not (run / "sweep.csv").exists()
 
     @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("fault", ["stale", "truncated"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import stableconv as sc
 from stableconv import limits
 
-from conftest import toy_inputs, toy_layer, toy_spec
+from conftest import decimal_measure_text, toy_inputs, toy_layer, toy_spec
 
 TANH = sc.get_activation("tanh")
 
@@ -841,9 +841,10 @@ def _pinned_case(case):
 
 
 class TestMeasurePins:
-    # SHA-256 of the dump_measure text of every measure a constructor case
-    # builds: any change to atoms, weights, their order or the bias atom
-    # shows here.  The six cases whose atoms come from stable draws
+    # SHA-256 of the 17-digit decimal text (decimal_measure_text, the
+    # measure files' format when these were recorded) of every measure a
+    # constructor case builds: any change to atoms, weights, their order or
+    # the bias atom shows here.  The six cases whose atoms come from stable draws
     # (next_mc, next_mc_cap, readout, readout_cap, readout_limit_3, stack_4)
     # were recorded when the CMS transform came to take half-angle tangents
     # and atom_cap came to resample stratified.  Like every draw pin, they
@@ -879,5 +880,5 @@ class TestMeasurePins:
          "995eab0ac0c594eb471644bc11fa5c9d84a6b1ebc3d17e4149f1116f567b2048"),
     ])
     def test_dump_pinned(self, case, digest):
-        text = "".join(sc.dump_measure(m) for m in _pinned_case(case))
+        text = "".join(decimal_measure_text(m) for m in _pinned_case(case))
         assert hashlib.sha256(text.encode()).hexdigest() == digest

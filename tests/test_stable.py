@@ -1,5 +1,6 @@
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ import pytest
 import stableconv as sc
 import stableconv.stable as stable_module
 
-from conftest import toy_inputs, toy_layer
+from conftest import decimal_measure_text, toy_inputs, toy_layer
 
 
 def make_measure(rng, dim=4, n_atoms=6, alpha=1.5, bias=False):
@@ -568,41 +569,92 @@ class TestSerialization:
         assert old.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
 
-    def test_atom_lines_match_per_value_formatting(self, rng, tmp_path):
+    def test_atom_lines_match_per_value_formatting(self, rng, tmp_path, monkeypatch):
         edge = sc.SpectralMeasure(
             1.5,
             [1e308, 1.0 / 3.0, 5e-324],
             [[1.0, -0.0, 5e-324], [1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0], [-0.0, 1.0, 0.0]],
             bias_index=1,
         )
-        # 600 atoms span three blocks of text
-        for m in (edge, make_measure(rng, dim=5, n_atoms=600, bias=True)):
+        big = make_measure(rng, dim=5, n_atoms=600, bias=True)
+        whole = sc.dump_measure(big)
+        # blocks of 7 atoms: 600 atoms span 86 of them, the last one short
+        monkeypatch.setattr(stable_module, "_HEX_BLOCK_BYTES", 7 * 8 * 6)
+        for m in (edge, big, sc.empty_measure(1.5, 3)):
             text = sc.dump_measure(m)
             expected = [
-                " ".join(f"{v:.17g}" for v in (w, *d))
-                for w, d in zip(m.weights, m.directions)
+                "".join(struct.pack("<d", v).hex() for v in (w, *d))
+                for w, d in zip(m.weights.tolist(), m.directions.tolist())
             ]
             assert text.splitlines()[1:] == expected
             sc.save_measure(m, tmp_path / "m.txt")
             assert (tmp_path / "m.txt").read_text() == text
             # read back bit for bit (-0 and subnormals included), and dumps again
             again = sc.read_measure(tmp_path / "m.txt")
+            assert again.alpha == m.alpha
             assert again.weights.tobytes() == m.weights.tobytes()
             assert again.directions.tobytes() == m.directions.tobytes()
+            assert again.directions.shape == m.directions.shape
             assert again.bias_index == m.bias_index
             assert sc.dump_measure(again) == text
-        assert "bias_index=1" in sc.dump_measure(edge).splitlines()[0]
-        assert sc.dump_measure(edge).splitlines()[1].startswith("1e+308 1 -0 4.9406564584124654e-324")
+        assert sc.dump_measure(big) == whole
+        lines = sc.dump_measure(edge).splitlines()
+        assert lines[0] == "format=f64le-hex dimension=3 alpha=1.5 total_mass=1e+308 bias_index=1"
+        # 1e308, 1, -0, 5e-324 as little-endian float64
+        assert lines[1].startswith("a0c8eb85f3cce17f" "000000000000f03f" "0000000000000080"
+                                   "0100000000000000")
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text.rstrip("\n")[:-16] + "\n",
+        lambda text: text.rstrip("\n")[:-1] + "\n",
+        lambda text: text.replace("\n", "", 2).replace("\n", "\n\n", 1),
+        lambda text: "\n".join(line[:32] + "\n" + line[32:] if i else line
+                               for i, line in enumerate(text.split("\n"))),
+        lambda text: text.partition("\n")[0] + "\n" + text.partition("\n")[2].upper(),
+        lambda text: text + "00\n",
+        lambda text: text + "\n",
+        lambda text: text.rstrip("\n"),
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("total_mass=", "total_mass=+", 1),
+        lambda text: text.replace("format=f64le-hex ", "", 1),
+        lambda text: text.replace("format=f64le-hex", "format=f64be-hex", 1),
+        lambda text: decimal_measure_text(sc.load_measure(text)),
+    ], ids=["cut_value", "cut_digit", "joined_lines", "rewrapped", "uppercase",
+            "trailing_atom_bytes", "trailing_blank_line", "no_final_newline", "crlf",
+            "signed_total", "no_format", "other_format", "decimal_text"])
+    def test_non_canonical_text_refused(self, damage):
+        text = sc.dump_measure(sc.SpectralMeasure(
+            1.5, [0.5, 0.25, 1.0 / 3.0], [[1.0, 0.0], [0.6, 0.8], [-0.0, 1.0]], bias_index=1))
+        assert sc.dump_measure(sc.load_measure(text)) == text
+        with pytest.raises(ValueError):
+            sc.load_measure(damage(text))
+
+    def test_header_total_one_ulp_off_refused(self):
+        m = sc.SpectralMeasure(1.5, [0.1, 0.2, 0.3], [[1.0], [1.0], [-1.0]])
+        text = sc.dump_measure(m)
+        for total in (np.nextafter(m.total_mass, 0.0), np.nextafter(m.total_mass, 1.0)):
+            off = text.replace(f"total_mass={m.total_mass:.17g}", f"total_mass={total:.17g}")
+            assert off != text
+            with pytest.raises(ValueError, match="line 1 "):
+                sc.load_measure(off)
+
+    def test_refusal_names_the_file(self, rng, tmp_path):
+        path = tmp_path / "layer_02.txt"
+        path.write_text(decimal_measure_text(make_measure(rng)))
+        with pytest.raises(ValueError, match="layer_02.txt: not a format=f64le-hex"):
+            sc.read_measure(path)
 
     def test_corrupt_header_rejected(self):
         with pytest.raises(ValueError):
             sc.load_measure("")
         # a header that lacks a field, or holds a token without "=", is a
         # ValueError like any other malformed text
+        atom = np.array([1.0, 1.0, 0.0]).tobytes().hex()
         for header in ("dimension=2 alpha=1.5", "x=1", "alpha=1.5 total_mass=1",
-                       "dimension=2 alpha total_mass=1"):
+                       "dimension=2 alpha total_mass=1", "dimension=x alpha=1.5 total_mass=1",
+                       "dimension=-2 alpha=1.5 total_mass=1"):
             with pytest.raises(ValueError):
-                sc.load_measure(f"{header}\n1 1 0\n")
+                sc.load_measure(f"format=f64le-hex {header}\n{atom}\n")
 
 
 class TestMeasureInvariants:
@@ -642,5 +694,6 @@ class TestMeasureInvariants:
     # the header's total mass agrees with the atom line in each case
     @pytest.mark.parametrize("mass, line", [("1", "1 nan 0"), ("1", "1 0 nan"), ("inf", "inf 1 0")])
     def test_non_finite_atom_line_rejected(self, mass, line):
-        with pytest.raises(ValueError):
-            sc.load_measure(f"dimension=2 alpha=1.5 total_mass={mass}\n{line}\n")
+        atom = np.array(line.split(), dtype="<f8").tobytes().hex()
+        with pytest.raises(ValueError, match="positive and finite|unit vectors"):
+            sc.load_measure(f"format=f64le-hex dimension=2 alpha=1.5 total_mass={mass}\n{atom}\n")

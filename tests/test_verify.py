@@ -140,6 +140,21 @@ class TestConvergenceSweep:
             assert 0.0 <= row.sup_cf_dist <= 2.0
             assert 0.0 <= row.mean_cf_dist <= 2.0
 
+    def test_non_finite_cached_outputs_raise(self):
+        # two replicas among the first n_replicas hold a non-finite value in
+        # channel 0, and one beyond them does, which the sweep never reads
+        spec = toy_spec(seed=29, channels=4)
+        reps = sc.sample_replicas(spec, 60, n_channels=2)
+        outputs = reps.outputs.copy()
+        outputs[3, 0, 1], outputs[7, 0, 0], outputs[55, 0, 0] = np.inf, np.nan, np.inf
+        outputs[9, 1, 0] = np.inf  # channel 1 is not swept
+        cache = sc.ReplicaSet(outputs, reps.biases, reps.alpha, reps.seed)
+        probes = sc.generate_probes(sc.limit_measures(spec, sc.LimitConfig(mc_samples=100))[-1])
+        message = r"^2 of 50 replicas at C = 4 have non-finite outputs \(alpha = 1.5\)$"
+        with pytest.raises(sc.NonFiniteReplicas, match=message):
+            sc.convergence_sweep(spec, [4], 50, sc.LimitConfig(mc_samples=100), probes=probes,
+                                 caches={4: cache})
+
     def test_timing_column_suppressed_by_default(self):
         spec = toy_spec(seed=29)
         report = sc.convergence_sweep(spec, [2], 200, sc.LimitConfig(mc_samples=100, seed=2))
