@@ -1,0 +1,170 @@
+"""Run the benchmark on a parent commit and on this checkout in alternating
+pairs, and write every result with its summary to ``BENCH_<tag>.json``.
+
+Usage, from the root of a checkout::
+
+    python3 scripts/bench_pairs.py --parent REV --tag TAG \\
+        --workload wide-gauss=10 --workload toy-pipeline=3 --seconds 30
+
+The parent's files are exported with ``git archive REV`` into a temporary
+directory; the change is this checkout's working tree.  For each
+``--workload NAME=PAIRS``, pair i runs the unchanged
+``perfbench/run.py --workload NAME --seed S --seconds SECONDS`` once in each
+tree, both at seed S = ``--first-seed`` + i, the parent first in even pairs
+and the change first in odd ones.  ``BENCH_<TAG>.json`` holds every result
+line (the JSON object perfbench prints last) and, for each workload and each
+end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
+the number of pairs the change won (ties count for neither side), and
+whether the change won at least nine tenths of the pairs with its median
+ahead of the parent's by more than the parent's interquartile range.  The
+file is rewritten after every pair, so an interrupted run keeps the pairs it
+finished.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile (inclusive method)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def _value(run: dict, metric: str):
+    return run["result"].get("metrics", {}).get(metric, {}).get("value")
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload and metric: each side's median and quartiles over its
+    runs, and the pairs the change won.  ``runs`` are the records this script
+    writes (``workload``, ``pair``, ``side``, ``result``); ``metrics`` the
+    ``end_to_end`` entries of ``BENCHMARK.json`` (``name``, ``better``)."""
+    out = {}
+    for workload in sorted({r["workload"] for r in runs}):
+        mine = [r for r in runs if r["workload"] == workload]
+        pairs = sorted({r["pair"] for r in mine})
+        entry = {
+            "pairs": len(pairs),
+            "correct": {s: sum(bool(r["result"].get("correct")) for r in mine if r["side"] == s)
+                        for s in SIDES},
+            "metrics": {},
+        }
+        for metric in metrics:
+            name, higher = metric["name"], metric["better"] == "higher"
+            by_pair = {(r["pair"], r["side"]): _value(r, name) for r in mine}
+            sides = {}
+            for side in SIDES:
+                values = [by_pair.get((p, side)) for p in pairs]
+                values = [v for v in values if v is not None]
+                if values:
+                    q1, median, q3 = quartiles(values)
+                    sides[side] = {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+            won = compared = 0
+            for p in pairs:
+                old, new = by_pair.get((p, "parent")), by_pair.get((p, "change"))
+                if old is None or new is None:
+                    continue
+                compared += 1
+                won += new > old if higher else new < old
+            row = {**sides, "better": metric["better"], "pairs_compared": compared,
+                   "change_won": won}
+            if len(sides) == 2:
+                gap = sides["change"]["median"] - sides["parent"]["median"]
+                ahead = gap > 0 if higher else gap < 0
+                spread = sides["parent"]["q3"] - sides["parent"]["q1"]
+                row["claim_rule_met"] = bool(
+                    compared and won >= 0.9 * compared and ahead and abs(gap) > spread
+                )
+            entry["metrics"][name] = row
+        out[workload] = entry
+    return out
+
+
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` invocation in ``tree``; its last stdout line
+    as a dict, or ``{"error": ...}`` if it printed none."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds)]
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"error": f"exit {done.returncode}: {done.stderr[-2000:]}"}
+
+
+def _workload_pairs(text: str) -> tuple[str, int]:
+    name, _, pairs = text.partition("=")
+    if not pairs.isdigit() or int(pairs) < 1:
+        raise argparse.ArgumentTypeError(f"expected NAME=PAIRS, got {text!r}")
+    return name, int(pairs)
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="git revision to compare against")
+    p.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
+    p.add_argument("--workload", type=_workload_pairs, action="append", required=True,
+                   metavar="NAME=PAIRS")
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--first-seed", type=int, default=1)
+    return p.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    parent_sha = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
+                                capture_output=True, text=True).stdout.strip()
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    out_path = ROOT / f"BENCH_{args.tag}.json"
+    doc = {
+        "parent": parent_sha,
+        "change": "working tree of " + subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True,
+            text=True).stdout.strip(),
+        "argv": sys.argv if argv is None else argv,
+        "seconds": args.seconds,
+        "host": {"python": platform.python_version(), "cpus": os.cpu_count()},
+        "runs": [],
+        "summary": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        parent.mkdir()
+        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        trees = {"parent": parent, "change": ROOT}
+        for workload, n_pairs in args.workload:
+            for pair in range(n_pairs):
+                seed = args.first_seed + pair
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for position, side in enumerate(order):
+                    result = run_perfbench(trees[side], workload, seed, args.seconds)
+                    doc["runs"].append({"workload": workload, "pair": pair, "seed": seed,
+                                        "side": side, "order": position, "result": result})
+                    print(f"{workload} seed={seed} {side}: {json.dumps(result)}", flush=True)
+                doc["summary"] = summarize(doc["runs"], metrics)
+                out_path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,6 +26,7 @@ from .network import (
     get_activation,
     load_replicas,
     replica_block_size,
+    replica_pool,
     sample_replicas,
     save_replicas,
 )

@@ -16,7 +16,9 @@ Every timed step (each limit layer, each measure or replica file written or
 read, replica sampling, each sweep point, the independence and oracle
 checks) logs one ``stage=`` line to ``run.log`` through
 :func:`stableconv.limits.stage`, with its seconds and peak resident memory.
-The exit code is nonzero iff an enabled check fails.
+``simulate`` and ``verify`` fork their replica workers (``[verify] workers``)
+once, at the start, before any measure is read or built, and join them
+before they return.  The exit code is nonzero iff an enabled check fails.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ from .config import RunConfig, load_config
 from .limits import LimitConfig, gamma_first, limit_measures, mixture_measure, stage
 from .network import (
     NetworkSpec,
+    ReplicaPool,
     ReplicaSet,
     load_replicas,
     replica_block_size,
+    replica_pool,
     sample_replicas,
     save_replicas,
 )
@@ -48,6 +52,8 @@ from .verify import (
     gaussian_oracle_check,
     generate_probes,
     independence_check,
+    require_finite,
+    sampled_counts,
 )
 
 log = logging.getLogger("stableconv.cli")
@@ -127,8 +133,15 @@ def cmd_limit(spec: NetworkSpec, limit_cfg: LimitConfig, run: Path) -> int:
 def cmd_simulate(cfg: RunConfig, spec: NetworkSpec, run: Path, replicas: int | None) -> int:
     n = cfg.n_replicas if replicas is None else replicas
     counts = dict(C=spec.channels, replicas=n)
-    with stage("sample_replicas", **counts, block=replica_block_size(spec)):
-        reps = sample_replicas(spec, n, n_channels=2, workers=cfg.workers)
+    with replica_pool(cfg.workers) as pool:
+        with stage("sample_replicas", **counts, block=replica_block_size(spec)):
+            reps = sample_replicas(spec, n, n_channels=2, pool=pool)
+    # a cache of replicas with no CF would only fail a later `verify`
+    try:
+        require_finite(reps.outputs, spec.channels, spec.alpha)
+    except NonFiniteReplicas as exc:
+        log.error("check failed: %s", exc)
+        return 1
     path = _replica_path(run, spec.channels)
     with stage("save_replicas", **counts):
         save_replicas(path, reps)
@@ -153,6 +166,16 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
         caches = _load_replica_caches({c: p for c, p in paths.items() if p.exists()})
     except ValueError as exc:
         return _usage_error(exc)
+    # the sweep's workers are forked here, before the limit measure is read
+    # or built, so they start small; a sweep that caches serve whole forks
+    # none
+    sampling = sampled_counts(cfg.channel_counts, cfg.n_replicas, caches)
+    with replica_pool(cfg.workers if sampling else 1) as pool:
+        return _verify(cfg, spec, limit_cfg, run, caches, pool)
+
+
+def _verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: Path, caches: dict,
+            pool: ReplicaPool | None) -> int:
     # a cached measure read is an input like the caches: one that fails to
     # parse stops the command before it writes probes.csv
     last = _measure_path(run, spec.n_layers)
@@ -174,7 +197,7 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
             cfg.n_replicas,
             limit_cfg,
             probes=probes,
-            workers=cfg.workers,
+            pool=pool,
             caches=caches,
         )
     except NonFiniteReplicas as exc:

@@ -209,8 +209,10 @@ def _slice_measure(
     slices = patch_map_for(cfg).slab(fields, activation)  # (n * n_off, n_pos * K)
     dim = slices.shape[1]
     # No full-size temporary is made from here on: one freed below the
-    # measure's directions would stay resident, and forked replica workers
-    # would inherit it.  Norms by row blocks equal those of one whole call.
+    # measure's directions would stay resident in the process's heap for the
+    # rest of the command.  Replica workers are forked before any measure is
+    # built (network.replica_pool), so only the command's own peak pays.
+    # Norms by row blocks equal those of one whole call.
     rows = max(1, _BLOCK_BYTES // (8 * dim))
     norms = np.empty(len(slices))
     for start in range(0, len(slices), rows):

@@ -23,6 +23,13 @@ output channels bit for bit, and a worker pool given whole blocks
 reproduces the serial draws exactly.  So channel 0 of a replica cache
 written by ``simulate`` is exactly what a one-channel sweep would sample.
 
+Blocks run in parallel in a :func:`replica_pool`, which a command opens once,
+before it reads or builds any limit measure, and passes to every sampling
+call.  Its workers are forked while the process is still small, so they do
+not start with the measures, probes and caches the command builds later;
+every sweep point reuses them, and the pool is shut down when the command
+returns or raises.
+
 Every stream the package derives from a configured seed, here and in the
 limit recursion, the probe sets and the synthetic inputs, is built by
 :func:`rng_stream`.
@@ -30,8 +37,11 @@ limit recursion, the probe sets and the synthetic inputs, is built by
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from math import prod
 from typing import Callable
@@ -228,8 +238,19 @@ def _affine(
     return field, biases
 
 
+def _input_slab(spec: NetworkSpec) -> np.ndarray:
+    """The first layer's patch rows of the fixed inputs, (c_in * n_off,
+    positions*K): the same for every replica."""
+    field = spec.inputs.reshape(spec.in_channels, -1, spec.n_inputs)
+    return patch_map_for(spec.layers[0]).slab(field)
+
+
 def _forward_block(
-    spec: NetworkSpec, n_channels_out: int, batch: int, rng: np.random.Generator
+    spec: NetworkSpec,
+    input_slab: np.ndarray,
+    n_channels_out: int,
+    batch: int,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Push ``batch`` fresh network realizations through the stack together.
 
@@ -237,17 +258,17 @@ def _forward_block(
     then one bias draw of shape (batch, C), then one batched matmul.  The
     last layer draws one output channel at a time, in the same three steps
     with one row, so channel j's values do not depend on how many channels
-    are drawn.  The inputs are fixed, so the first layer's patches are
-    shared by the block.  Returns the output fields (batch, n_channels_out,
+    are drawn.  The inputs are fixed, so the first layer multiplies
+    ``input_slab`` (:func:`_input_slab`), which the caller builds once for
+    all its blocks.  Returns the output fields (batch, n_channels_out,
     positions*K) and the last layer's biases (batch, n_channels_out).
     """
     k = spec.n_inputs
-    field = spec.inputs.reshape(spec.in_channels, -1, k)
-    for l, cfg in enumerate(spec.layers):
-        slab = patch_map_for(cfg).slab(field, spec.activation if l > 0 else None)
-        if l < spec.n_layers - 1:
-            field, _ = _affine(spec, slab, spec.channels, batch, l > 0, rng)
-            field = field.reshape(batch, spec.channels, cfg.n_positions_out, k)
+    slab = input_slab
+    for l, cfg in enumerate(spec.layers[:-1]):
+        field, _ = _affine(spec, slab, spec.channels, batch, l > 0, rng)
+        field = field.reshape(batch, spec.channels, cfg.n_positions_out, k)
+        slab = patch_map_for(spec.layers[l + 1]).slab(field, spec.activation)
     parts = [_affine(spec, slab, 1, batch, spec.n_layers > 1, rng) for _ in range(n_channels_out)]
     if n_channels_out == 1:
         return parts[0]
@@ -270,7 +291,7 @@ def forward_finite(
     """
     if n_channels_out < 1:
         raise ValueError("n_channels_out must be >= 1")
-    fields, biases = _forward_block(spec, n_channels_out, 1, rng)
+    fields, biases = _forward_block(spec, _input_slab(spec), n_channels_out, 1, rng)
     out_shape = (n_channels_out,) + spec.out_spatial + (spec.n_inputs,)
     return FiniteOutputs(fields=fields[0].reshape(out_shape), last_biases=biases[0])
 
@@ -335,8 +356,10 @@ def _replica_blocks(args) -> tuple[np.ndarray, np.ndarray]:
     start, stop = lo * size, min(hi * size, n_replicas)
     out = np.empty((stop - start, n_channels, spec.out_dim))
     bias = np.empty((stop - start, n_channels))
+    input_slab = _input_slab(spec)
     for block in range(lo, hi):
-        fields, b = _forward_block(spec, n_channels, size, replica_rng(spec.seed, block))
+        fields, b = _forward_block(spec, input_slab, n_channels, size,
+                                   replica_rng(spec.seed, block))
         first = block * size
         keep = min(size, stop - first)
         out[first - start : first - start + keep] = fields[:keep]
@@ -344,11 +367,45 @@ def _replica_blocks(args) -> tuple[np.ndarray, np.ndarray]:
     return out, bias
 
 
+class ReplicaPool(ProcessPoolExecutor):
+    """A pool of ``workers`` forked processes for replica blocks."""
+
+    def __init__(self, workers: int):
+        super().__init__(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+        self.workers = workers
+
+
+@contextmanager
+def replica_pool(workers: int):
+    """The worker pool of one command's replica sampling: ``None`` for one
+    worker, otherwise a :class:`ReplicaPool` of ``workers`` processes.
+
+    Every worker is forked before the pool is yielded, so each starts as a
+    copy of the process as it is here: open the pool before building
+    anything large.  Forked workers need no re-import of the caller's main
+    module, which spawned ones would run.  On leaving the block, by return
+    or by an exception, pending jobs are cancelled and the workers are
+    joined, so none outlives the command.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
+        yield None
+        return
+    pool = ReplicaPool(workers)
+    try:
+        # a fork-context pool forks all its workers at its first submit
+        pool.submit(os.getpid).result()
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def sample_replicas(
     spec: NetworkSpec,
     n_replicas: int,
     n_channels: int = 1,
-    workers: int = 1,
+    pool: ReplicaPool | None = None,
 ) -> ReplicaSet:
     """Independent forward runs, simulated in blocks of replicas.
 
@@ -358,9 +415,11 @@ def sample_replicas(
     B = :func:`replica_block_size`, and draws from ``replica_rng(spec.seed, b)``.
     Every block draws all B replicas, so the first k replicas do not depend
     on ``n_replicas``, and output channels are drawn one after another, so
-    the first channels do not depend on ``n_channels``.  ``workers`` > 1
-    gives each pool job a contiguous range of whole blocks; the results do
-    not depend on the worker count.
+    the first channels do not depend on ``n_channels``.  With a ``pool``
+    (:func:`replica_pool`) of W workers, the blocks are split into up to W
+    contiguous ranges of whole blocks, one pool job each; without a pool, or
+    with a single block, they run in the calling process.  The results do
+    not depend on the pool or its worker count.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
@@ -368,7 +427,7 @@ def sample_replicas(
         raise ValueError("n_channels must be >= 1")
     size = replica_block_size(spec)
     n_blocks = -(-n_replicas // size)
-    n_jobs = max(1, min(workers, n_blocks))
+    n_jobs = 1 if pool is None else max(1, min(pool.workers, n_blocks))
     bounds = np.linspace(0, n_blocks, n_jobs + 1).astype(int)
     jobs = [
         (spec, n_channels, size, int(lo), int(hi), n_replicas)
@@ -377,8 +436,7 @@ def sample_replicas(
     if n_jobs == 1:
         out, bias = _replica_blocks(jobs[0])
     else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(pool.map(_replica_blocks, jobs))
+        parts = list(pool.map(_replica_blocks, jobs))
         out = np.concatenate([p[0] for p in parts])
         bias = np.concatenate([p[1] for p in parts])
     return ReplicaSet(outputs=out, biases=bias, alpha=spec.alpha, seed=spec.seed)

@@ -26,6 +26,7 @@ from .limits import LimitConfig, limit_measures, stage
 from .network import (
     NetworkSpec,
     RNG_DOMAIN_PROBES,
+    ReplicaPool,
     ReplicaSet,
     channel_mixture,
     replica_block_size,
@@ -149,6 +150,19 @@ class NonFiniteReplicas(ArithmeticError):
     exceed the float64 range."""
 
 
+def require_finite(outputs: np.ndarray, channels: int, alpha: float) -> None:
+    """Raise :class:`NonFiniteReplicas` if any replica of ``outputs`` (one
+    row per replica, at C = ``channels``) holds an infinite or NaN value; the
+    message names the count, C and alpha."""
+    n = len(outputs)
+    bad = int(np.count_nonzero(~np.isfinite(outputs.reshape(n, -1)).all(axis=1)))
+    if bad:
+        raise NonFiniteReplicas(
+            f"{bad} of {n} replicas at C = {channels} have non-finite outputs "
+            f"(alpha = {alpha:g})"
+        )
+
+
 @dataclass
 class ConvergenceReport:
     """Sweep results over increasing channel counts."""
@@ -178,6 +192,12 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
+def sampled_counts(channel_counts, n_replicas: int, caches: dict[int, ReplicaSet]) -> list[int]:
+    """The channel counts a sweep samples: those with no replica set in
+    ``caches`` holding at least ``n_replicas`` replicas."""
+    return [c for c in channel_counts if c not in caches or caches[c].n_replicas < n_replicas]
+
+
 def convergence_sweep(
     spec: NetworkSpec,
     channel_counts,
@@ -185,7 +205,7 @@ def convergence_sweep(
     limit_cfg: LimitConfig,
     probes: ProbeSet | None = None,
     n_probes: int = 20,
-    workers: int = 1,
+    pool: ReplicaPool | None = None,
     caches: dict[int, ReplicaSet] | None = None,
 ) -> ConvergenceReport:
     """Empirical-vs-limit CF distances for each channel count.
@@ -195,7 +215,8 @@ def convergence_sweep(
     law the probes were calibrated on.  Without ``probes``, the limiting
     measure of the last layer is computed once and ``n_probes`` probes are
     calibrated on it.  Sweep points run one after another, which bounds
-    memory; ``workers`` parallelizes the replica sampling within each point.
+    memory; a ``pool`` (:func:`stableconv.network.replica_pool`) runs the
+    replica blocks of every point that samples, in the same workers.
 
     ``caches`` maps a channel count to replicas of ``spec`` at that count,
     e.g. a ``simulate`` cache.  A count whose set holds at least
@@ -213,23 +234,18 @@ def convergence_sweep(
     if probes is None:
         probes = generate_probes(limit_measures(spec, limit_cfg)[-1], n_probes, spec.seed)
     caches = caches or {}
+    sampled = sampled_counts(counts, n_replicas, caches)
     rows = []
     for c in counts:
-        reps = caches.get(c)
-        if reps is not None and reps.n_replicas >= n_replicas:
-            source = {"source": "cache"}
-        else:
+        if c in sampled:
             reps, source = None, {"block": replica_block_size(spec.with_channels(c))}
+        else:
+            reps, source = caches[c], {"source": "cache"}
         with stage("sweep", C=c, replicas=n_replicas, **source) as fields:
             if reps is None:
-                reps = sample_replicas(spec.with_channels(c), n_replicas, workers=workers)
+                reps = sample_replicas(spec.with_channels(c), n_replicas, pool=pool)
             channel0 = reps.outputs[:n_replicas, 0, :]
-            bad = int(np.count_nonzero(~np.isfinite(channel0).all(axis=1)))
-            if bad:
-                raise NonFiniteReplicas(
-                    f"{bad} of {n_replicas} replicas at C = {c} have non-finite outputs "
-                    f"(alpha = {spec.alpha:g})"
-                )
+            require_finite(channel0, c, spec.alpha)
             # channel 0 of a cache with more channels is strided; the copy
             # gives the CF estimate the layout of a sampled one-channel set
             emp = empirical_cf(np.ascontiguousarray(channel0), probes.probes)

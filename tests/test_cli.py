@@ -1,4 +1,5 @@
 import logging
+import multiprocessing
 import os
 import re
 import subprocess
@@ -557,6 +558,24 @@ class TestCommands:
         run = run_dir_of(tiny, out)
         assert (run / "probes.csv").exists() and not (run / "sweep.csv").exists()
 
+    def test_simulate_refuses_non_finite_replicas(self, config_file, tmp_path, capsys):
+        # the same overflow as above: `simulate` fails one check naming C,
+        # the count and alpha, and writes no cache for `verify` to trust
+        tiny = tmp_path / "tiny_alpha.ini"
+        tiny.write_text(TINY_CONFIG.replace("alpha = 1.5", "alpha = 0.02"))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["simulate", "-c", str(tiny), "-o", str(out), "--channels", "64"]) == 1
+        err = capsys.readouterr().err
+        failed = [line for line in err.splitlines() if "check failed" in line]
+        assert len(failed) == 1, err
+        assert re.search(r"check failed: \d+ of 3000 replicas at C = 64 have non-finite "
+                         r"outputs \(alpha = 0\.02\)$", failed[0]), failed
+        assert "Traceback" not in err
+        assert not list(run_dir_of(tiny, out).glob("replicas_*"))
+
     @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("fault", ["stale", "truncated"])
     def test_refused_cache_is_an_input_error(self, config_file, tmp_path, capsys, command, fault):
@@ -708,3 +727,74 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "sweep.csv" in err[0]
         assert [p.name for p in run.iterdir()] == ["sweep.csv"]
+
+
+POOLED_CONFIG = TINY_CONFIG.replace("require_decreasing = false",
+                                    "require_decreasing = false\nworkers = 2")
+
+
+class TestReplicaPool:
+    def test_workers_start_before_the_limit_measure(self, tmp_path):
+        # The limit step of a `verify` run with two workers allocates and
+        # holds a touched 200 MB array.  Workers forked after it would each
+        # peak above 200 MB; forked before it, they stay far below.
+        cfg = tmp_path / "pooled.ini"
+        cfg.write_text(POOLED_CONFIG)
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from stableconv import cli\n"
+            "held = []\n"
+            "build = cli._compute_and_save_limit\n"
+            "def heavy(*args):\n"
+            "    held.append(np.ones(200 * 2**20 // 8))\n"
+            "    return build(*args)\n"
+            "cli._compute_and_save_limit = heavy\n"
+            f"rc = cli.main(['verify', '-c', {str(cfg)!r}, '-o', {str(tmp_path / 'runs')!r}])\n"
+            "print(rc, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = str(Path(sc.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        rc, worker_kb = map(int, done.stdout.split())
+        assert rc == 0
+        log = (run_dir_of(cfg, tmp_path / "runs") / "run.log").read_text()
+        assert re.findall(r"stage=sweep C=32 replicas=3000 block=\d+ ", log)
+        assert 0 < worker_kb / 1024 < 200
+
+    @pytest.mark.parametrize("case, expected", [
+        ("passes", 0),
+        ("threshold", 1),
+        ("non_finite", 1),
+        ("simulate_non_finite", 1),
+        ("damaged_measure", 2),
+        ("raises", None),
+    ])
+    def test_no_worker_outlives_its_command(self, tmp_path, monkeypatch, case, expected):
+        text = POOLED_CONFIG
+        if case == "threshold":
+            text = text.replace("max_sup_dist = 0.2", "max_sup_dist = 1e-9")
+        if case.endswith("non_finite"):
+            text = text.replace("alpha = 1.5", "alpha = 0.02")
+        cfg = tmp_path / "pooled.ini"
+        cfg.write_text(text)
+        out = tmp_path / "runs"
+        argv = ["verify", "-c", str(cfg), "-o", str(out)]
+        if case == "simulate_non_finite":
+            argv = ["simulate", "-c", str(cfg), "-o", str(out), "--channels", "64"]
+        if case == "damaged_measure":
+            assert main(["limit", "-c", str(cfg), "-o", str(out)]) == 0
+            measure = run_dir_of(cfg, out) / "measures" / "layer_02.txt"
+            measure.write_text(measure.read_text()[:-20])
+        if case == "raises":
+            def fail(*args, **kwargs):
+                raise RuntimeError("probe failure")
+            monkeypatch.setattr("stableconv.cli.generate_probes", fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if expected is None:
+                with pytest.raises(RuntimeError, match="probe failure"):
+                    main(argv)
+            else:
+                assert main(argv) == expected
+        assert multiprocessing.active_children() == []

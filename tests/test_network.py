@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -231,18 +232,34 @@ class TestSampleReplicas:
         spec = replace(base.with_channels(64), alpha=alpha)
         size = sc.replica_block_size(spec)
         wide = sc.sample_replicas(spec, 3 * size, n_channels=3)
-        for k in (1, 2, 3):
-            for workers in (1, 2):
-                reps = sc.sample_replicas(spec, 2 * size + 1, n_channels=k, workers=workers)
-                assert reps.outputs.tobytes() == wide.outputs[: 2 * size + 1, :k].tobytes()
-                assert reps.biases.tobytes() == wide.biases[: 2 * size + 1, :k].tobytes()
+        for workers in (1, 2):
+            with sc.replica_pool(workers) as pool:
+                for k in (1, 2, 3):
+                    reps = sc.sample_replicas(spec, 2 * size + 1, n_channels=k, pool=pool)
+                    assert reps.outputs.tobytes() == wide.outputs[: 2 * size + 1, :k].tobytes()
+                    assert reps.biases.tobytes() == wide.biases[: 2 * size + 1, :k].tobytes()
 
     def test_worker_pool_matches_serial(self):
         spec = toy_spec(channels=4)
         serial = sc.sample_replicas(spec, 12, n_channels=2)
-        pooled = sc.sample_replicas(spec, 12, n_channels=2, workers=3)
+        with sc.replica_pool(3) as pool:
+            pooled = sc.sample_replicas(spec, 12, n_channels=2, pool=pool)
         assert np.array_equal(serial.outputs, pooled.outputs)
         assert np.array_equal(serial.biases, pooled.biases)
+
+    def test_input_slab_is_built_once_per_job(self, monkeypatch):
+        # the inputs are fixed, so one job of several blocks gathers the
+        # first layer's patches once, and draws what one block at a time does
+        spec = toy_spec(channels=256)
+        size = sc.replica_block_size(spec)
+        one_by_one = [sc.sample_replicas(spec, (b + 1) * size) for b in range(3)]
+        builds = []
+        input_slab = sc.network._input_slab
+        monkeypatch.setattr(sc.network, "_input_slab", lambda s: builds.append(1) or input_slab(s))
+        reps = sc.sample_replicas(spec, 3 * size)
+        assert len(builds) == 1
+        for b, head in enumerate(one_by_one):
+            assert reps.outputs[: (b + 1) * size].tobytes() == head.outputs.tobytes()
 
     def test_block_size_follows_byte_budget(self):
         # the block partition fixes every replica draw, so pin it
@@ -255,7 +272,10 @@ class TestSampleReplicas:
         spec = toy_spec(channels=256)
         size = sc.replica_block_size(spec)
         n = 5 * size // 2
-        runs = [sc.sample_replicas(spec, n, n_channels=2, workers=w) for w in (1, 2, 3)]
+        runs = []
+        for workers in (1, 2, 3):
+            with sc.replica_pool(workers) as pool:
+                runs.append(sc.sample_replicas(spec, n, n_channels=2, pool=pool))
         for run in runs[1:]:
             assert run.outputs.tobytes() == runs[0].outputs.tobytes()
             assert run.biases.tobytes() == runs[0].biases.tobytes()
@@ -387,3 +407,26 @@ class TestReplicaCache:
             path.write_bytes(data)
             with pytest.raises(ValueError, match="replica cache"):
                 sc.load_replicas(path)
+
+
+class TestReplicaPool:
+    def test_one_worker_is_no_pool(self):
+        with sc.replica_pool(1) as pool:
+            assert pool is None
+        with pytest.raises(ValueError):
+            with sc.replica_pool(0):
+                pass
+
+    def test_workers_start_before_the_pool_is_yielded(self):
+        with sc.replica_pool(2) as pool:
+            assert pool.workers == 2
+            assert len(multiprocessing.active_children()) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_workers_are_joined_when_the_block_raises(self):
+        spec = toy_spec(channels=4)
+        with pytest.raises(RuntimeError, match="stop"):
+            with sc.replica_pool(2) as pool:
+                sc.sample_replicas(spec, 3000, pool=pool)
+                raise RuntimeError("stop")
+        assert multiprocessing.active_children() == []

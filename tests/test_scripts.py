@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import stableconv as sc
 
@@ -62,3 +63,48 @@ def test_measure_value_digest_hashes_the_values(tmp_path):
     for i, other in enumerate(variants):
         sc.save_measure(other, tmp_path / f"v{i}.txt")
         assert digest(tmp_path / f"v{i}.txt") != expected
+
+
+def _bench_run(pair, side, wall, peak, correct=True):
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": peak, "unit": "MB"}}
+    return {"workload": "w", "pair": pair, "seed": pair + 1, "side": side,
+            "result": {"correct": correct, "metrics": metrics}}
+
+
+def test_bench_pairs_summary_on_canned_results():
+    summarize = load_script("bench_pairs").summarize
+    metrics = [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"},
+               {"name": "work_per_s", "better": "higher"}]
+    parent_peaks = [184.0, 183.9, 185.2, 184.1, 183.8]
+    change_peaks = [143.8, 143.9, 184.1, 145.4, 143.7]
+    walls = [(1.9, 1.8), (1.8, 1.8), (1.7, 1.9), (2.0, 1.9), (1.85, 1.80)]
+    runs = []
+    for pair, ((old_wall, new_wall), old_peak, new_peak) in enumerate(
+            zip(walls, parent_peaks, change_peaks)):
+        runs += [_bench_run(pair, "parent", old_wall, old_peak),
+                 _bench_run(pair, "change", new_wall, new_peak, correct=pair != 4)]
+    summary = summarize(runs, metrics)["w"]
+    assert summary["pairs"] == 5
+    assert summary["correct"] == {"parent": 5, "change": 4}
+    peak = summary["metrics"]["peak_rss_mb"]
+    assert peak["parent"] == {"median": 184.0, "q1": 183.9, "q3": 184.1, "n": 5}
+    assert peak["change"]["median"] == 143.9
+    # the change's one high reading (184.1) still beats its pair's 185.2
+    assert (peak["change_won"], peak["pairs_compared"]) == (5, 5)
+    assert peak["claim_rule_met"]
+    wall = summary["metrics"]["wall_s"]
+    # one tie (pair 1) counts for neither side, one loss (pair 2)
+    assert (wall["change_won"], wall["pairs_compared"]) == (3, 5)
+    assert not wall["claim_rule_met"]
+    # a metric no run reports has no sides and no pairs
+    assert summary["metrics"]["work_per_s"] == {"better": "higher", "pairs_compared": 0,
+                                                "change_won": 0}
+
+
+def test_bench_pairs_rejects_a_workload_without_pairs():
+    parse = load_script("bench_pairs").parse_args
+    assert parse(["--parent", "HEAD", "--tag", "t", "--workload", "deep-limit=3"]).workload == [
+        ("deep-limit", 3)]
+    for bad in ("deep-limit", "deep-limit=0", "deep-limit=x"):
+        with pytest.raises(SystemExit):
+            parse(["--parent", "HEAD", "--tag", "t", "--workload", bad])

@@ -1,3 +1,6 @@
+import os
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -160,6 +163,41 @@ class TestConvergenceSweep:
         report = sc.convergence_sweep(spec, [2], 200, sc.LimitConfig(mc_samples=100, seed=2))
         assert report.to_csv().splitlines()[1].endswith(",0.000")
         assert report.rows[0].seconds > 0.0
+
+
+def _with_pid(fn, job):
+    return os.getpid(), fn(job)
+
+
+class _PidPool:
+    """A replica pool that records the pid of the worker that ran each job."""
+
+    def __init__(self, pool):
+        self.pool, self.workers, self.pids, self.jobs = pool, pool.workers, set(), 0
+
+    def map(self, fn, jobs):
+        for pid, part in self.pool.map(partial(_with_pid, fn), jobs):
+            self.pids.add(pid)
+            self.jobs += 1
+            yield part
+
+
+class TestSweepPool:
+    def test_every_point_reuses_the_pool_workers(self):
+        # 2100 replicas are at least 3 blocks at C = 4 and at C = 16, so each
+        # point splits into two jobs; all of them run in the pool's two
+        # workers, and the rows are those of the serial sweep
+        spec = toy_spec(seed=29)
+        lcfg = sc.LimitConfig(mc_samples=500, seed=2)
+        probes = sc.generate_probes(sc.limit_measures(spec, lcfg)[-1])
+        serial = sc.convergence_sweep(spec, [4, 16], 2100, lcfg, probes=probes)
+        with sc.replica_pool(2) as pool:
+            tracked = _PidPool(pool)
+            pooled = sc.convergence_sweep(spec, [4, 16], 2100, lcfg, probes=probes,
+                                          pool=tracked)
+        assert tracked.jobs == 4
+        assert len(tracked.pids) <= 2 and os.getpid() not in tracked.pids
+        assert pooled.to_csv() == serial.to_csv()
 
 
 class TestIndependence:
