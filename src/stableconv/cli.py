@@ -15,7 +15,8 @@ are byte-identical across re-runs with the same configuration and seed.
 Every timed step (each limit layer, each measure or replica file written or
 read, replica sampling, each sweep point, the independence and oracle
 checks) logs one ``stage=`` line to ``run.log`` through
-:func:`stableconv.limits.stage`, with its seconds and peak resident memory.
+:func:`stableconv.limits.stage`, with its seconds, peak resident memory and
+minor page faults.
 ``simulate`` and ``verify`` fork their replica workers (``[verify] workers``)
 once, at the start, before any measure is read or built, and join them
 before they return.  The exit code is nonzero iff an enabled check fails.

@@ -485,19 +485,27 @@ def _peak_rss_mb() -> float:
 @contextmanager
 def stage(name: str, **fields):
     """Time the block and, once it completes, log one line
-    ``stage=<name> <key>=<value>... seconds=... peak_rss_mb=...`` through the
-    ``stableconv.stage`` logger: ``fields`` in order, then those the block
-    adds to the dict it is given, floats to 6 significant digits.
+    ``stage=<name> <key>=<value>... seconds=... peak_rss_mb=... minor_faults=...``
+    through the ``stableconv.stage`` logger: ``fields`` in order, then those
+    the block adds to the dict it is given, floats to 6 significant digits.
     ``peak_rss_mb`` is this process's own peak resident memory so far
-    (:func:`_peak_rss_mb`), so the stage that raises it shows.  The dict
-    holds ``seconds`` afterwards.  A block that raises logs nothing."""
+    (:func:`_peak_rss_mb`), so the stage that raises it shows.
+    ``minor_faults`` is the count of pages this process faulted in during
+    the block without reading them from disk (``ru_minflt`` of
+    ``RUSAGE_SELF``): memory freed to the system and taken again shows
+    there.  Replica pool workers are other processes and are not counted.
+    The dict holds ``seconds`` afterwards.  A block that raises logs
+    nothing."""
     t0 = time.perf_counter()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     yield fields
     fields["seconds"] = time.perf_counter() - t0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     tokens = [f"stage={name}"] + [
         f"{key}={value:.6g}" if isinstance(value, float) else f"{key}={value}"
         for key, value in fields.items() if key != "seconds"
     ]
     _stage_log.info(
-        "%s seconds=%.3f peak_rss_mb=%.1f", " ".join(tokens), fields["seconds"], _peak_rss_mb()
+        "%s seconds=%.3f peak_rss_mb=%.1f minor_faults=%d",
+        " ".join(tokens), fields["seconds"], _peak_rss_mb(), faults,
     )

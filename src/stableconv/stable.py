@@ -75,7 +75,9 @@ def _cos_half_angle(x: np.ndarray, tmp: np.ndarray, den: np.ndarray) -> None:
     x /= den
 
 
-def _cms_transform(alpha: float, v: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+def _cms_transform(
+    alpha: float, v: np.ndarray, w: np.ndarray, out: np.ndarray, blocks: np.ndarray | None = None
+) -> None:
     """The CMS transform into ``out``, elementwise:
     sin(a v) / cos(v)^(1/a) * (cos((1 - a) v) / w)^((1 - a)/a) for a = alpha,
     its quotient, powers and product taken in that order.  ``w`` is
@@ -96,10 +98,13 @@ def _cms_transform(alpha: float, v: np.ndarray, w: np.ndarray, out: np.ndarray) 
     finite.
 
     The work runs over contiguous blocks of ``_CMS_BLOCK`` values with three
-    scratch blocks, so that every temporary stays in cache."""
+    scratch blocks, the rows of ``blocks`` (allocated here when None), so
+    that every temporary stays in cache."""
     v, w, out = v.reshape(-1), w.reshape(-1), out.reshape(-1)
     n = v.size
-    a, b, c = (np.empty(min(n, _CMS_BLOCK)) for _ in range(3))
+    if blocks is None:
+        blocks = np.empty((3, min(n, _CMS_BLOCK)))
+    a, b, c = blocks
     tiny = np.finfo(np.float64).tiny
     for start in range(0, n, _CMS_BLOCK):
         stop = min(start + _CMS_BLOCK, n)
@@ -126,28 +131,66 @@ def _cms_transform(alpha: float, v: np.ndarray, w: np.ndarray, out: np.ndarray) 
         ob *= ta
 
 
-def sample_standard(alpha: float, size, rng: np.random.Generator) -> np.ndarray:
+class _CmsScratch:
+    """The inputs and scratch of up to ``n`` CMS draws: uniforms ``v``,
+    exponentials ``w`` and the transform's three ``blocks``.  A caller that
+    draws many times keeps one and passes it to every
+    :func:`sample_standard` call, so no draw allocates."""
+
+    def __init__(self, n: int):
+        self.v = np.empty(n)
+        self.w = np.empty(n)
+        self.blocks = np.empty((3, min(n, _CMS_BLOCK)))
+
+
+def sample_standard(
+    alpha: float,
+    size,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
+    scratch: _CmsScratch | None = None,
+) -> np.ndarray:
     """Draws with characteristic function exp(-|t|^alpha), i.e. symmetric
     stable with unit scale.
 
     Gaussian (alpha = 2) and Cauchy (alpha = 1) use their closed forms; other
     indices use the Chambers-Mallows-Stuck transform of uniform and then
-    exponential inputs drawn from ``rng``, on the calling thread.
+    exponential inputs drawn from ``rng``, on the calling thread.  The draws
+    are written into ``out`` when it is given (a C-contiguous float64 array
+    of shape ``size``) and into a new array otherwise; the CMS branch takes
+    its inputs and scratch from ``scratch`` (:class:`_CmsScratch`, at least
+    ``out.size`` long) when it is given.  Both leave every value as it is:
+    ``rng.random(out=v)`` scaled by pi and shifted by -pi/2 in place is
+    ``rng.uniform(-pi/2, pi/2)`` bit for bit, and numpy's Gaussian and
+    exponential draws into ``out`` equal its fresh ones.  The Cauchy branch
+    copies numpy's draws into ``out``: ``standard_cauchy`` takes no ``out``.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    if alpha == 2.0:
-        return np.sqrt(2.0) * rng.standard_normal(size)
-    if alpha == 1.0:
-        return rng.standard_cauchy(size)
     if size is None:
         # numpy's scalar power is libm's pow, which its array loop need not
         # match bit for bit: one transform keeps size None equal to size 1
         return sample_standard(alpha, 1, rng)[0]
-    v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
-    w = rng.standard_exponential(size)
-    out = np.empty_like(v)
-    _cms_transform(alpha, v, w, out)
+    if out is None:
+        out = np.empty(size)
+    elif out.shape != (tuple(size) if np.iterable(size) else (size,)):
+        raise ValueError(f"out has shape {out.shape}, not the size {size}")
+    if alpha == 2.0:
+        rng.standard_normal(out=out)
+        out *= np.sqrt(2.0)
+        return out
+    if alpha == 1.0:
+        out[...] = rng.standard_cauchy(size)
+        return out
+    n = out.size
+    if scratch is None:
+        scratch = _CmsScratch(n)
+    v, w = scratch.v[:n], scratch.w[:n]
+    rng.random(out=v)
+    v *= np.pi
+    v -= np.pi / 2.0
+    rng.standard_exponential(out=w)
+    _cms_transform(alpha, v, w, out, scratch.blocks)
     return out
 
 

@@ -21,7 +21,7 @@ of a convolution's one matmul against the flattened filters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 import numpy as np
@@ -119,13 +119,27 @@ class PatchMap:
     config: ConvLayerConfig
     indices: np.ndarray
 
-    def gather(self, values: np.ndarray, axis: int, fill: float = 0.0) -> np.ndarray:
+    @cached_property
+    def _order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table offset-major and flat, so a gather needs no axis swap
+        afterwards, and the positions of its out-of-bounds slots."""
+        order = self.indices.T.reshape(-1)
+        return order, np.flatnonzero(order == OUT_OF_BOUNDS)
+
+    def gather(
+        self, values: np.ndarray, axis: int, fill: float = 0.0, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Gather patch slices along a flattened-spatial axis.
 
         ``values`` must have extent ``n_positions_in`` at ``axis``; the result
         replaces that axis with two axes (filter offset, output position),
         with ``fill`` in the out-of-bounds slots: 0 for data, phi(0) for an
-        activated hidden field.
+        activated hidden field.  It is written into ``out`` when given: a
+        C-contiguous array of the result's size and dtype, filled in the
+        result's row-major order.  Every slot is first taken from ``values``
+        in clip mode, which reads an out-of-bounds slot at position 0, and
+        then the fill overwrites those slots, so no padded copy of
+        ``values`` is made.
         """
         axis = axis % values.ndim
         n_in = self.config.n_positions_in
@@ -133,34 +147,37 @@ class PatchMap:
             raise ValueError(
                 f"expected extent {n_in} at axis {axis}, got {values.shape[axis]}"
             )
-        pad_shape = list(values.shape)
-        pad_shape[axis] = 1
-        padded = np.concatenate(
-            [values, np.full(pad_shape, fill, dtype=values.dtype)], axis=axis
-        )
-        safe = np.where(self.indices == OUT_OF_BOUNDS, n_in, self.indices)
-        # transpose to offset-major so no axis swap is needed afterwards
-        took = np.take(padded, safe.T.reshape(-1), axis=axis)
-        new_shape = (
-            values.shape[:axis]
-            + (self.config.n_offsets, self.config.n_positions_out)
-            + values.shape[axis + 1 :]
-        )
+        order, oob = self._order
+        lead, trail = values.shape[:axis], values.shape[axis + 1 :]
+        new_shape = lead + (self.config.n_offsets, self.config.n_positions_out) + trail
+        if out is None:
+            out = np.empty(new_shape, dtype=values.dtype)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        took = out.reshape(lead + (order.size,) + trail)
+        np.take(values, order, axis=axis, out=took, mode="clip")
+        # the fill goes to every trailing element of each out-of-bounds
+        # slot, as columns of a (lead, slots * trail) view: one fancy
+        # assignment, about three times as fast as a mask over the slot axis
+        per_slot = prod(trail)
+        columns = (oob[:, None] * per_slot + np.arange(per_slot)).reshape(-1)
+        took.reshape(prod(lead), order.size * per_slot)[:, columns] = fill
         return took.reshape(new_shape)
 
-    def slab(self, values: np.ndarray, phi=None) -> np.ndarray:
+    def slab(self, values: np.ndarray, phi=None, out: np.ndarray | None = None) -> np.ndarray:
         """The patches of ``values`` (..., C, n_positions_in, K) as the rows
         of the layer's product: shape (..., C * n_offsets, n_positions_out *
-        K), rows channel-major, offset-minor.  With an activation ``phi`` (a
-        hidden layer's field) the values are activated first and the padding
-        slots hold phi(0); otherwise they hold 0.  Activating the values,
-        not their patches, evaluates phi once per value instead of once per
+        K), rows channel-major, offset-minor, written into ``out`` when given
+        (as in :meth:`gather`).  With an activation ``phi`` (a hidden
+        layer's field) the values are activated first and the padding slots
+        hold phi(0); otherwise they hold 0.  Activating the values, not
+        their patches, evaluates phi once per value instead of once per
         patch slot."""
         fill = 0.0
         if phi is not None:
             values, fill = phi(values), phi(np.zeros(1))[0]
         *lead, c, _, k = values.shape
-        patches = self.gather(values, axis=-2, fill=fill)
+        patches = self.gather(values, axis=-2, fill=fill, out=out)
         return patches.reshape(*lead, c * self.config.n_offsets, self.config.n_positions_out * k)
 
 

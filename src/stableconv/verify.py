@@ -18,6 +18,7 @@ probe, which sets the tolerances used by the acceptance suite.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .network import (
     rng_stream,
     sample_replicas,
 )
-from .stable import SpectralMeasure, cf_multivariate
+from .stable import _BLOCK_BYTES, SpectralMeasure, cf_multivariate
 from .tensors import patch_map_for
 
 RADIUS_FACTORS = (0.25, 0.5, 1.0, 2.0)
@@ -347,6 +348,17 @@ def implied_covariance(measure: SpectralMeasure) -> np.ndarray:
     return 2.0 * (measure.directions.T * measure.weights) @ measure.directions
 
 
+def _mapped_empty(n: int) -> np.ndarray:
+    """``n`` float64 values in an anonymous memory mapping of their own,
+    unmapped when the array is freed.  A block this large freed inside
+    glibc's heap can stay resident for the rest of the process, and replica
+    workers forked later start with it: with the slices in the heap,
+    ``oracle`` then ``verify`` in one process (the wide-gauss benchmark
+    workload) kept 30 MB more resident after ``oracle``, and ``verify``'s
+    largest worker peaked at 64 MB instead of 42 MB."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+
+
 def gaussian_kernel_recursion(
     spec: NetworkSpec, mc_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -375,11 +387,17 @@ def gaussian_kernel_recursion(
             fields = (draws * np.sqrt(evals)) @ evecs.T
             scale = 2.0 * spec.sigma_w**2 / mc_samples
         fields = fields.reshape(len(fields), cfg.n_positions_in, k)
-        slices = patch_map_for(cfg).gather(fields, axis=1)
-        if cov is not None:
-            slices = spec.activation(slices)
+        n = len(fields) * cfg.n_offsets * cfg.n_positions_out * k
+        slices = patch_map_for(cfg).gather(fields, axis=1, out=_mapped_empty(n))
         slices = slices.reshape(-1, cfg.n_positions_out * k)
         dim = slices.shape[1]
+        if cov is not None:
+            # zeros are gathered and then activated, so the padding reads
+            # phi(0) apart from PatchMap.slab's fill; in place and by row
+            # blocks, so no second array as large as the slices is made
+            rows = max(1, _BLOCK_BYTES // (8 * dim))
+            for start in range(0, len(slices), rows):
+                slices[start : start + rows] = spec.activation(slices[start : start + rows])
         cov = 2.0 * spec.sigma_b**2 * np.ones((dim, dim)) + scale * (slices.T @ slices)
     return cov
 

@@ -357,7 +357,7 @@ class TestConfig:
 
 # every timed run.log line, whatever the command
 STAGE_LINE = re.compile(
-    r"^INFO stableconv\.stage: stage=(\w+)( \w+=\S+)* seconds=\d+\.\d{3} peak_rss_mb=\d+\.\d$"
+    r"^INFO stableconv\.stage: stage=(\w+)( \w+=\S+)* seconds=\d+\.\d{3} peak_rss_mb=\d+\.\d minor_faults=\d+$"
 )
 
 
@@ -484,7 +484,7 @@ class TestCommands:
         assert sweep == (run_dir_of(config_file, alone) / "sweep.csv").read_bytes()
         log = (run / "run.log").read_text()
         for stage in ("save_replicas", "load_replicas"):
-            line = rf"^.*stage={stage} C=32 replicas={replicas} seconds=[\d.]+ peak_rss_mb=[\d.]+$"
+            line = rf"^.*stage={stage} C=32 replicas={replicas} seconds=[\d.]+ peak_rss_mb=[\d.]+ minor_faults=\d+$"
             assert len(re.findall(line, log, re.M)) == 1, stage
         rows = re.findall(r"stage=sweep C=(\d+) replicas=3000 (\S+) sup=\S+ mean=\S+ ", log)
         assert [c for c, _ in rows] == ["2", "8", "32"]
@@ -661,7 +661,7 @@ class TestCommands:
         assert main(["verify", "-c", str(config_file), "-o", str(out)]) == 0
         run = run_dir_of(config_file, out)
         pattern = (r"stage=(save_measure|read_measure) layer=(\d+) atoms=(\d+) "
-                   r"seconds=[\d.]+ peak_rss_mb=[\d.]+$")
+                   r"seconds=[\d.]+ peak_rss_mb=[\d.]+ minor_faults=\d+$")
         io = re.findall(pattern, (run / "run.log").read_text(), re.M)
         atoms = {layer: str(sc.read_measure(run / "measures" / f"layer_0{layer}.txt").n_atoms)
                  for layer in ("1", "2")}

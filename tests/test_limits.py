@@ -732,6 +732,22 @@ class TestLimitPipeline:
             assert np.array_equal(ma.weights, mb.weights)
             assert np.array_equal(ma.directions, mb.directions)
 
+    def test_stage_counts_the_pages_its_block_faults_in(self, caplog):
+        # 64 MB, above glibc's largest mmap threshold (32 MB), is always
+        # freshly mapped: written inside a block it faults in at least 32
+        # pages (2 MiB huge pages), 16384 at 4 KiB; an empty block fewer
+        with caplog.at_level(logging.INFO, logger="stableconv.stage"):
+            with sc.limits.stage("idle"):
+                pass
+            with sc.limits.stage("touch"):
+                np.ones(1 << 23)
+        faults = {}
+        for record in caplog.records:
+            fields = dict(tok.split("=", 1) for tok in record.message.split())
+            faults[fields["stage"]] = int(fields["minor_faults"])
+        assert faults["touch"] >= 32
+        assert faults["idle"] < faults["touch"]
+
     def test_summary_lines_logged(self, caplog):
         with caplog.at_level(logging.INFO, logger="stableconv.stage"):
             measures = sc.limit_measures(toy_spec(n_layers=3),
@@ -746,6 +762,7 @@ class TestLimitPipeline:
             assert int(fields["atoms"]) == measure.n_atoms
             assert float(fields["seconds"]) >= 0.0
             assert float(fields["peak_rss_mb"]) > 0.0
+            assert int(fields["minor_faults"]) >= 0
             groups.append(fields.get("groups"))
             sampled.append(fields.get("sampled_atoms"))
             draws.append(fields.get("draws"))

@@ -1,6 +1,10 @@
 import hashlib
 import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -202,6 +206,31 @@ def _gather_then_activate(spec, n_out, batch, rng):
     return np.stack([f.reshape(n_out, -1) for f in fields]), b
 
 
+def _replica_digest(geometry, alpha, activation, channels, n_channels, workers):
+    """SHA-256 of ``sample_replicas`` outputs then biases for 2.5 blocks plus
+    one replica, so the last block is cut, on the 1-D toy geometry (two or
+    three layers) or the 2-D geometry of the wide-gauss benchmark workload
+    (2 input channels, 6x6, two 3x3 layers with padding 1)."""
+    if geometry == "wide":
+        layer = sc.ConvLayerConfig(spatial_in=(6, 6), filter_shape=3, stride=1, padding=1)
+        spec = sc.NetworkSpec(
+            alpha=alpha, sigma_w=1.0, sigma_b=1.0, layers=(layer, layer),
+            activation=sc.get_activation(activation), channels=channels,
+            inputs=toy_inputs(in_channels=2, spatial=(6, 6)), seed=12,
+        )
+    else:
+        n_layers = 3 if geometry == "toy_3_layers" else 2
+        spec = toy_spec(alpha=alpha, channels=channels, n_layers=n_layers,
+                        activation=activation, seed=12)
+    size = sc.replica_block_size(spec)
+    with sc.replica_pool(workers) as pool:
+        reps = sc.sample_replicas(spec, 2 * size + size // 2 + 1, n_channels, pool=pool)
+    h = hashlib.sha256()
+    h.update(reps.outputs.tobytes())
+    h.update(reps.biases.tobytes())
+    return h.hexdigest()
+
+
 class TestSampleReplicas:
     def test_reproducible_from_seed(self):
         spec = toy_spec(channels=8)
@@ -260,6 +289,65 @@ class TestSampleReplicas:
         assert len(builds) == 1
         for b, head in enumerate(one_by_one):
             assert reps.outputs[: (b + 1) * size].tobytes() == head.outputs.tobytes()
+
+    # SHA-256 of outputs then biases of 2.5 blocks of replicas, recorded
+    # before the replica jobs drew into buffers they allocate once: those
+    # buffers must change no draw and no arithmetic.  Like the other pins
+    # they hold on one numpy SIMD dispatch (PIN_KERNELS in conftest.py; see
+    # the report header of the test run).
+    @pytest.mark.parametrize(
+        "geometry, alpha, activation, channels, n_channels, workers, digest",
+        [
+            ("toy", 0.7, "tanh", 16, 2, 1,
+             "a4a471b4ba968a25b7dc24e19466e63337f9a23919264b6b23c022080bae0b3a"),
+            ("toy", 1.0, "hard_clip", 64, 1, 2,
+             "96e7cea06713afbe26a9a4c10bf99c712f997c8297ed9b26c420ef00edbfe8d1"),
+            ("toy", 1.5, "tanh", 256, 2, 2,
+             "43a7b7a19444a1b54aaab1a8e27af336f78a4acf7e5a830b24ae1241f90c27a7"),
+            ("toy", 1.5, "signed_power", 256, 1, 1,
+             "fd7491b02c397f7a9a71c2f6ea7b1d8819a6db82279b393c38a06e47cc5b353f"),
+            ("toy", 2.0, "relu", 4, 2, 1,
+             "fac2912d71f18708bedc5ebf30b303ca6d3cd48d626cff4068e6a09e9afee71c"),
+            ("toy_3_layers", 1.5, "tanh", 8, 2, 2,
+             "b8ee856bd744567435dc09fe4115184043362e6e59dfd83f6bcfd646fe44a259"),
+            ("wide", 0.7, "signed_power", 4, 1, 2,
+             "ead983096dcc74b07ca670e483cd8de7b3c65abbd46443d002f08b0d80b1cec7"),
+            ("wide", 1.0, "tanh", 16, 2, 1,
+             "dce02d052e1309e6124714bfb5a9e24b5d8da4e3f7795024f6e649f2fd2fcf8a"),
+            ("wide", 1.5, "hard_clip", 64, 2, 2,
+             "b5efa33de19fea176354c3492888487bd22c65ddbbe563b384c7c2c8c0f57b9a"),
+            ("wide", 2.0, "tanh", 64, 1, 1,
+             "ad219e74acf9fc59cd32ca0ff9e14b3cf9e999dce501d0bb6915d81ac39b0192"),
+            ("wide", 2.0, "relu", 16, 2, 2,
+             "688ad07c8141012768f0eb0bef40206e1faafcd9d62c5c6f08199c69772d7415"),
+        ],
+    )
+    def test_replicas_pinned(self, geometry, alpha, activation, channels, n_channels,
+                             workers, digest):
+        assert _replica_digest(geometry, alpha, activation, channels, n_channels,
+                               workers) == digest
+
+    def test_blocks_reuse_their_arrays(self):
+        # a replica job allocates its block arrays once: 2000 two-channel
+        # replicas at the toy geometry's C = 256 (112 blocks) fault in about
+        # 1000 pages in a fresh process, where freeing and taking back every
+        # block's 1.8 MB of arrays faulted in 51k
+        code = (
+            "import resource\n"
+            "import numpy as np, stableconv as sc\n"
+            "layer = sc.ConvLayerConfig(spatial_in=4, filter_shape=3, stride=1, padding=1)\n"
+            "inputs = sc.input_tensor(np.random.default_rng(0).standard_normal((1, 4, 2)))\n"
+            "spec = sc.NetworkSpec(alpha=1.5, sigma_w=1.0, sigma_b=1.0, layers=(layer, layer),\n"
+            "                      activation=sc.get_activation('tanh'), channels=256,\n"
+            "                      inputs=inputs, seed=11)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "sc.sample_replicas(spec, 2000, 2)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(sc.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert int(done.stdout) < 5000
 
     def test_block_size_follows_byte_budget(self):
         # the block partition fixes every replica draw, so pin it

@@ -290,6 +290,19 @@ class TestThreadedTransform:
             first = sc.sample_standard(alpha, 1, np.random.default_rng(seed))[0]
             assert one == first, seed
 
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
+    def test_draws_into_given_arrays_equal_fresh_draws(self, alpha):
+        # one scratch for draws of two sizes, out filled with NaN so a slot
+        # left unwritten shows
+        scratch = stable_module._CmsScratch(300)
+        fresh, given = np.random.default_rng(3), np.random.default_rng(3)
+        for size in ((20, 15), 7):
+            out = np.full(size, np.nan)
+            assert sc.sample_standard(alpha, size, given, out=out, scratch=scratch) is out
+            assert out.tobytes() == sc.sample_standard(alpha, size, fresh).tobytes()
+        with pytest.raises(ValueError, match="shape"):
+            sc.sample_standard(alpha, 6, given, out=np.empty(7))
+
     def test_scalar_and_empty_draws(self, rng):
         one = sc.sample_standard(1.5, None, rng)
         assert type(one) is np.float64

@@ -64,6 +64,20 @@ class TestExtractPatches:
         assert np.array_equal(filled[0, :, 0], [0.25, a, b])
         assert np.array_equal(filled[0, :, 2], [b, c, 0.25])
 
+    def test_gather_into_out_equals_fresh_gather(self, rng):
+        # out starts as NaN, so a slot the gather leaves unwritten shows
+        for _ in range(5):
+            cfg, x = random_conv_case(rng, two_d=bool(rng.integers(2)))
+            pm = sc.patch_map_for(cfg)
+            fields = x.reshape(x.shape[0], cfg.n_positions_in, -1)
+            fresh = pm.slab(fields, np.tanh)
+            out = np.full(fresh.size, np.nan)
+            given = pm.slab(fields, np.tanh, out=out)
+            assert np.shares_memory(given, out)
+            assert given.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError, match="contiguous"):
+            pm.gather(fields, axis=1, out=np.empty((fresh.size, 2))[:, 0])
+
     def test_fully_connected_case(self, rng):
         x = rng.standard_normal((2, 5))
         cfg = sc.ConvLayerConfig(spatial_in=5, filter_shape=5, stride=1, padding=0)
