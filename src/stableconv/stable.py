@@ -76,7 +76,7 @@ def _cos_half_angle(x: np.ndarray, tmp: np.ndarray, den: np.ndarray) -> None:
 
 
 def _cms_transform(
-    alpha: float, v: np.ndarray, w: np.ndarray, out: np.ndarray, blocks: np.ndarray | None = None
+    alpha: float, v: np.ndarray, w: np.ndarray, out: np.ndarray, blocks: np.ndarray
 ) -> None:
     """The CMS transform into ``out``, elementwise:
     sin(a v) / cos(v)^(1/a) * (cos((1 - a) v) / w)^((1 - a)/a) for a = alpha,
@@ -98,12 +98,10 @@ def _cms_transform(
     finite.
 
     The work runs over contiguous blocks of ``_CMS_BLOCK`` values with three
-    scratch blocks, the rows of ``blocks`` (allocated here when None), so
+    scratch blocks, the rows of ``blocks`` (:attr:`_CmsScratch.blocks`), so
     that every temporary stays in cache."""
     v, w, out = v.reshape(-1), w.reshape(-1), out.reshape(-1)
     n = v.size
-    if blocks is None:
-        blocks = np.empty((3, min(n, _CMS_BLOCK)))
     a, b, c = blocks
     tiny = np.finfo(np.float64).tiny
     for start in range(0, n, _CMS_BLOCK):

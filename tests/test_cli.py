@@ -655,6 +655,31 @@ class TestCommands:
         run = run_dir_of(gauss, out)
         assert (run / "oracle.csv").read_text().splitlines()[0] == "metric,value"
 
+    def test_oracle_passes_on_a_zero_variance_position(self, tmp_path, monkeypatch):
+        # sigma_b = 0 and 1-tap layers over an input that is 0 at position 1:
+        # flat coordinates 2 and 3 have variance 0 in both covariances, and
+        # their diagonals differ only by rounding
+        x = np.random.default_rng(0).standard_normal((1, 4, 2))
+        x[0, 1, :] = 0.0
+        np.save(tmp_path / "x.npy", x)
+        path = tmp_path / "zero.ini"
+        path.write_text(
+            TINY_CONFIG.replace("alpha = 1.5", "alpha = 2")
+            .replace("sigma_b = 1.0", "sigma_b = 0")
+            .replace("kind = gaussian", f"kind = file\npath = {tmp_path / 'x.npy'}")
+            .replace("filter = 3\nstride = 1\npadding = 1", "filter = 1\nstride = 1\npadding = 0")
+        )
+        assert main(["oracle", "-c", str(path), "-o", str(tmp_path / "a")]) == 0
+        implied_covariance = sc.verify.implied_covariance
+
+        def off_at_zero_position(measure):
+            cov = implied_covariance(measure)
+            cov[2, 2] += 1e-3
+            return cov
+
+        monkeypatch.setattr(sc.verify, "implied_covariance", off_at_zero_position)
+        assert main(["oracle", "-c", str(path), "-o", str(tmp_path / "b")]) == 1
+
     def test_measure_io_logged(self, config_file, tmp_path):
         out = tmp_path / "runs"
         assert main(["limit", "-c", str(config_file), "-o", str(out)]) == 0

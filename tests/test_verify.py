@@ -1,5 +1,9 @@
+import dataclasses
 import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,3 +274,88 @@ class TestGaussianOracle:
         spec = toy_spec(alpha=2.0, n_layers=3, seed=13)
         report = sc.gaussian_oracle_check(spec, sc.LimitConfig(mc_samples=10_000, seed=limit_seed))
         assert report.max_diag_rel_err < 0.05
+
+    # toy blocks hold 2^20 // (8 * 3 * 8) = 5461 fields, wide-gauss blocks
+    # 2^20 // (8 * 9 * 72) = 202: each geometry runs with a partial last
+    # block and with fewer fields than one block
+    @pytest.mark.parametrize("geometry, n_layers, activation, mc_samples", [
+        ("toy", 2, "tanh", 12_000), ("toy", 3, "tanh", 12_000), ("toy", 2, "tanh", 3_000),
+        ("toy", 2, "relu", 12_000), ("toy", 2, "tanh_shift", 12_000),
+        ("wide", 2, "tanh", 500), ("wide", 2, "tanh", 150),
+    ])
+    def test_recursion_matches_full_slice_reference(self, geometry, n_layers, activation,
+                                                    mc_samples):
+        if activation == "tanh_shift":  # phi(0) = 0.5
+            act = sc.ActivationSpec("tanh_shift", lambda s: np.tanh(s) + 0.5, a=2.0, b=1.0,
+                                    beta=0.0)
+        else:
+            act = sc.get_activation(activation)
+        if geometry == "toy":
+            spec = toy_spec(alpha=2.0, n_layers=n_layers, seed=13)
+        else:
+            spec = _wide_spec()
+        spec = dataclasses.replace(spec, activation=act)
+        cov = sc.gaussian_kernel_recursion(spec, mc_samples, np.random.default_rng(4))
+        ref = _full_slice_recursion(spec, mc_samples, np.random.default_rng(4))
+        assert np.abs(cov - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_recursion_memory_does_not_grow_with_mc_samples(self):
+        # all 20,000 * 9 wide-gauss slices at once are 104 MB, and their
+        # activated copy as much again; one block of them is under 1 MiB.
+        # A fresh process reads its own peak (VmHWM), after a small warm-up
+        # call, so that the rise is the call's own
+        code = (
+            "import numpy as np, stableconv as sc\n"
+            "cfg = sc.ConvLayerConfig(spatial_in=(6, 6), filter_shape=3, padding=1)\n"
+            "x = sc.input_tensor(np.random.default_rng(0).standard_normal((2, 6, 6, 2)))\n"
+            "spec = sc.NetworkSpec(alpha=2.0, sigma_w=1.0, sigma_b=1.0, layers=(cfg, cfg),\n"
+            "    activation=sc.get_activation('tanh'), channels=4, inputs=x, seed=1)\n"
+            "def status(key):\n"
+            "    line = [ln for ln in open('/proc/self/status') if ln.startswith(key + ':')]\n"
+            "    return int(line[0].split()[1]) / 1024.0\n"
+            "sc.gaussian_kernel_recursion(spec, 100, np.random.default_rng(0))\n"
+            "before = status('VmRSS')\n"
+            "cov = sc.gaussian_kernel_recursion(spec, 20_000, np.random.default_rng(0))\n"
+            "assert cov.shape == (72, 72) and np.isfinite(cov).all()\n"
+            "print(status('VmHWM') - before)\n"
+        )
+        src = str(Path(sc.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert float(done.stdout) < 16.0
+
+
+def _wide_spec():
+    """The wide-gauss geometry: two input channels on 6x6, two 3x3 layers
+    with padding 1, two inputs."""
+    cfg = sc.ConvLayerConfig(spatial_in=(6, 6), filter_shape=3, padding=1)
+    x = sc.input_tensor(np.random.default_rng(0).standard_normal((2, 6, 6, 2)))
+    return sc.NetworkSpec(alpha=2.0, sigma_w=1.0, sigma_b=1.0, layers=(cfg, cfg),
+                          activation=sc.get_activation("tanh"), channels=4, inputs=x, seed=1)
+
+
+def _full_slice_recursion(spec, mc_samples, rng):
+    """The Gaussian recursion with every patch slice of a layer in one
+    array: one (M, d) draw, one gather, one activation, one S^T S."""
+    k, cov = spec.n_inputs, None
+    for cfg in spec.layers:
+        if cov is None:
+            fields, scale = spec.inputs, 2.0 * spec.sigma_w**2
+        else:
+            evals, evecs = np.linalg.eigh(cov)
+            draws = rng.standard_normal((mc_samples, cov.shape[0]))
+            fields = (draws * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+            scale = 2.0 * spec.sigma_w**2 / mc_samples
+        fields = fields.reshape(len(fields), cfg.n_positions_in, k)
+        slices = sc.patch_map_for(cfg).gather(fields, axis=1)
+        slices = slices.reshape(-1, cfg.n_positions_out * k)
+        if cov is not None:
+            slices = spec.activation(slices)
+        dim = slices.shape[1]
+        cov = 2.0 * spec.sigma_b**2 * np.ones((dim, dim)) + scale * (slices.T @ slices)
+    return cov
