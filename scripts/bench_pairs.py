@@ -16,9 +16,15 @@ line (the JSON object perfbench prints last) and, for each workload and each
 end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles,
 the number of pairs the change won (ties count for neither side), and
 whether the change won at least nine tenths of the pairs with its median
-ahead of the parent's by more than the parent's interquartile range.  The
-file is rewritten after every pair, so an interrupted run keeps the pairs it
-finished.
+ahead of the parent's by more than the parent's interquartile range.  Three
+more fields read the no-regression rule against the metric's ``bound``:
+``worse_by``, how far the change's median falls behind the parent's as a
+share of the parent's median (negative where it is ahead); ``within_bound``,
+whether that share is at most the bound; and ``unresolved``, whether the
+parent's interquartile range, as a share of its median, is wider than the
+bound while not every change run beats every parent run, so that the runs
+spread too widely to tell.  The file is rewritten after every pair, so an
+interrupted run keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -51,9 +57,11 @@ def _value(run: dict, metric: str):
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and metric: each side's median and quartiles over its
-    runs, and the pairs the change won.  ``runs`` are the records this script
-    writes (``workload``, ``pair``, ``side``, ``result``); ``metrics`` the
-    ``end_to_end`` entries of ``BENCHMARK.json`` (``name``, ``better``)."""
+    runs, the pairs the change won and the no-regression fields.  ``runs``
+    are the records this script writes (``workload``, ``pair``, ``side``,
+    ``result``); ``metrics`` the ``end_to_end`` entries of ``BENCHMARK.json``
+    (``name``, ``better``, ``bound``).  A parent median of 0 has no shares,
+    so its metric gets no no-regression fields."""
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == workload]
@@ -67,13 +75,12 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         for metric in metrics:
             name, higher = metric["name"], metric["better"] == "higher"
             by_pair = {(r["pair"], r["side"]): _value(r, name) for r in mine}
-            sides = {}
+            sides, values = {}, {}
             for side in SIDES:
-                values = [by_pair.get((p, side)) for p in pairs]
-                values = [v for v in values if v is not None]
-                if values:
-                    q1, median, q3 = quartiles(values)
-                    sides[side] = {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+                values[side] = [v for p in pairs if (v := by_pair.get((p, side))) is not None]
+                if values[side]:
+                    q1, median, q3 = quartiles(values[side])
+                    sides[side] = {"median": median, "q1": q1, "q3": q3, "n": len(values[side])}
             won = compared = 0
             for p in pairs:
                 old, new = by_pair.get((p, "parent")), by_pair.get((p, "change"))
@@ -90,6 +97,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 row["claim_rule_met"] = bool(
                     compared and won >= 0.9 * compared and ahead and abs(gap) > spread
                 )
+                scale = abs(sides["parent"]["median"])
+                if scale:
+                    worse_by = (-gap if higher else gap) / scale
+                    old, new = values["parent"], values["change"]
+                    beats_all = min(new) > max(old) if higher else max(new) < min(old)
+                    row["worse_by"] = worse_by
+                    row["within_bound"] = worse_by <= metric["bound"]
+                    row["unresolved"] = spread / scale > metric["bound"] and not beats_all
             entry["metrics"][name] = row
         out[workload] = entry
     return out

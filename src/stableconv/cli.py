@@ -104,16 +104,24 @@ def _usage_error(exc: Exception) -> int:
     return 2
 
 
-def _load_replica_caches(paths: dict) -> dict[object, ReplicaSet]:
+def _load_replica_caches(paths: dict, spec: NetworkSpec) -> dict[object, ReplicaSet]:
     """Each replica cache of ``paths`` (label -> path), logged as it is
     read.  A file :func:`load_replicas` refuses, a stale or truncated cache,
-    raises its ``ValueError``; the commands read their caches before they
-    write anything, so that error leaves no new file."""
+    raises its ``ValueError``, and so does a cache whose alpha, seed or
+    output dimension is not ``spec``'s, naming the field; the commands read
+    their caches before they write anything, so that error leaves no new
+    file."""
     caches = {}
     for channels, path in paths.items():
         with stage("load_replicas", C=channels) as fields:
-            caches[channels] = load_replicas(path)
-            fields["replicas"] = caches[channels].n_replicas
+            reps = caches[channels] = load_replicas(path)
+            for name, cached, expected in [("alpha", reps.alpha, spec.alpha),
+                                           ("seed", reps.seed, spec.seed),
+                                           ("output dimension", reps.outputs.shape[2], spec.out_dim)]:
+                if cached != expected:
+                    raise ValueError(f"{path}: replica cache has {name} {cached}, "
+                                     f"the configuration {expected}")
+            fields["replicas"] = reps.n_replicas
     return caches
 
 
@@ -164,7 +172,7 @@ def cmd_verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: P
     # joint checks
     paths = {c: _replica_path(run, c) for c in cfg.channel_counts}
     try:
-        caches = _load_replica_caches({c: p for c, p in paths.items() if p.exists()})
+        caches = _load_replica_caches({c: p for c, p in paths.items() if p.exists()}, spec)
     except ValueError as exc:
         return _usage_error(exc)
     # the sweep's workers are forked here, before the limit measure is read
@@ -300,11 +308,11 @@ def _plot_lines(sweep: Path) -> list[str]:
     return plot_lines
 
 
-def cmd_report(run: Path, plot_lines: list[str]) -> int:
+def cmd_report(spec: NetworkSpec, run: Path, plot_lines: list[str]) -> int:
     # replica caches round-trip through here so stale files surface early
     paths = sorted(run.glob("replicas_C*.bin"))
     try:
-        _load_replica_caches({p.stem.removeprefix("replicas_C"): p for p in paths})
+        _load_replica_caches({p.stem.removeprefix("replicas_C"): p for p in paths}, spec)
     except ValueError as exc:
         return _usage_error(exc)
     (run / "plot_sweep.csv").write_text("\n".join(plot_lines) + "\n")
@@ -371,7 +379,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, spec, limit_cfg, run)
         if args.command == "report":
-            return cmd_report(run, plot_lines)
+            return cmd_report(spec, run, plot_lines)
     raise AssertionError(f"unhandled command {args.command}")
 
 

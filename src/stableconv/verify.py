@@ -169,11 +169,6 @@ class ConvergenceReport:
 
     rows: list[SweepRow]
 
-    def __post_init__(self):
-        cs = [r.channels for r in self.rows]
-        if cs != sorted(cs):
-            raise ValueError("rows must be sorted by channel count")
-
     def to_csv(self, timing: bool = False) -> str:
         """Render the frozen CSV schema.
 

@@ -600,6 +600,38 @@ class TestCommands:
         after = sorted(p.relative_to(run) for p in run.rglob("*") if p.name != "run.log")
         assert after == before
 
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("edit, field", [
+        (("alpha = 1.5", "alpha = 1.2"), "alpha"),
+        (("seed = 7", "seed = 8"), "seed"),
+        (("spatial = 4", "spatial = 5"), "output dimension"),
+    ], ids=["alpha", "seed", "positions"])
+    def test_cache_of_another_configuration_is_an_input_error(self, tmp_path, capsys, command,
+                                                              edit, field):
+        # a full cache drawn at alpha = 1.5, network seed 7 or 4 positions,
+        # copied over the cache of a run whose configuration differs in that
+        # alone, stops the command with one error line naming the file and
+        # the field, and exit 2, before it writes a file
+        drawn, other = tmp_path / "drawn.ini", tmp_path / "other.ini"
+        drawn.write_text(TINY_CONFIG)
+        other.write_text(TINY_CONFIG.replace(*edit))
+        out = tmp_path / "runs"
+        for cfg, replicas in ((drawn, "3000"), (other, "50")):
+            assert main(["simulate", "-c", str(cfg), "-o", str(out),
+                         "--channels", "8", "--replicas", replicas]) == 0
+        run = run_dir_of(other, out)
+        (run / "replicas_C8.bin").write_bytes(
+            (run_dir_of(drawn, out) / "replicas_C8.bin").read_bytes())
+        if command == "report":
+            (run / "sweep.csv").write_text(CSV_HEADER + "\n2,3000,2000,0.1,0.05,0.000\n")
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.name != "run.log"}
+        capsys.readouterr()
+        assert main([command, "-c", str(other), "-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "replicas_C8.bin" in err[0] and f"has {field} " in err[0], err
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.name != "run.log"} == before
+
     # degenerate laws a run must survive, and one input it must refuse: at
     # sigma_b = 0 the target has no bias atom to strip for the mixture, at
     # sigma_w = 0 the mixture law is empty, at alpha = 0.5 the probe radii

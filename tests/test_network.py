@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import combinations, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -278,17 +279,32 @@ class TestSampleReplicas:
 
     def test_input_slab_is_built_once_per_job(self, monkeypatch):
         # the inputs are fixed, so one job of several blocks gathers the
-        # first layer's patches once, and draws what one block at a time does
+        # first layer's patches once, in its one _BlockArrays, and draws
+        # what one block at a time does
         spec = toy_spec(channels=256)
         size = sc.replica_block_size(spec)
         one_by_one = [sc.sample_replicas(spec, (b + 1) * size) for b in range(3)]
         builds = []
-        input_slab = sc.network._input_slab
-        monkeypatch.setattr(sc.network, "_input_slab", lambda s: builds.append(1) or input_slab(s))
+
+        class Counted(sc.network._BlockArrays):
+            def __init__(self, spec, size):
+                builds.append(size)
+                super().__init__(spec, size)
+
+        monkeypatch.setattr(sc.network, "_BlockArrays", Counted)
         reps = sc.sample_replicas(spec, 3 * size)
-        assert len(builds) == 1
+        assert builds == [size]
         for b, head in enumerate(one_by_one):
             assert reps.outputs[: (b + 1) * size].tobytes() == head.outputs.tobytes()
+
+    def test_layers_share_no_memory(self):
+        # each layer draws and computes into its own arrays, so no layer
+        # can read what a later one overwrote
+        spec = toy_spec(channels=8, n_layers=3)
+        layers = sc.network._BlockArrays(spec, sc.replica_block_size(spec)).layers
+        for (l, mine), (k, theirs) in combinations(enumerate(layers), 2):
+            for a, b in product(mine, theirs):
+                assert not np.shares_memory(a, b), (l, k)
 
     # SHA-256 of outputs then biases of 2.5 blocks of replicas, recorded
     # before the replica jobs drew into buffers they allocate once: those

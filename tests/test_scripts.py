@@ -65,24 +65,28 @@ def test_measure_value_digest_hashes_the_values(tmp_path):
         assert digest(tmp_path / f"v{i}.txt") != expected
 
 
-def _bench_run(pair, side, wall, peak, correct=True):
-    metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": peak, "unit": "MB"}}
+def _bench_run(pair, side, wall, peak, setup, correct=True):
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": peak, "unit": "MB"},
+               "setup_s": {"value": setup, "unit": "s"}}
     return {"workload": "w", "pair": pair, "seed": pair + 1, "side": side,
             "result": {"correct": correct, "metrics": metrics}}
 
 
 def test_bench_pairs_summary_on_canned_results():
     summarize = load_script("bench_pairs").summarize
-    metrics = [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"},
-               {"name": "work_per_s", "better": "higher"}]
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.05},
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+               {"name": "setup_s", "better": "lower", "bound": 0.25},
+               {"name": "work_per_s", "better": "higher", "bound": 0.25}]
     parent_peaks = [184.0, 183.9, 185.2, 184.1, 183.8]
     change_peaks = [143.8, 143.9, 184.1, 145.4, 143.7]
     walls = [(1.9, 1.8), (1.8, 1.8), (1.7, 1.9), (2.0, 1.9), (1.85, 1.80)]
+    setups = [(0.20, 0.30), (0.21, 0.29), (0.20, 0.31), (0.19, 0.30), (0.20, 0.28)]
     runs = []
-    for pair, ((old_wall, new_wall), old_peak, new_peak) in enumerate(
-            zip(walls, parent_peaks, change_peaks)):
-        runs += [_bench_run(pair, "parent", old_wall, old_peak),
-                 _bench_run(pair, "change", new_wall, new_peak, correct=pair != 4)]
+    for pair, ((old_wall, new_wall), old_peak, new_peak, (old_setup, new_setup)) in enumerate(
+            zip(walls, parent_peaks, change_peaks, setups)):
+        runs += [_bench_run(pair, "parent", old_wall, old_peak, old_setup),
+                 _bench_run(pair, "change", new_wall, new_peak, new_setup, correct=pair != 4)]
     summary = summarize(runs, metrics)["w"]
     assert summary["pairs"] == 5
     assert summary["correct"] == {"parent": 5, "change": 4}
@@ -92,10 +96,22 @@ def test_bench_pairs_summary_on_canned_results():
     # the change's one high reading (184.1) still beats its pair's 185.2
     assert (peak["change_won"], peak["pairs_compared"]) == (5, 5)
     assert peak["claim_rule_met"]
+    # within the bound: ahead by 21.8%, on a parent spread of 0.1%
+    assert peak["worse_by"] == pytest.approx((143.9 - 184.0) / 184.0)
+    assert peak["within_bound"] and not peak["unresolved"]
     wall = summary["metrics"]["wall_s"]
     # one tie (pair 1) counts for neither side, one loss (pair 2)
     assert (wall["change_won"], wall["pairs_compared"]) == (3, 5)
     assert not wall["claim_rule_met"]
+    # unresolved: ahead by 2.7%, but the parent's quartiles (1.8, 1.9) span
+    # 5.4% of its median, wider than the bound, and the change's 1.9 does
+    # not beat the parent's 1.7
+    assert wall["worse_by"] == pytest.approx((1.8 - 1.85) / 1.85)
+    assert wall["within_bound"] and wall["unresolved"]
+    # beyond the bound: behind by half the parent's median
+    setup = summary["metrics"]["setup_s"]
+    assert setup["worse_by"] == pytest.approx(0.5)
+    assert not setup["within_bound"] and not setup["unresolved"]
     # a metric no run reports has no sides and no pairs
     assert summary["metrics"]["work_per_s"] == {"better": "higher", "pairs_compared": 0,
                                                 "change_won": 0}
