@@ -56,9 +56,12 @@ any measure is t^T S t with S = sum_j w_j s_j s_j^T.  So a layer with more
 nonzero slices than its dimension ``dim`` keeps the eigen-atoms of S
 instead of one atom per slice: one per positive eigenvalue, at most
 ``dim``.  This reduction is exact, not Monte Carlo: both sets of atoms have
-the same CF up to rounding.  A Monte Carlo layer's fields are still drawn
-as above, but drawing M fields from such a measure costs at most
-M * (min(dim, K) + 1) draws, and with dim <= K it is drawn as it is.
+the same CF up to rounding.  Such a layer needs only S and its count of
+nonzero slices, so the builder never holds all its slices: it sums their
+Gram over row blocks of the fields, and one ``eigh`` reduces every such S.
+A Monte Carlo layer's fields are still drawn as above, but drawing M
+fields from such a measure costs at most M * (min(dim, K) + 1) draws, and
+with dim <= K it is drawn as it is.
 
 A position readout sum_p u_p X_p is again stable, with the image of the
 last layer's measure as its spectral measure (Samorodnitsky & Taqqu 1994,
@@ -197,31 +200,79 @@ def _slice_measure(
     layers).  Each nonzero slice v then carries one atom pair of weight
     sigma_w^alpha * ||v||^alpha, divided by n on hidden layers, at direction
     v / ||v||, reduced at alpha = 2 to the eigen-atoms of
-    S = sigma_w^2 sum_v v v^T by :func:`_atom_measure`.  The exact bias
-    atom, sigma_b^alpha * dim^(alpha/2) along the all-ones direction, goes
-    first.
+    S = sigma_w^2 sum_v v v^T when more than ``dim`` slices are nonzero.
+    The exact bias atom, sigma_b^alpha * dim^(alpha/2) along the all-ones
+    direction, goes first.  At alpha = 2 the slab is never built whole
+    (:func:`_gaussian_slice_atoms`).
     """
     fields = np.asarray(fields, dtype=np.float64)
     if fields.shape[1:-1] != cfg.spatial_in:
         raise ValueError("fields must have (channel, *spatial, input) axes matching the layer")
     n = fields.shape[0]
     fields = fields.reshape(n, cfg.n_positions_in, fields.shape[-1])
-    slices = patch_map_for(cfg).slab(fields, activation)  # (n * n_off, n_pos * K)
-    dim = slices.shape[1]
-    # No full-size temporary is made from here on: one freed below the
+    dim = cfg.n_positions_out * fields.shape[-1]
+    bias = None if sigma_b == 0.0 else sigma_b**alpha * dim ** (alpha / 2.0)
+    n_div = 1 if activation is None else n
+    if alpha == 2.0:
+        rows, norms, weights = _gaussian_slice_atoms(fields, cfg, sigma_w, activation)
+        return _atom_measure(rows, norms, weights, alpha, sigma_w**2, bias, n_div)
+    # Below alpha = 2 every nonzero slice is an atom, so the slab is built
+    # whole, but no other full-size temporary is: one freed below the
     # measure's directions would stay resident in the process's heap for the
     # rest of the command.  Replica workers are forked before any measure is
     # built (network.replica_pool), so only the command's own peak pays.
     # Norms by row blocks equal those of one whole call.
+    slices = patch_map_for(cfg).slab(fields, activation)  # (n * n_off, n_pos * K)
     rows = max(1, _BLOCK_BYTES // (8 * dim))
     norms = np.empty(len(slices))
     for start in range(0, len(slices), rows):
         norms[start : start + rows] = np.linalg.norm(slices[start : start + rows], axis=1)
-    bias = None if sigma_b == 0.0 else sigma_b**alpha * dim ** (alpha / 2.0)
     return _atom_measure(
-        slices, norms, sigma_w**alpha * norms**alpha, alpha, sigma_w**2, bias,
-        1 if activation is None else n,
+        slices, norms, sigma_w**alpha * norms**alpha, alpha, sigma_w**2, bias, n_div
     )
+
+
+def _gaussian_slice_atoms(
+    fields: np.ndarray, cfg: ConvLayerConfig, sigma_w: float, activation: ActivationSpec | None
+):
+    """Rows, norms and weights of the alpha = 2 atoms of the
+    (n, n_positions_in, K) ``fields`` for :func:`_slice_measure`, before its
+    division by n, holding one row block of their slab at a time.
+
+    Each block of fields whose slab fits in ``_BLOCK_BYTES`` adds blk^T blk
+    into one dim x dim Gram and counts its nonzero slices, of weight
+    sigma_w^2 ||v||^2 > 0.  At most ``dim`` of them in all are the atoms, in
+    row order, bit for bit the whole slab's; more give the eigen-atoms of
+    sigma_w^2 * Gram (:func:`_eigen_atoms`), a Gram that equals the whole
+    slab's to rounding."""
+    pmap = patch_map_for(cfg)
+    dim = cfg.n_positions_out * fields.shape[-1]
+    per_block = max(1, _BLOCK_BYTES // (8 * dim * cfg.n_offsets))
+    buffer = np.empty((min(per_block, len(fields)) * cfg.n_offsets, dim))
+    gram = np.zeros((dim, dim))
+    kept, count = [(np.empty((0, dim)), np.empty(0), np.empty(0))], 0
+    for start in range(0, len(fields), per_block):
+        block = fields[start : start + per_block]
+        blk = pmap.slab(block, activation, out=buffer[: len(block) * cfg.n_offsets])
+        norms = np.linalg.norm(blk, axis=1)
+        weights = sigma_w**2.0 * norms**2.0
+        keep = weights > 0.0
+        count += np.count_nonzero(keep)
+        gram += blk.T @ blk
+        if count <= dim:
+            kept.append((blk[keep], norms[keep], weights[keep]))
+    if count > dim:
+        return _eigen_atoms(gram, sigma_w**2)
+    return tuple(np.concatenate(parts) for parts in zip(*kept))
+
+
+def _eigen_atoms(gram: np.ndarray, scale: float):
+    """Rows, norms and weights of the eigen-atoms of S = ``scale`` * ``gram``:
+    S's unit eigenvectors, of norm 1, each weighted by its eigenvalue, so
+    that sum_j weights[j] rows[j] rows[j]^T = S.  Every alpha = 2 reduction
+    of this module, of a layer or of a readout, goes through it."""
+    evals, evecs = np.linalg.eigh(gram)
+    return evecs.T, np.ones(len(gram)), scale * evals
 
 
 def _atom_measure(rows, norms, weights, alpha: float, gram_scale: float, bias, n=1):
@@ -230,17 +281,14 @@ def _atom_measure(rows, norms, weights, alpha: float, gram_scale: float, bias, n
     with its tag and along the all-ones direction.  At alpha = 2 with more
     such rows than their dimension, the eigen-atoms of S = gram_scale *
     rows^T rows, which must equal sum_j weights[j] rows[j] rows[j]^T /
-    norms[j]^2, replace them: one per positive eigenvalue, which is its
-    weight (again divided by n), along its unit eigenvector.  This is exact,
-    not a Monte Carlo estimate: the CF exponent of either set of atoms is
-    t^T S t."""
+    norms[j]^2, replace them (:func:`_eigen_atoms`): one per positive
+    eigenvalue, which is its weight (again divided by n), along its unit
+    eigenvector.  This is exact, not a Monte Carlo estimate: the CF exponent
+    of either set of atoms is t^T S t."""
     dim = rows.shape[1]
     keep = weights > 0.0
     if alpha == 2.0 and np.count_nonzero(keep) > dim:
-        # the eigen-atoms of S replace the rows; eigenvectors are unit
-        # vectors already, so their norms are 1
-        evals, evecs = np.linalg.eigh(rows.T @ rows)
-        rows, norms, weights = evecs.T, np.ones(dim), gram_scale * evals
+        rows, norms, weights = _eigen_atoms(rows.T @ rows, gram_scale)
         keep = weights > 0.0
     n_bias = 0 if bias is None else 1
     # take buffers its output unless mode is "clip"; every index is in range

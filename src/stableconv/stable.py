@@ -292,9 +292,10 @@ def sample_multivariate(
 
     Draws are made in row blocks of ``_BLOCK_BYTES // (8 * n_atoms)`` rows
     (at least one): each block draws its (rows, n_atoms) coefficients in one
-    call and projects them straight into the output.  Memory is therefore
-    bounded by one block plus the (size, dimension) output, not by
-    size * n_atoms.  Because each block draws all its uniforms before its
+    call, into one coefficient block and one :class:`_CmsScratch` allocated
+    once per call, and projects them straight into the output.  Memory is
+    therefore bounded by one block plus the (size, dimension) output, not
+    by size * n_atoms.  Because each block draws all its uniforms before its
     exponentials, the values depend on the block partition; that partition
     depends only on the atom count, so equal seeds still give equal draws,
     and a request that fits in one block equals a single whole draw.
@@ -306,9 +307,13 @@ def sample_multivariate(
         return out[0] if size is None else out
     scales = measure.weights ** (1.0 / measure.alpha)
     rows = max(1, _BLOCK_BYTES // (8 * measure.n_atoms))
+    block = np.empty((min(rows, n), measure.n_atoms))
+    # the Gaussian and Cauchy branches of sample_standard take no scratch
+    scratch = None if measure.alpha in (1.0, 2.0) else _CmsScratch(block.size)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        z = sample_standard(measure.alpha, (stop - start, measure.n_atoms), rng)
+        z = sample_standard(measure.alpha, (stop - start, measure.n_atoms), rng,
+                            out=block[: stop - start], scratch=scratch)
         z *= scales
         np.matmul(z, measure.directions, out=out[start:stop])
     return out[0] if size is None else out

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import stableconv as sc
 from stableconv import limits
+from stableconv.tensors import patch_map_for
 
 from conftest import decimal_measure_text, toy_inputs, toy_layer, toy_spec
 
@@ -707,6 +709,116 @@ class TestGaussianEigenAtoms:
                                sc.LimitConfig(mc_samples=500, atom_cap=3), rng)
         assert out.n_atoms == 4
         assert out.bias_index == 0
+
+
+WIDE_LAYER = sc.ConvLayerConfig(spatial_in=(6, 6), filter_shape=(3, 3), padding=(1, 1))
+RELU = sc.get_activation("relu")
+
+
+def _whole_slab_measure(fields, cfg, sigma_w, sigma_b, activation):
+    """The alpha = 2 measure of ``fields`` from their whole patch slab: its
+    nonzero slices as atoms, in row order, when there are at most dim of
+    them, and otherwise the eigh of the whole slab's Gram."""
+    n = len(fields)
+    rows = patch_map_for(cfg).slab(fields.reshape(n, cfg.n_positions_in, -1), activation)
+    dim = rows.shape[1]
+    norms = np.linalg.norm(rows, axis=1)
+    weights = sigma_w**2.0 * norms**2.0
+    if np.count_nonzero(weights > 0.0) > dim:
+        evals, evecs = np.linalg.eigh(rows.T @ rows)
+        rows, norms, weights = evecs.T, np.ones(dim), sigma_w**2 * evals
+    keep = weights > 0.0
+    directions = rows[keep] / norms[keep, None]
+    weights = weights[keep] / (1 if activation is None else n)
+    if sigma_b == 0.0:
+        return sc.SpectralMeasure(2.0, weights, directions)
+    return sc.SpectralMeasure(
+        2.0, np.concatenate([[sigma_b**2.0 * dim], weights]),
+        np.vstack([np.full((1, dim), 1.0 / np.sqrt(dim)), directions]), bias_index=0,
+    )
+
+
+def _covariance(measure):
+    """S of the CF exponent t^T S t of an alpha = 2 measure."""
+    return (measure.directions.T * measure.weights) @ measure.directions
+
+
+class TestGaussianBlockedGram:
+    """At alpha = 2 the slice builder goes over row blocks of the fields and
+    sums their Gram; it must give the whole slab's law, and the whole slab's
+    atoms bit for bit when at most dim slices are nonzero."""
+
+    # (layer, fields, activation, sigma_w, sigma_b): the wide layer's blocks
+    # hold 202 fields and the toy layer's 5461, so 1000 and 12001 fields end
+    # in a partial block
+    CASES = {
+        "toy-layer1": (toy_layer(), 5, None, 0.9, 0.6),
+        "wide-layer1": (WIDE_LAYER, 10, None, 1.3, 0.4),
+        "toy-tanh": (toy_layer(), 12001, TANH, 1.1, 0.7),
+        "wide-tanh": (WIDE_LAYER, 1000, TANH, 1.0, 1.0),
+        "toy-relu": (toy_layer(), 300, RELU, 0.8, 0.5),
+        "wide-relu": (WIDE_LAYER, 500, RELU, 1.2, 0.3),
+        "toy-no-bias": (toy_layer(), 200, TANH, 1.0, 0.0),
+        "wide-no-bias": (WIDE_LAYER, 300, RELU, 0.9, 0.0),
+        "toy-one-field": (toy_layer(), 1, TANH, 1.0, 1.0),
+        "wide-one-field": (WIDE_LAYER, 1, TANH, 1.0, 1.0),
+    }
+
+    @staticmethod
+    def _measures(cfg, fields, activation, sigma_w, sigma_b):
+        blocked = limits._slice_measure(fields, cfg, 2.0, sigma_w, sigma_b, activation)
+        return blocked, _whole_slab_measure(fields, cfg, sigma_w, sigma_b, activation)
+
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_law_as_whole_slab(self, case, small_blocks, monkeypatch):
+        cfg, n, activation, sigma_w, sigma_b = self.CASES[case]
+        if small_blocks:
+            # blocks of one wide field or ten toy fields
+            monkeypatch.setattr(limits, "_BLOCK_BYTES", 2000)
+        fields = np.random.default_rng(n).standard_normal((n, *cfg.spatial_in, 2))
+        blocked, whole = self._measures(cfg, fields, activation, sigma_w, sigma_b)
+        assert blocked.n_atoms == whole.n_atoms
+        assert blocked.bias_index == whole.bias_index
+        cov, ref = _covariance(blocked), _covariance(whole)
+        assert np.abs(cov - ref).max() <= 1e-13 * np.abs(ref).max()
+        probes = sc.generate_probes(whole, n_probes=20, seed=3).probes
+        assert np.abs(sc.cf_multivariate(blocked, probes)
+                      - sc.cf_multivariate(whole, probes)).max() <= 1e-12
+
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    @pytest.mark.parametrize("cfg,n,nonzero", [
+        (toy_layer(), 12001, [3, 12000]),
+        (WIDE_LAYER, 1000, [0, 250, 999]),
+    ], ids=["toy", "wide"])
+    def test_few_nonzero_slices_are_the_whole_slabs_atoms(self, cfg, n, nonzero, small_blocks,
+                                                         monkeypatch):
+        # more rows than dim, at most dim of them nonzero: tanh(0) = 0 fills
+        # the padding, so only the nonzero fields give slices
+        if small_blocks:
+            monkeypatch.setattr(limits, "_BLOCK_BYTES", 2000)
+        fields = np.zeros((n, *cfg.spatial_in, 2))
+        fields[nonzero] = np.random.default_rng(n).standard_normal((len(nonzero), *cfg.spatial_in, 2))
+        for sigma_w in (1.1, 0.0):
+            blocked, whole = self._measures(cfg, fields, TANH, sigma_w, 0.7)
+            assert whole.n_atoms == (1 + len(nonzero) * cfg.n_offsets if sigma_w else 1)
+            assert np.array_equal(blocked.weights, whole.weights)
+            assert np.array_equal(blocked.directions, whole.directions)
+            assert blocked.bias_index == 0
+
+    def test_wide_layer_peak_stays_far_below_its_slab(self):
+        # M = 5000 wide fields have a 45,000 x 72 float64 slab, 26 MB; the
+        # blocked builder's peak is the fields and one block of their slab
+        x = np.random.default_rng(0).standard_normal((2, *WIDE_LAYER.spatial_in, 2))
+        prev = sc.gamma_first(x, WIDE_LAYER, 2.0, 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            sc.gamma_next_mc(prev, WIDE_LAYER, 2.0, 1.0, 1.0, TANH,
+                             sc.LimitConfig(mc_samples=5000), np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestLimitPipeline:

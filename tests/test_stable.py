@@ -186,6 +186,22 @@ class TestBlockedSampler:
         )
         assert float(done.stdout) < 150.0
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_blocks_draw_into_one_coefficient_block(self, rng, monkeypatch, alpha):
+        # every row block draws into a view of one (rows, n_atoms) block with
+        # one scratch, which the closed-form Gaussian branch does without
+        m = make_measure(rng, dim=3, n_atoms=self.N_ATOMS, alpha=alpha)
+        calls, sample_standard = [], stable_module.sample_standard
+
+        def recording(alpha, size, rng, out=None, scratch=None):
+            calls.append((out.__array_interface__["data"][0], scratch))
+            return sample_standard(alpha, size, rng, out=out, scratch=scratch)
+
+        monkeypatch.setattr(stable_module, "sample_standard", recording)
+        sc.sample_multivariate(m, rng, size=2 * self.ROWS + 5)
+        assert len(calls) == 3 and len(set(calls)) == 1
+        assert (calls[0][1] is None) == (alpha == 2.0)
+
     def test_partition_follows_atom_count(self, rng):
         m = make_measure(rng, dim=3, n_atoms=self.N_ATOMS)
         n = 2 * self.ROWS + 5
