@@ -12,8 +12,12 @@ and one fresh output directory per workload, and prints one line
 holds timings).  Each measure file also gets a line
 ``<sha256>  <workload>/<path>:values``, the digest of the values it holds
 (:func:`measure_value_digest`), which stays the same when only the file
-encoding changes.  A line ``# <workload> <command> rc=<code>`` precedes
-each workload's digests.  Two checkouts whose outputs agree bit for bit
+encoding changes.  Each CSV file gets a line
+``<sha256>  <workload>/<path>:rounded``, the digest of its text with every
+float cell printed again at 10 significant digits
+(:func:`csv_rounded_digest`), which stays the same when only the last
+printed digits of its values move.  A line
+``# <workload> <command> rc=<code>`` precedes each workload's digests.  Two checkouts whose outputs agree bit for bit
 print the same lines.
 """
 
@@ -55,6 +59,29 @@ def measure_value_digest(path: Path) -> str:
     return h.hexdigest()
 
 
+def _rounded_cell(cell: str) -> str:
+    """``cell`` printed again at 10 significant digits if it is a float
+    that is not an integer literal, else as it is."""
+    try:
+        int(cell)
+        return cell
+    except ValueError:
+        pass
+    try:
+        return f"{float(cell):.10g}"
+    except ValueError:
+        return cell
+
+
+def csv_rounded_digest(path: Path) -> str:
+    """SHA-256 of the CSV text at ``path`` with every float cell printed
+    again at 10 significant digits (:func:`_rounded_cell`); headers, integer
+    cells and line breaks stay as they are."""
+    lines = path.read_text().splitlines()
+    text = "\n".join(",".join(map(_rounded_cell, line.split(","))) for line in lines)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def workload_digests(name: str, seed: int, scratch: Path) -> list[str]:
     """The rc and digest lines of one workload run under ``scratch``."""
     workload = WORKLOADS[name]
@@ -77,6 +104,8 @@ def workload_digests(name: str, seed: int, scratch: Path) -> list[str]:
             lines.append(f"{_digest(path)}  {name}/{path.relative_to(out)}")
             if path.parent.name == "measures":
                 lines.append(f"{measure_value_digest(path)}  {name}/{path.relative_to(out)}:values")
+            if path.suffix == ".csv":
+                lines.append(f"{csv_rounded_digest(path)}  {name}/{path.relative_to(out)}:rounded")
     return lines
 
 

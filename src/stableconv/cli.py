@@ -13,8 +13,8 @@ Every command resolves the configuration file, hashes it, and works inside
 configuration and the hash are written next to the outputs, and CSV files
 are byte-identical across re-runs with the same configuration and seed.
 Every timed step (each limit layer, each measure or replica file written or
-read, replica sampling, each sweep point, the independence and oracle
-checks) logs one ``stage=`` line to ``run.log`` through
+read, replica sampling, the sweep's probe set, each sweep point, the
+independence and oracle checks) logs one ``stage=`` line to ``run.log`` through
 :func:`stableconv.limits.stage`, with its seconds, peak resident memory and
 minor page faults.
 ``simulate`` and ``verify`` fork their replica workers (``[verify] workers``)
@@ -39,6 +39,7 @@ from .network import (
     ReplicaPool,
     ReplicaSet,
     load_replicas,
+    non_finite_rows,
     replica_block_size,
     replica_pool,
     sample_replicas,
@@ -147,7 +148,7 @@ def cmd_simulate(cfg: RunConfig, spec: NetworkSpec, run: Path, replicas: int | N
             reps = sample_replicas(spec, n, n_channels=2, pool=pool)
     # a cache of replicas with no CF would only fail a later `verify`
     try:
-        require_finite(reps.outputs, spec.channels, spec.alpha)
+        require_finite(non_finite_rows(reps.outputs), n, spec.channels, spec.alpha)
     except NonFiniteReplicas as exc:
         log.error("check failed: %s", exc)
         return 1
@@ -197,7 +198,10 @@ def _verify(cfg: RunConfig, spec: NetworkSpec, limit_cfg: LimitConfig, run: Path
             return _usage_error(exc)
     else:
         target = _compute_and_save_limit(spec, limit_cfg, run)[-1]
-    probes = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed)
+    # the theoretical CF over atoms x probes, timed apart from the sweep
+    with stage("probes", atoms=target.n_atoms) as fields:
+        probes = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed)
+        fields["probes"] = probes.n_probes
     _write_probe_csv(run, probes)
     try:
         report = convergence_sweep(

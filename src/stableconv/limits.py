@@ -92,6 +92,8 @@ from .network import NetworkSpec, RNG_DOMAIN_LIMIT, ActivationSpec, rng_stream
 from .stable import (
     _BLOCK_BYTES,
     SpectralMeasure,
+    _CoefficientScratch,
+    _coefficient_rows,
     _compressed_size,
     compress_measure,
     empty_measure,
@@ -159,11 +161,13 @@ def _draw_fields(measure: SpectralMeasure, cfg: ConvLayerConfig, n_draws: int, r
     by :func:`stableconv.stable.compress_measure`, which keeps the bias atom
     exactly and first, then draws its own fields from that resample.
     Independent resamples per group keep the CF's spread that of one
-    resample to M, at a bias of O(1/K) (see the module docstring).  A
-    measure with at most K non-bias atoms gives all M fields in one
-    :func:`stableconv.stable.sample_multivariate` call and spends no random
-    numbers on resampling.  The measure is checked against the layer's input
-    positions before anything is drawn.
+    resample to M, at a bias of O(1/K) (see the module docstring).  The
+    groups draw into one (M, dimension) output, through one coefficient
+    block and CMS scratch (:class:`stableconv.stable._CoefficientScratch`),
+    which change no value.  A measure with at most K non-bias atoms gives
+    all M fields in one :func:`stableconv.stable.sample_multivariate` call
+    and spends no random numbers on resampling.  The measure is checked
+    against the layer's input positions before anything is drawn.
     """
     n_in = cfg.n_positions_in
     if measure.n_atoms == 0:
@@ -174,13 +178,21 @@ def _draw_fields(measure: SpectralMeasure, cfg: ConvLayerConfig, n_draws: int, r
             f"the layer's {n_in} input positions"
         )
     groups = _field_groups(measure, n_draws)
-    # compress_measure is looked up in this module on every call, so a
-    # tracer or a test that rebinds it here sees each group's resample
-    draws = [
-        sample_multivariate(compress_measure(measure, groups[0], rng), rng, size=size)
-        for size in groups
-    ]
-    draws = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    draws = np.empty((n_draws, measure.dimension))
+    scratch, start = None, 0
+    for size in groups:
+        # compress_measure is looked up in this module on every call, so a
+        # tracer or a test that rebinds it here sees each group's resample
+        source = compress_measure(measure, groups[0], rng)
+        # every group's resample has one atom count, so all groups draw
+        # through one coefficient block and CMS scratch; a rebound
+        # compress_measure that returns another count gets its own
+        if scratch is None or scratch.block.shape[1] != source.n_atoms:
+            rows = min(_coefficient_rows(source.n_atoms), groups[0])
+            scratch = _CoefficientScratch(source.alpha, source.n_atoms, rows)
+        sample_multivariate(source, rng, size=size, out=draws[start : start + size],
+                            scratch=scratch)
+        start += size
     return draws.reshape(n_draws, *cfg.spatial_in, measure.dimension // n_in)
 
 

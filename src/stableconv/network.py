@@ -37,6 +37,13 @@ to the system and fault them in again for the next block: a fresh
 minor faults, and takes about 1k.  Only the activation still returns a new
 array of one field's size, which the allocator reuses from block to block.
 
+A sweep point needs only the empirical characteristic function of channel 0
+of its replicas, so its jobs (:func:`replica_cf_sums`) keep one block of
+outputs at a time and return one row of CF sums per block, with their count
+of non-finite replicas; no replica output leaves a job.  Each row depends
+only on its block's replicas, so the rows, like the draws, do not depend on
+the worker count.
+
 Blocks run in parallel in a :func:`replica_pool`, which a command opens once,
 before it reads or builds any limit measure, and passes to every sampling
 call.  Its workers are forked while the process is still small, so they do
@@ -62,7 +69,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stable import _BLOCK_BYTES, _CmsScratch, _replacing, sample_standard
+from .stable import _BLOCK_BYTES, _CmsScratch, _replacing, cf_block_sums, sample_standard
 from .tensors import ConvLayerConfig, input_tensor, patch_map_for
 
 # spawn-key domains keep replica, limit-recursion, probe and input streams
@@ -384,20 +391,62 @@ class ReplicaSet:
         return self.outputs[:, c, :]
 
 
-def _replica_blocks(args) -> tuple[np.ndarray, np.ndarray]:
-    """Replicas of the blocks [lo, hi), stopping at replica ``n_replicas``,
-    computed in one :class:`_BlockArrays`."""
-    spec, n_channels, size, lo, hi, n_replicas = args
+def non_finite_rows(values: np.ndarray) -> int:
+    """The count of rows of ``values`` (one replica each, along axis 0) that
+    hold an infinite or NaN value."""
+    return int(np.count_nonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1)))
+
+
+def _replica_blocks(args):
+    """The blocks [lo, hi) of one job, stopping at replica ``n_replicas``,
+    computed in one :class:`_BlockArrays`.
+
+    Without ``probes`` the job returns the outputs (n, n_channels, out_dim)
+    and biases (n, n_channels) of its n replicas.  With ``probes``
+    (P, out_dim) it holds one block of outputs at a time and returns, for
+    each of its blocks in order, the row sum_n exp(i <t, x_n>) over channel
+    0 of the replicas that block keeps
+    (:func:`~stableconv.stable.cf_block_sums`), as an (hi - lo, P) array,
+    and the count of its replicas whose channel 0 holds a non-finite value
+    (:func:`non_finite_rows`)."""
+    spec, n_channels, size, lo, hi, n_replicas, probes = args
     start, stop = lo * size, min(hi * size, n_replicas)
-    out = np.empty((stop - start, n_channels, spec.out_dim))
-    bias = np.empty((stop - start, n_channels))
+    held = stop - start if probes is None else size
+    out = np.empty((held, n_channels, spec.out_dim))
+    bias = np.empty((held, n_channels))
     arrays = _BlockArrays(spec, size)
+    sums, bad = [], 0
     for block in range(lo, hi):
         first = block * size - start
-        last = min(first + size, stop - start)
+        keep = min(size, stop - start - first)
+        at = first if probes is None else 0
         _forward_block(spec, arrays, replica_rng(spec.seed, block),
-                       out[first:last], bias[first:last])
-    return out, bias
+                       out[at : at + keep], bias[at : at + keep])
+        if probes is not None:
+            channel0 = out[:keep, 0]
+            # a block with a non-finite replica sums to NaN, which its count
+            # reports to the caller
+            with np.errstate(invalid="ignore"):
+                sums.append(cf_block_sums([(channel0, probes)], keep)[0])
+            bad += non_finite_rows(channel0)
+    return (out, bias) if probes is None else (np.array(sums), bad)
+
+
+def _replica_jobs(spec: NetworkSpec, n_replicas: int, n_channels: int, pool, probes=None):
+    """The :func:`_replica_blocks` jobs of ``n_replicas`` replicas: the
+    blocks of :func:`replica_block_size` split into up to W contiguous
+    ranges of whole blocks for a ``pool`` of W workers, one range without
+    one."""
+    if n_replicas < 1:
+        raise ValueError("n_replicas must be >= 1")
+    size = replica_block_size(spec)
+    n_blocks = -(-n_replicas // size)
+    n_jobs = 1 if pool is None else max(1, min(pool.workers, n_blocks))
+    bounds = np.linspace(0, n_blocks, n_jobs + 1).astype(int)
+    return [
+        (spec, n_channels, size, int(lo), int(hi), n_replicas, probes)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 class ReplicaPool(ProcessPoolExecutor):
@@ -454,25 +503,42 @@ def sample_replicas(
     with a single block, they run in the calling process.  The results do
     not depend on the pool or its worker count.
     """
-    if n_replicas < 1:
-        raise ValueError("n_replicas must be >= 1")
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
-    size = replica_block_size(spec)
-    n_blocks = -(-n_replicas // size)
-    n_jobs = 1 if pool is None else max(1, min(pool.workers, n_blocks))
-    bounds = np.linspace(0, n_blocks, n_jobs + 1).astype(int)
-    jobs = [
-        (spec, n_channels, size, int(lo), int(hi), n_replicas)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    if n_jobs == 1:
+    jobs = _replica_jobs(spec, n_replicas, n_channels, pool)
+    if len(jobs) == 1:
         out, bias = _replica_blocks(jobs[0])
     else:
-        parts = list(pool.map(_replica_blocks, jobs))
-        out = np.concatenate([p[0] for p in parts])
-        bias = np.concatenate([p[1] for p in parts])
+        # each part is copied in as the pool yields it, and then dropped
+        out = np.empty((n_replicas, n_channels, spec.out_dim))
+        bias = np.empty((n_replicas, n_channels))
+        at = 0
+        for part_out, part_bias in pool.map(_replica_blocks, jobs):
+            out[at : at + len(part_out)] = part_out
+            bias[at : at + len(part_out)] = part_bias
+            at += len(part_out)
     return ReplicaSet(outputs=out, biases=bias, alpha=spec.alpha, seed=spec.seed)
+
+
+def replica_cf_sums(
+    spec: NetworkSpec, n_replicas: int, probes: np.ndarray, pool: ReplicaPool | None = None
+) -> tuple[np.ndarray, int]:
+    """The CF block sums of channel 0 of the ``n_replicas`` replicas
+    :func:`sample_replicas` draws, reduced inside the replica jobs: one row
+    sum_n exp(i <t, x_n>) at the ``probes`` (P, out_dim) per block of
+    :func:`replica_block_size` replicas, in block order, and the count of
+    replicas whose channel 0 holds a non-finite value.
+
+    No job returns its outputs, so memory is one block of replicas per job
+    and an (n_blocks, P) array here.  The block partition depends on the
+    spec alone, and a row on its block's replicas alone, so the rows do not
+    depend on the pool or its worker count, and
+    ``cf_block_sums([(x, probes)], replica_block_size(spec))`` of channel 0
+    x of the replicas themselves gives them bit for bit."""
+    jobs = _replica_jobs(spec, n_replicas, 1, pool, probes)
+    parts = [_replica_blocks(jobs[0])] if len(jobs) == 1 else pool.map(_replica_blocks, jobs)
+    sums, bad = zip(*parts)
+    return np.concatenate(sums), sum(bad)
 
 
 def channel_mixture(outputs, z, biases) -> np.ndarray:

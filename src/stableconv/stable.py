@@ -276,13 +276,68 @@ def cf_multivariate(measure: SpectralMeasure, t):
     if measure.n_atoms == 0:
         out = np.ones(probes.shape[0])
     else:
-        expo = np.abs(probes @ measure.directions.T) ** measure.alpha @ measure.weights
-        out = np.exp(-expo)
+        out = np.exp(-cf_exponent(measure, probes))
     return float(out[0]) if single else out
 
 
+def cf_exponent(measure: SpectralMeasure, probes: np.ndarray) -> np.ndarray:
+    """sum_j w_j |<t, s_j>|^alpha at each probe t of ``probes`` (n, d): minus
+    the log of :func:`cf_multivariate`.  The (n, n_atoms) product is the one
+    array of that size: its absolute value and power are taken in place, in
+    the same operations as ``np.abs(probes @ directions.T) ** alpha``, so the
+    values are those bit for bit."""
+    values = probes @ measure.directions.T
+    np.abs(values, out=values)
+    values **= measure.alpha
+    return values @ measure.weights
+
+
+def cf_block_sums(terms, rows: int) -> np.ndarray:
+    """sum_n exp(i phase_n) over each block of ``rows`` consecutive samples,
+    one complex row per block, in block order: (n_blocks, n_probes).
+
+    ``terms`` is a list of (samples (N, d_k), probes (n_probes, d_k)) pairs
+    over the same N samples, and phase_n at a probe is the sum over the
+    terms of <t, x_n>: one pair gives the empirical CF sums of one sample
+    set, two give the joint CF of paired samples at paired probes.  Each
+    block's samples are made contiguous before their product with the
+    probes, so a strided view (channel 0 of a many-channel replica set)
+    gives bit for bit the rows of a contiguous copy, and a block's row
+    depends only on that block's samples, not on the others: rows computed
+    in separate jobs over the same partition equal those of one call.
+    """
+    n = len(terms[0][0])
+    sums = np.empty((-(-n // rows), len(terms[0][1])), dtype=complex)
+    for i, start in enumerate(range(0, n, rows)):
+        phases = sum(np.ascontiguousarray(x[start : start + rows]) @ t.T for x, t in terms)
+        sums[i] = np.exp(1j * phases).sum(axis=0)
+    return sums
+
+
+class _CoefficientScratch:
+    """The coefficient block of :func:`sample_multivariate`, up to ``rows``
+    draws of ``n_atoms`` coefficients, and the :class:`_CmsScratch` that
+    fills it; none at alpha = 1 and 2, whose branches of
+    :func:`sample_standard` take no scratch.  A caller that draws from
+    several measures of one atom count keeps one and passes it to each
+    call."""
+
+    def __init__(self, alpha: float, n_atoms: int, rows: int):
+        self.block = np.empty((rows, n_atoms))
+        self.cms = None if alpha in (1.0, 2.0) else _CmsScratch(self.block.size)
+
+
+def _coefficient_rows(n_atoms: int) -> int:
+    """Rows of one block of :func:`sample_multivariate` at ``n_atoms`` atoms."""
+    return max(1, _BLOCK_BYTES // (8 * n_atoms))
+
+
 def sample_multivariate(
-    measure: SpectralMeasure, rng: np.random.Generator, size: int | None = None
+    measure: SpectralMeasure,
+    rng: np.random.Generator,
+    size: int | None = None,
+    out: np.ndarray | None = None,
+    scratch: _CoefficientScratch | None = None,
 ) -> np.ndarray:
     """Exact draws from the stable law of a discrete spectral measure.
 
@@ -292,28 +347,33 @@ def sample_multivariate(
 
     Draws are made in row blocks of ``_BLOCK_BYTES // (8 * n_atoms)`` rows
     (at least one): each block draws its (rows, n_atoms) coefficients in one
-    call, into one coefficient block and one :class:`_CmsScratch` allocated
-    once per call, and projects them straight into the output.  Memory is
-    therefore bounded by one block plus the (size, dimension) output, not
-    by size * n_atoms.  Because each block draws all its uniforms before its
+    call, into one coefficient block and one :class:`_CmsScratch`, and
+    projects them straight into the output.  Memory is therefore bounded by
+    one block plus the (size, dimension) output, not by size * n_atoms.
+    The draws go into ``out`` when it is given, a (size, dimension) array,
+    and the coefficients into ``scratch`` (:class:`_CoefficientScratch` of
+    the measure's alpha and atom count, with at least min(rows, size)
+    rows); otherwise both are allocated once per call.  Neither changes a
+    value.  Because each block draws all its uniforms before its
     exponentials, the values depend on the block partition; that partition
     depends only on the atom count, so equal seeds still give equal draws,
     and a request that fits in one block equals a single whole draw.
     """
     n = 1 if size is None else int(size)
-    out = np.zeros((n, measure.dimension))
+    if out is None:
+        out = np.empty((n, measure.dimension))
     if measure.n_atoms == 0:
         warnings.warn("sampling an empty spectral measure: draws are all zero")
+        out[...] = 0.0
         return out[0] if size is None else out
     scales = measure.weights ** (1.0 / measure.alpha)
-    rows = max(1, _BLOCK_BYTES // (8 * measure.n_atoms))
-    block = np.empty((min(rows, n), measure.n_atoms))
-    # the Gaussian and Cauchy branches of sample_standard take no scratch
-    scratch = None if measure.alpha in (1.0, 2.0) else _CmsScratch(block.size)
+    rows = _coefficient_rows(measure.n_atoms)
+    if scratch is None:
+        scratch = _CoefficientScratch(measure.alpha, measure.n_atoms, min(rows, n))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         z = sample_standard(measure.alpha, (stop - start, measure.n_atoms), rng,
-                            out=block[: stop - start], scratch=scratch)
+                            out=scratch.block[: stop - start], scratch=scratch.cms)
         z *= scales
         np.matmul(z, measure.directions, out=out[start:stop])
     return out[0] if size is None else out

@@ -13,7 +13,14 @@ exactly 1 there).  A :class:`ProbeSet` carries the theoretical CF at each
 of its probes.
 
 The estimator mean_n exp(i <t, X_n>) has standard error about 1/sqrt(N) per
-probe, which sets the tolerances used by the acceptance suite.
+probe, which sets the tolerances used by the acceptance suite.  It is
+computed as a sum of block sums (:func:`stableconv.stable.cf_block_sums`):
+each block of samples gives one row of sum_n exp(i <t, X_n>) over the probes,
+and the rows are summed in block order and divided by N, so no N x P array
+is built.  A sweep point's blocks are its replica blocks, reduced inside the
+replica jobs, so the process running the sweep holds no replica outputs; a
+cached point reduces the cache over the same blocks and gets the same rows
+bit for bit.  The values equal a whole-N mean to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -29,11 +36,12 @@ from .network import (
     ReplicaPool,
     ReplicaSet,
     channel_mixture,
+    non_finite_rows,
     replica_block_size,
+    replica_cf_sums,
     rng_stream,
-    sample_replicas,
 )
-from .stable import _BLOCK_BYTES, SpectralMeasure, cf_multivariate
+from .stable import _BLOCK_BYTES, SpectralMeasure, cf_block_sums, cf_exponent, cf_multivariate
 from .tensors import patch_map_for
 
 RADIUS_FACTORS = (0.25, 0.5, 1.0, 2.0)
@@ -83,7 +91,7 @@ def generate_probes(measure: SpectralMeasure, n_probes: int = 20, seed: int = 0)
         rng = rng_stream(seed, RNG_DOMAIN_PROBES, attempt)
         dirs = rng.standard_normal((n_probes, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        unit_expo = np.abs(dirs @ measure.directions.T) ** alpha @ measure.weights
+        unit_expo = cf_exponent(measure, dirs)
         base = (np.log(2.0) / np.median(unit_expo)) ** (1.0 / alpha)
         radii = base * factors[np.arange(n_probes) % len(factors)]
         probes = np.vstack([np.zeros(d), dirs * radii[:, None]])
@@ -94,11 +102,19 @@ def generate_probes(measure: SpectralMeasure, n_probes: int = 20, seed: int = 0)
     raise RuntimeError("failed to generate a discriminative probe set")
 
 
+def _cf_rows(n_probes: int) -> int:
+    """Samples per block of the empirical CF sums: a block's rows x probes
+    complex values stay within ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (16 * n_probes))
+
+
 def empirical_cf(samples: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """Empirical characteristic function of flat samples at each probe.
 
-    Returns mean_n exp(i <t, X_n>) as a complex array; the standard error of
-    each entry is about 1/sqrt(len(samples)).
+    Returns mean_n exp(i <t, X_n>) as a complex array: the sum of the
+    :func:`~stableconv.stable.cf_block_sums` of blocks of samples, divided
+    by N, so no N x P array is built.  The standard error of each entry is
+    about 1/sqrt(len(samples)).
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] == 0:
@@ -108,8 +124,7 @@ def empirical_cf(samples: np.ndarray, probes: np.ndarray) -> np.ndarray:
     t = np.atleast_2d(arr)
     if t.shape[1] != samples.shape[1]:
         raise ValueError("probe dimension does not match the samples")
-    phases = samples @ t.T
-    out = np.exp(1j * phases).mean(axis=0)
+    out = cf_block_sums([(samples, t)], _cf_rows(len(t))).sum(axis=0) / len(samples)
     return complex(out[0]) if single else out
 
 
@@ -150,12 +165,11 @@ class NonFiniteReplicas(ArithmeticError):
     exceed the float64 range."""
 
 
-def require_finite(outputs: np.ndarray, channels: int, alpha: float) -> None:
-    """Raise :class:`NonFiniteReplicas` if any replica of ``outputs`` (one
-    row per replica, at C = ``channels``) holds an infinite or NaN value; the
-    message names the count, C and alpha."""
-    n = len(outputs)
-    bad = int(np.count_nonzero(~np.isfinite(outputs.reshape(n, -1)).all(axis=1)))
+def require_finite(bad: int, n: int, channels: int, alpha: float) -> None:
+    """Raise :class:`NonFiniteReplicas` if ``bad`` of ``n`` replicas at
+    C = ``channels`` hold an infinite or NaN value
+    (:func:`stableconv.network.non_finite_rows`); the message names the
+    count, C and alpha."""
     if bad:
         raise NonFiniteReplicas(
             f"{bad} of {n} replicas at C = {channels} have non-finite outputs "
@@ -213,15 +227,21 @@ def convergence_sweep(
     memory; a ``pool`` (:func:`stableconv.network.replica_pool`) runs the
     replica blocks of every point that samples, in the same workers.
 
-    ``caches`` maps a channel count to replicas of ``spec`` at that count,
-    e.g. a ``simulate`` cache.  A count whose set holds at least
-    ``n_replicas`` replicas takes channel 0 of its first ``n_replicas``
-    instead of sampling: that is bit for bit what sampling would draw (see
-    :mod:`stableconv.network`), so the rows do not depend on the caches.
-    Each point logs a ``stage=sweep`` line (:func:`stableconv.limits.stage`)
-    with ``source=cache`` or the ``block`` size it sampled in, and its sup
-    and mean distances; its ``seconds`` are the row's.  A point whose
-    replicas hold a non-finite output raises :class:`NonFiniteReplicas`.
+    A point that samples never holds its replicas: each replica job reduces
+    its blocks to one row of CF sums per replica block
+    (:func:`stableconv.network.replica_cf_sums`), and the point's empirical
+    CF is those rows summed in block order, divided by N.  ``caches`` maps a
+    channel count to replicas of ``spec`` at that count, e.g. a
+    ``simulate`` cache.  A count whose set holds at least ``n_replicas``
+    replicas reduces channel 0 of its first ``n_replicas`` over the same
+    blocks instead of sampling.  Those are bit for bit the replicas sampling
+    would draw (see :mod:`stableconv.network`), so the rows are the sampled
+    rows, and the sweep depends neither on the caches nor on the worker
+    count.  Each point logs a ``stage=sweep`` line
+    (:func:`stableconv.limits.stage`) with ``source=cache`` or the ``block``
+    size it sampled in, and its sup and mean distances; its ``seconds`` are
+    the row's.  A point whose replicas hold a non-finite output raises
+    :class:`NonFiniteReplicas`.
     """
     counts = [int(c) for c in channel_counts]
     if any(b <= a for a, b in zip(counts, counts[1:])) or not counts:
@@ -232,20 +252,19 @@ def convergence_sweep(
     sampled = sampled_counts(counts, n_replicas, caches)
     rows = []
     for c in counts:
-        if c in sampled:
-            reps, source = None, {"block": replica_block_size(spec.with_channels(c))}
-        else:
-            reps, source = caches[c], {"source": "cache"}
+        spec_c = spec.with_channels(c)
+        size = replica_block_size(spec_c)
+        source = {"block": size} if c in sampled else {"source": "cache"}
         with stage("sweep", C=c, replicas=n_replicas, **source) as fields:
-            if reps is None:
-                reps = sample_replicas(spec.with_channels(c), n_replicas, pool=pool)
-            channel0 = reps.outputs[:n_replicas, 0, :]
-            require_finite(channel0, c, spec.alpha)
-            # channel 0 of a cache with more channels is strided; the copy
-            # gives the CF estimate the layout of a sampled one-channel set
-            emp = empirical_cf(np.ascontiguousarray(channel0), probes.probes)
-            # the next point does not sample while holding these replicas
-            del reps, channel0
+            if c in sampled:
+                sums, bad = replica_cf_sums(spec_c, n_replicas, probes.probes, pool=pool)
+                require_finite(bad, n_replicas, c, spec.alpha)
+            else:
+                channel0 = caches[c].outputs[:n_replicas, 0]
+                require_finite(non_finite_rows(channel0), n_replicas, c, spec.alpha)
+                # over the replica jobs' blocks, so the rows are theirs
+                sums = cf_block_sums([(channel0, probes.probes)], size)
+            emp = sums.sum(axis=0) / n_replicas
             fields["sup"], fields["mean"] = cf_distance(emp, probes.cf)
         rows.append(
             SweepRow(
@@ -275,11 +294,13 @@ def cross_factorization_defect(
         raise ValueError("paired samples required")
     if probes_a.shape != probes_b.shape:
         raise ValueError("probe pairs are misaligned")
-    pa = samples_a @ probes_a.T
-    pb = samples_b @ probes_b.T
-    joint = np.exp(1j * (pa + pb)).mean(axis=0)
-    prod_ = np.exp(1j * pa).mean(axis=0) * np.exp(1j * pb).mean(axis=0)
-    return np.abs(joint - prod_)
+    rows, n = _cf_rows(len(probes_a)), len(samples_a)
+
+    def cf(*terms):
+        return cf_block_sums(list(terms), rows).sum(axis=0) / n
+
+    pair_a, pair_b = (samples_a, probes_a), (samples_b, probes_b)
+    return np.abs(cf(pair_a, pair_b) - cf(pair_a) * cf(pair_b))
 
 
 @dataclass(frozen=True)

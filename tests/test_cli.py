@@ -376,11 +376,11 @@ class TestCommands:
                     match = STAGE_LINE.match(line)
                     assert match, line
                     stages.append(match.group(1))
-        # two layers each for `limit` and `oracle`; the sweep's three
-        # points; `verify` and `report` each read the C = 32 cache
+        # two layers each for `limit` and `oracle`; the sweep's probe set
+        # and three points; `verify` and `report` each read the C = 32 cache
         assert sorted(stages) == sorted(
             ["layer"] * 4 + ["save_measure"] * 2 + ["sample_replicas", "save_replicas"]
-            + ["load_replicas"] * 2 + ["read_measure"] + ["sweep"] * 3
+            + ["load_replicas"] * 2 + ["read_measure", "probes"] + ["sweep"] * 3
             + ["independence", "oracle"]
         )
 
@@ -444,9 +444,14 @@ class TestCommands:
         # the zero probe reports a theoretical CF of exactly 1
         first = probes_a.splitlines()[1].split(",")
         assert first[1] == "0" and first[2] == "1"
-        rows = re.findall(r"stage=sweep C=(\d+) replicas=3000 block=\d+ sup=",
-                          (run_a / "run.log").read_text())
+        log = (run_a / "run.log").read_text()
+        rows = re.findall(r"stage=sweep C=(\d+) replicas=3000 block=\d+ sup=", log)
         assert rows == [ln.split(",")[0] for ln in sweep_a.decode().splitlines()[1:]]
+        # the probe set's theoretical CF has its own line, over the target's atoms
+        atoms = sc.read_measure(run_a / "measures" / "layer_02.txt").n_atoms
+        n_probes = len(probes_a.splitlines()) - 1
+        assert re.search(rf"^.*stage=probes atoms={atoms} probes={n_probes} seconds=",
+                         log, re.M)
 
     def test_verify_uses_cached_measures(self, config_file, tmp_path):
         out = tmp_path / "runs"

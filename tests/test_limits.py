@@ -398,9 +398,9 @@ class TestFieldGroups:
             resamples.append((measure, target, out))
             return out
 
-        def sample(measure, rng, size=None):
+        def sample(measure, rng, size=None, out=None, scratch=None):
             draws.append((measure, size))
-            return sc.sample_multivariate(measure, rng, size=size)
+            return sc.sample_multivariate(measure, rng, size=size, out=out, scratch=scratch)
 
         monkeypatch.setattr(limits, "compress_measure", resample)
         monkeypatch.setattr(limits, "sample_multivariate", sample)
@@ -418,6 +418,22 @@ class TestFieldGroups:
         assert fields.tobytes() == expected.tobytes()
         assert draws == [(source, m)]
         assert all(out is source for _, _, out in resamples)
+
+    def test_groups_draw_into_one_output_through_one_scratch(self, monkeypatch):
+        # every group's resample has K + 1 atoms, so the ten groups share
+        # one coefficient block and CMS scratch and write into the fields
+        calls, sample = [], limits.sample_multivariate
+
+        def recording(measure, rng, size=None, out=None, scratch=None):
+            calls.append((out, scratch))
+            return sample(measure, rng, size=size, out=out, scratch=scratch)
+
+        monkeypatch.setattr(limits, "sample_multivariate", recording)
+        fields = limits._draw_fields(_measure_with(300, bias_at=0), toy_layer(), 100,
+                                     np.random.default_rng(5))
+        assert len(calls) == 10 and len({id(scratch) for _, scratch in calls}) == 1
+        assert calls[0][1] is not None and calls[0][1].block.shape == (10, 11)
+        assert all(np.shares_memory(out, fields) for out, _ in calls)
 
     @pytest.mark.parametrize("m, n_rest", [(95, 11), (100, 300), (3000, 9000)])
     def test_each_group_draws_from_its_own_resample(self, monkeypatch, m, n_rest):

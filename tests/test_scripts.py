@@ -65,6 +65,21 @@ def test_measure_value_digest_hashes_the_values(tmp_path):
         assert digest(tmp_path / f"v{i}.txt") != expected
 
 
+def test_csv_rounded_digest_hashes_values_at_ten_digits(tmp_path):
+    digest = load_script("output_digests").csv_rounded_digest
+    path = tmp_path / "sweep.csv"
+    path.write_text("C,n_replicas,sup_cf_dist,seconds\n64,10000,0.00517548348301,0.000\n")
+    expected = hashlib.sha256(b"C,n_replicas,sup_cf_dist,seconds\n64,10000,0.005175483483,0").hexdigest()
+    assert digest(path) == expected
+    # a move in the last printed digits keeps the digest; one in the tenth
+    # significant digit, or in an integer cell, changes it
+    for text, same in [("64,10000,0.005175483483,0.000", True),
+                       ("64,10000,0.005175483484,0.000", False),
+                       ("64,10001,0.00517548348301,0.000", False)]:
+        path.write_text(f"C,n_replicas,sup_cf_dist,seconds\n{text}\n")
+        assert (digest(path) == expected) == same, text
+
+
 def _bench_run(pair, side, wall, peak, setup, correct=True):
     metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": peak, "unit": "MB"},
                "setup_s": {"value": setup, "unit": "s"}}

@@ -52,6 +52,39 @@ class TestUnivariateCF:
         assert np.allclose(cf, np.exp(-2.0 * np.abs(t)), rtol=1e-15, atol=0)
 
 
+class TestCFExponent:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_in_place_exponent_equals_the_expression(self, rng, alpha):
+        # 0.5, 1 and 2 take numpy's fast scalar powers, in place as not
+        m = make_measure(rng, dim=5, n_atoms=300, alpha=alpha)
+        probes = rng.standard_normal((21, 5))
+        expected = np.abs(probes @ m.directions.T) ** alpha @ m.weights
+        assert sc.stable.cf_exponent(m, probes).tobytes() == expected.tobytes()
+
+
+class TestCFBlockSums:
+    def test_blocks_equal_one_whole_sum(self, rng):
+        # 7000 samples in blocks of 3000: the rows add up, to rounding, to
+        # the whole sum, and the joint pair of terms to the summed phases
+        x, y = rng.standard_normal((7000, 3)), rng.standard_normal((7000, 2))
+        t, u = rng.standard_normal((21, 3)), rng.standard_normal((21, 2))
+        rows = sc.stable.cf_block_sums([(x, t)], 3000)
+        assert rows.shape == (3, 21)
+        assert np.allclose(rows.sum(axis=0), np.exp(1j * (x @ t.T)).sum(axis=0),
+                           rtol=0, atol=1e-10)
+        joint = sc.stable.cf_block_sums([(x, t), (y, u)], 3000).sum(axis=0)
+        assert np.allclose(joint, np.exp(1j * (x @ t.T + y @ u.T)).sum(axis=0),
+                           rtol=0, atol=1e-10)
+
+    def test_strided_samples_give_the_contiguous_rows(self, rng):
+        pairs = rng.standard_normal((50, 2, 72))
+        t = rng.standard_normal((21, 72)) * 0.1
+        for rows in (1, 3, 7, 50):
+            strided = sc.stable.cf_block_sums([(pairs[:, 0], t)], rows)
+            copied = sc.stable.cf_block_sums([(pairs[:, 0].copy(), t)], rows)
+            assert strided.tobytes() == copied.tobytes()
+
+
 class TestUnivariateSampler:
     def test_gaussian_endpoint_variance(self, rng):
         draws = sc.sample_standard(2.0, 100_000, rng)

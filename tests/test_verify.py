@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import stableconv as sc
 from stableconv import limits
 
-from conftest import random_conv_case, toy_spec
+from conftest import random_conv_case, toy_inputs, toy_spec
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,19 @@ class TestEmpiricalCF:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             sc.empirical_cf(np.zeros((0, 3)), np.zeros(3))
+
+    def test_block_sums_equal_the_whole_mean(self, rng):
+        # 21 probes give blocks of 3120 samples, so 7000 samples are three
+        # blocks; the CF and the factorization defect equal the whole-N
+        # expressions to rounding
+        a, b = rng.standard_normal((7000, 3)), rng.standard_normal((7000, 3))
+        ta, tb = rng.standard_normal((21, 3)), rng.standard_normal((21, 3))
+        whole = np.exp(1j * (a @ ta.T)).mean(axis=0)
+        assert np.abs(sc.empirical_cf(a, ta) - whole).max() < 1e-13
+        pa, pb = a @ ta.T, b @ tb.T
+        defect = np.abs(np.exp(1j * (pa + pb)).mean(axis=0)
+                        - np.exp(1j * pa).mean(axis=0) * np.exp(1j * pb).mean(axis=0))
+        assert np.abs(sc.cross_factorization_defect(a, b, ta, tb) - defect).max() < 1e-13
 
 
 class TestCFDistance:
@@ -202,6 +216,97 @@ class TestSweepPool:
         assert tracked.jobs == 4
         assert len(tracked.pids) <= 2 and os.getpid() not in tracked.pids
         assert pooled.to_csv() == serial.to_csv()
+
+
+def wide_spec(channels):
+    """The 2-D geometry of the wide-gauss benchmark workload: 2 input
+    channels, 6x6, two 3x3 layers with padding 1, alpha = 2."""
+    layer = sc.ConvLayerConfig(spatial_in=(6, 6), filter_shape=3, stride=1, padding=1)
+    return sc.NetworkSpec(
+        alpha=2.0, sigma_w=1.0, sigma_b=1.0, layers=(layer, layer),
+        activation=sc.get_activation("tanh"), channels=channels,
+        inputs=toy_inputs(in_channels=2, spatial=(6, 6)), seed=12,
+    )
+
+
+def random_probes(spec, n=21, scale=0.05):
+    """A probe set of ``n`` probes, the zero probe first, with CF 1 at each:
+    the rows compared here need no limit law."""
+    p = np.random.default_rng(4).standard_normal((n, spec.out_dim)) * scale
+    p[0] = 0.0
+    return sc.ProbeSet(p, np.ones(n))
+
+
+class TestSweepReduction:
+    """A sweep point's replica jobs return one row of CF sums per replica
+    block, not their replicas."""
+
+    def test_rows_do_not_depend_on_the_worker_count(self):
+        # blocks of 3 replicas at C = 64: N = 50 gives 17 blocks, and a job
+        # multiplies at most 3 rows by the probes at a time
+        spec = wide_spec(64)
+        assert sc.replica_block_size(spec) == 3
+        probes = random_probes(spec).probes
+        runs = []
+        for workers in (1, 2, 3):
+            with sc.replica_pool(workers) as pool:
+                sums, bad = sc.network.replica_cf_sums(spec, 50, probes, pool=pool)
+            assert sums.shape == (17, 21) and bad == 0
+            runs.append(sums.tobytes())
+        assert runs[0] == runs[1] == runs[2]
+        # every row of the zero probe counts its block's replicas
+        assert list(np.frombuffer(runs[0], complex).reshape(17, 21)[:, 0]) == [3] * 16 + [2]
+
+    @pytest.mark.parametrize("spec", [wide_spec(64), toy_spec(channels=256, seed=29)],
+                             ids=["wide", "toy"])
+    def test_cache_served_rows_equal_sampled_rows(self, spec):
+        # channel 0 of a two-channel cache is strided; its rows, and the
+        # sweep rows it serves, equal those the replica jobs reduce
+        size = sc.replica_block_size(spec)
+        n = 4 * size + 1
+        probes = random_probes(spec)
+        cache = sc.sample_replicas(spec, n + 7, n_channels=2)
+        assert not cache.outputs[:, 0].flags.c_contiguous
+        served = sc.stable.cf_block_sums([(cache.outputs[:n, 0], probes.probes)], size)
+        with sc.replica_pool(2) as pool:
+            sampled, _ = sc.network.replica_cf_sums(spec, n, probes.probes, pool=pool)
+            swept = sc.convergence_sweep(spec, [spec.channels], n, sc.LimitConfig(mc_samples=10),
+                                         probes=probes, pool=pool)
+        assert served.tobytes() == sampled.tobytes()
+        cached = sc.convergence_sweep(spec, [spec.channels], n, sc.LimitConfig(mc_samples=10),
+                                      probes=probes, caches={spec.channels: cache})
+        assert cached.rows[0] == dataclasses.replace(swept.rows[0], seconds=cached.rows[0].seconds)
+
+    def test_pooled_point_counts_non_finite_replicas(self):
+        # alpha = 0.01 overflows float64 in some weight draws; 400 replicas
+        # are two blocks at C = 16, one job each in a 2-worker pool
+        spec = toy_spec(alpha=0.01, channels=16, seed=3)
+        assert sc.replica_block_size(spec) < 400 <= 2 * sc.replica_block_size(spec)
+        with np.errstate(all="ignore"):
+            outputs = sc.sample_replicas(spec, 400).outputs
+        bad = sc.network.non_finite_rows(outputs[:, 0])
+        assert 0 < bad < 400
+        message = rf"^{bad} of 400 replicas at C = 16 have non-finite outputs \(alpha = 0.01\)$"
+        with sc.replica_pool(2) as pool:
+            with pytest.raises(sc.NonFiniteReplicas, match=message):
+                sc.convergence_sweep(spec, [16], 400, sc.LimitConfig(mc_samples=10),
+                                     probes=random_probes(spec), pool=pool)
+
+    def test_caller_holds_no_replicas_of_a_pooled_point(self):
+        # one wide C = 64 point of 5000 replicas: their channel 0 is 2.9 MB,
+        # and its phases and complex exponentials 4.2 MB more.  Traced peak
+        # of this process: 6.8 MiB when the jobs returned their replicas,
+        # 1.1 MiB with their (1667, 21) complex rows
+        spec = wide_spec(64)
+        with sc.replica_pool(2) as pool:
+            tracemalloc.start()
+            try:
+                sc.convergence_sweep(spec, [64], 5000, sc.LimitConfig(mc_samples=10),
+                                     probes=random_probes(spec), pool=pool)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestIndependence:
