@@ -56,23 +56,22 @@ any measure is t^T S t with S = sum_j w_j s_j s_j^T.  So a layer with more
 nonzero slices than its dimension ``dim`` keeps the eigen-atoms of S
 instead of one atom per slice: one per positive eigenvalue, at most
 ``dim``.  This reduction is exact, not Monte Carlo: both sets of atoms have
-the same CF up to rounding.  Such a layer needs only S and its count of
-nonzero slices, so the builder never holds all its slices: it sums their
-Gram over row blocks of the fields, and one ``eigh`` reduces every such S.
-A Monte Carlo layer's fields are still drawn as above, but drawing M
-fields from such a measure costs at most M * (min(dim, K) + 1) draws, and
-with dim <= K it is drawn as it is.
+the same CF up to rounding.  Drawing M fields from such a Monte Carlo
+layer costs at most M * (min(dim, K) + 1) draws, and with dim <= K it is
+drawn as it is.
 
-A position readout sum_p u_p X_p is again stable, with the image of the
-last layer's measure as its spectral measure (Samorodnitsky & Taqqu 1994,
-ch. 2); :func:`readout_measure` maps it exactly, with no draws.
-
-That rule and the bias atom are written once, in :func:`_atom_measure`,
-which ends both :func:`readout_measure` and the patch-slice builder
-:func:`_slice_measure`.  That builder makes every layer: layer 1 from the
+One builder, :func:`_slice_measure`, makes every layer: layer 1 from the
 data, a conditional layer from a realization's activated fields at weight
 1/C, and a Monte Carlo layer is exactly the conditional law of the M fields
-:func:`_draw_fields` draws.  The closed-form characteristic functions
+:func:`_draw_fields` draws.  It goes over the fields once, by row blocks of
+their slab of at most 1 MiB, and writes each block's atoms straight into
+the measure, bias atom first; at alpha = 2 it also sums the blocks' Gram
+for the eigen-atoms.  So it holds the fields, the measure and one block,
+never the whole slab.  A position readout sum_p u_p X_p is again stable,
+with the image of the last layer's measure as its spectral measure
+(Samorodnitsky & Taqqu 1994, ch. 2); :func:`readout_measure` maps it
+exactly, with no draws, and reduces it at alpha = 2 through the same
+:func:`_eigen_atoms`.  The closed-form characteristic functions
 (``cf_layer1_closed_form`` and ``cf_conditional_closed_form``) evaluate the
 first-layer and conditional laws by one product formula with its own index
 arithmetic; they share no code with the builder and are its exact oracles.
@@ -209,110 +208,66 @@ def _slice_measure(
 
     Its slices are the rows of ``PatchMap.slab`` of the fields, activated
     with phi(0) in the padding slots when ``activation`` is given (hidden
-    layers).  Each nonzero slice v then carries one atom pair of weight
-    sigma_w^alpha * ||v||^alpha, divided by n on hidden layers, at direction
-    v / ||v||, reduced at alpha = 2 to the eigen-atoms of
-    S = sigma_w^2 sum_v v v^T when more than ``dim`` slices are nonzero.
-    The exact bias atom, sigma_b^alpha * dim^(alpha/2) along the all-ones
-    direction, goes first.  At alpha = 2 the slab is never built whole
-    (:func:`_gaussian_slice_atoms`).
+    layers).  The exact bias atom, sigma_b^alpha * dim^(alpha/2) along the
+    all-ones direction, goes first.  Then each nonzero slice v carries one
+    atom pair of weight sigma_w^alpha * ||v||^alpha, divided by n on hidden
+    layers, at direction v / ||v||, in row order.  At alpha = 2 more than
+    ``dim`` nonzero slices give instead the eigen-atoms of
+    S = sigma_w^2 sum_v v v^T (:func:`_eigen_atoms`).
+
+    The fields are slabbed by blocks whose slab fits in ``_BLOCK_BYTES``,
+    into one buffer, and each block's atoms are written straight into the
+    measure's arrays, so the slab of all the fields is never held.  At
+    alpha = 2 those arrays have room for ``dim`` slice atoms only, and each
+    block's Gram is added into one sum.  Zero slices leave the arrays short;
+    the measure keeps their leading rows.
     """
     fields = np.asarray(fields, dtype=np.float64)
     if fields.shape[1:-1] != cfg.spatial_in:
         raise ValueError("fields must have (channel, *spatial, input) axes matching the layer")
-    n = fields.shape[0]
+    n, n_off = fields.shape[0], cfg.n_offsets
     fields = fields.reshape(n, cfg.n_positions_in, fields.shape[-1])
     dim = cfg.n_positions_out * fields.shape[-1]
-    bias = None if sigma_b == 0.0 else sigma_b**alpha * dim ** (alpha / 2.0)
     n_div = 1 if activation is None else n
-    if alpha == 2.0:
-        rows, norms, weights = _gaussian_slice_atoms(fields, cfg, sigma_w, activation)
-        return _atom_measure(rows, norms, weights, alpha, sigma_w**2, bias, n_div)
-    # Below alpha = 2 every nonzero slice is an atom, so the slab is built
-    # whole, but no other full-size temporary is: one freed below the
-    # measure's directions would stay resident in the process's heap for the
-    # rest of the command.  Replica workers are forked before any measure is
-    # built (network.replica_pool), so only the command's own peak pays.
-    # Norms by row blocks equal those of one whole call.
-    slices = patch_map_for(cfg).slab(fields, activation)  # (n * n_off, n_pos * K)
-    rows = max(1, _BLOCK_BYTES // (8 * dim))
-    norms = np.empty(len(slices))
-    for start in range(0, len(slices), rows):
-        norms[start : start + rows] = np.linalg.norm(slices[start : start + rows], axis=1)
-    return _atom_measure(
-        slices, norms, sigma_w**alpha * norms**alpha, alpha, sigma_w**2, bias, n_div
-    )
-
-
-def _gaussian_slice_atoms(
-    fields: np.ndarray, cfg: ConvLayerConfig, sigma_w: float, activation: ActivationSpec | None
-):
-    """Rows, norms and weights of the alpha = 2 atoms of the
-    (n, n_positions_in, K) ``fields`` for :func:`_slice_measure`, before its
-    division by n, holding one row block of their slab at a time.
-
-    Each block of fields whose slab fits in ``_BLOCK_BYTES`` adds blk^T blk
-    into one dim x dim Gram and counts its nonzero slices, of weight
-    sigma_w^2 ||v||^2 > 0.  At most ``dim`` of them in all are the atoms, in
-    row order, bit for bit the whole slab's; more give the eigen-atoms of
-    sigma_w^2 * Gram (:func:`_eigen_atoms`), a Gram that equals the whole
-    slab's to rounding."""
-    pmap = patch_map_for(cfg)
-    dim = cfg.n_positions_out * fields.shape[-1]
-    per_block = max(1, _BLOCK_BYTES // (8 * dim * cfg.n_offsets))
-    buffer = np.empty((min(per_block, len(fields)) * cfg.n_offsets, dim))
+    n_bias = 0 if sigma_b == 0.0 else 1
+    room = n_bias + (min(n * n_off, dim) if alpha == 2.0 else n * n_off)
+    weights, directions = np.empty(room), np.empty((room, dim))
+    weights[:n_bias] = sigma_b**alpha * dim ** (alpha / 2.0)
+    directions[:n_bias] = 1.0 / np.sqrt(dim)
     gram = np.zeros((dim, dim))
-    kept, count = [(np.empty((0, dim)), np.empty(0), np.empty(0))], 0
-    for start in range(0, len(fields), per_block):
+    pmap = patch_map_for(cfg)
+    per_block = max(1, _BLOCK_BYTES // (8 * dim * n_off))
+    buffer = np.empty((min(per_block, n) * n_off, dim))
+    end = n_bias
+    for start in range(0, n, per_block):
         block = fields[start : start + per_block]
-        blk = pmap.slab(block, activation, out=buffer[: len(block) * cfg.n_offsets])
+        blk = pmap.slab(block, activation, out=buffer[: len(block) * n_off])
         norms = np.linalg.norm(blk, axis=1)
-        weights = sigma_w**2.0 * norms**2.0
-        keep = weights > 0.0
-        count += np.count_nonzero(keep)
-        gram += blk.T @ blk
-        if count <= dim:
-            kept.append((blk[keep], norms[keep], weights[keep]))
-    if count > dim:
-        return _eigen_atoms(gram, sigma_w**2)
-    return tuple(np.concatenate(parts) for parts in zip(*kept))
+        w = sigma_w**alpha * norms**alpha
+        keep = np.flatnonzero(w > 0.0)
+        if alpha == 2.0:
+            gram += blk.T @ blk
+        if end + len(keep) <= room:
+            weights[end : end + len(keep)] = w[keep] / n_div
+            np.divide(blk[keep], norms[keep, None], out=directions[end : end + len(keep)])
+        end += len(keep)
+    if end > room:
+        rows, w = _eigen_atoms(gram, sigma_w**2)
+        keep = np.flatnonzero(w > 0.0)
+        end = n_bias + len(keep)
+        weights[n_bias:end] = w[keep] / n_div
+        directions[n_bias:end] = rows[keep]
+    return SpectralMeasure(alpha, weights[:end], directions[:end],
+                           bias_index=0 if n_bias else None)
 
 
 def _eigen_atoms(gram: np.ndarray, scale: float):
-    """Rows, norms and weights of the eigen-atoms of S = ``scale`` * ``gram``:
-    S's unit eigenvectors, of norm 1, each weighted by its eigenvalue, so
-    that sum_j weights[j] rows[j] rows[j]^T = S.  Every alpha = 2 reduction
-    of this module, of a layer or of a readout, goes through it."""
+    """Directions and weights of the eigen-atoms of S = ``scale`` * ``gram``:
+    S's unit eigenvectors, each weighted by its eigenvalue, so that
+    sum_j weights[j] rows[j] rows[j]^T = S.  Every alpha = 2 reduction of
+    this module, of a layer or of a readout, goes through it."""
     evals, evecs = np.linalg.eigh(gram)
-    return evecs.T, np.ones(len(gram)), scale * evals
-
-
-def _atom_measure(rows, norms, weights, alpha: float, gram_scale: float, bias, n=1):
-    """One atom (weights[j] / n, rows[j] / norms[j]) per row of positive
-    weight, after a bias atom of weight ``bias``, unless that is None, first
-    with its tag and along the all-ones direction.  At alpha = 2 with more
-    such rows than their dimension, the eigen-atoms of S = gram_scale *
-    rows^T rows, which must equal sum_j weights[j] rows[j] rows[j]^T /
-    norms[j]^2, replace them (:func:`_eigen_atoms`): one per positive
-    eigenvalue, which is its weight (again divided by n), along its unit
-    eigenvector.  This is exact, not a Monte Carlo estimate: the CF exponent
-    of either set of atoms is t^T S t."""
-    dim = rows.shape[1]
-    keep = weights > 0.0
-    if alpha == 2.0 and np.count_nonzero(keep) > dim:
-        rows, norms, weights = _eigen_atoms(rows.T @ rows, gram_scale)
-        keep = weights > 0.0
-    n_bias = 0 if bias is None else 1
-    # take buffers its output unless mode is "clip"; every index is in range
-    directions = np.empty((n_bias + np.count_nonzero(keep), dim))
-    directions[:n_bias] = 1.0 / np.sqrt(dim)
-    atoms = directions[n_bias:]
-    np.take(rows, np.flatnonzero(keep), axis=0, out=atoms, mode="clip")
-    atoms /= norms[keep, None]
-    weights = weights[keep] / n
-    if n_bias:
-        weights = np.concatenate([[bias], weights])
-    return SpectralMeasure(alpha, weights, directions, bias_index=0 if n_bias else None)
+    return evecs.T, scale * evals
 
 
 def gamma_first(
@@ -450,13 +405,16 @@ def mixture_measure(base: SpectralMeasure, z) -> SpectralMeasure:
 
     Drops the tagged bias atom and multiplies the remaining weights by
     sum_c |z_c|^alpha.  A base measure with no bias atom (sigma_b = 0,
-    where the biases are exactly 0) keeps every atom.
+    where the biases are exactly 0) keeps every atom.  With the bias atom
+    first, as every builder of this module puts it, or absent, the mixture
+    shares the base's directions instead of copying them.
     """
     alpha = base.alpha
     z_norm = float(np.sum(np.abs(np.asarray(z, dtype=np.float64)) ** alpha))
     if z_norm == 0.0:
         return empty_measure(alpha, base.dimension)
-    keep = np.arange(base.n_atoms) != (-1 if base.bias_index is None else base.bias_index)
+    b = base.bias_index
+    keep = slice(0 if b is None else 1, None) if b in (None, 0) else np.arange(base.n_atoms) != b
     return SpectralMeasure(alpha, base.weights[keep] * z_norm, base.directions[keep])
 
 
@@ -470,8 +428,8 @@ def readout_measure(measure: SpectralMeasure, u) -> SpectralMeasure:
     (w * ||A s||^alpha, A s / ||A s||), and atoms with A s = 0 drop out.
     The bias atom lies along the all-ones direction, whose image is the
     all-ones direction over the inputs since u sums to 1; it goes first
-    with its tag.  At alpha = 2 the other images reduce to at most K
-    eigen-atoms (:func:`_atom_measure`).  Nothing is drawn.
+    with its tag.  At alpha = 2 more than K other images reduce to their
+    eigen-atoms (:func:`_eigen_atoms`).  Nothing is drawn.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     if abs(u.sum() - 1.0) > 1e-12:
@@ -482,13 +440,24 @@ def readout_measure(measure: SpectralMeasure, u) -> SpectralMeasure:
     image = np.einsum("p,jpk->jk", u, measure.directions.reshape(measure.n_atoms, len(u), -1))
     norms = np.linalg.norm(image, axis=1)
     weights = measure.weights * norms**alpha
-    bias = None if b is None else weights[b]
+    bias = [] if b is None else [weights[b]]
     rest = np.arange(measure.n_atoms) != b
     # rows scaled by sqrt(w) keep their directions and make rows^T rows the
     # S = sum_j w_j (A s_j)(A s_j)^T of the alpha = 2 reduction
     root = np.sqrt(measure.weights[rest])
-    return _atom_measure(
-        image[rest] * root[:, None], norms[rest] * root, weights[rest], alpha, 1.0, bias
+    rows, norms, weights = image[rest] * root[:, None], norms[rest] * root, weights[rest]
+    keep = weights > 0.0
+    k = image.shape[1]
+    if alpha == 2.0 and np.count_nonzero(keep) > k:
+        rows, weights = _eigen_atoms(rows.T @ rows, 1.0)
+        keep = weights > 0.0
+        directions = rows[keep]
+    else:
+        directions = rows[keep] / norms[keep, None]
+    return SpectralMeasure(
+        alpha, np.concatenate([bias, weights[keep]]),
+        np.vstack([np.full((len(bias), k), 1.0 / np.sqrt(k)), directions]),
+        bias_index=None if b is None else 0,
     )
 
 

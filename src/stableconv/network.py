@@ -580,26 +580,28 @@ def save_replicas(path, reps: ReplicaSet) -> None:
 
 def load_replicas(path) -> ReplicaSet:
     """Read a :func:`save_replicas` file.  Its length must be exactly the
-    header plus the 8 * (n*c*d + n*c) data bytes that header declares."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic = raw[: len(_CACHE_MAGIC)]
-    if magic != _CACHE_MAGIC:
-        raise ValueError(
-            f"{path}: starts with {magic!r}, not the replica cache magic "
-            f"{_CACHE_MAGIC!r}; an older cache must be written again by `simulate`"
-        )
+    header plus the 8 * (n*c*d + n*c) data bytes that header declares; both
+    are checked before the data are read, into one float64 array."""
     start = len(_CACHE_MAGIC) + _CACHE_HEADER.size
-    if len(raw) < start:
-        raise ValueError(f"{path}: replica cache header is truncated")
-    alpha, seed, n, c, d = _CACHE_HEADER.unpack_from(raw, len(_CACHE_MAGIC))
-    expected = 8 * (n * c * d + n * c)
-    if len(raw) - start != expected:
-        raise ValueError(
-            f"{path}: replica cache has {len(raw) - start} data bytes, its header "
-            f"(n={n}, c={c}, d={d}) declares {expected}"
-        )
-    values = np.frombuffer(raw, dtype="<f8", offset=start).astype(np.float64)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(start)
+        magic = head[: len(_CACHE_MAGIC)]
+        if magic != _CACHE_MAGIC:
+            raise ValueError(
+                f"{path}: starts with {magic!r}, not the replica cache magic "
+                f"{_CACHE_MAGIC!r}; an older cache must be written again by `simulate`"
+            )
+        if len(head) < start:
+            raise ValueError(f"{path}: replica cache header is truncated")
+        alpha, seed, n, c, d = _CACHE_HEADER.unpack_from(head, len(_CACHE_MAGIC))
+        expected = 8 * (n * c * d + n * c)
+        if size - start != expected:
+            raise ValueError(
+                f"{path}: replica cache has {size - start} data bytes, its header "
+                f"(n={n}, c={c}, d={d}) declares {expected}"
+            )
+        values = np.fromfile(fh, dtype="<f8", count=expected // 8).astype(np.float64, copy=False)
     return ReplicaSet(
         outputs=values[: n * c * d].reshape(n, c, d),
         biases=values[n * c * d :].reshape(n, c),

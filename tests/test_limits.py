@@ -731,25 +731,25 @@ WIDE_LAYER = sc.ConvLayerConfig(spatial_in=(6, 6), filter_shape=(3, 3), padding=
 RELU = sc.get_activation("relu")
 
 
-def _whole_slab_measure(fields, cfg, sigma_w, sigma_b, activation):
-    """The alpha = 2 measure of ``fields`` from their whole patch slab: its
-    nonzero slices as atoms, in row order, when there are at most dim of
-    them, and otherwise the eigh of the whole slab's Gram."""
+def _whole_slab_measure(fields, cfg, alpha, sigma_w, sigma_b, activation):
+    """The measure of ``fields`` from their whole patch slab: its nonzero
+    slices as atoms, in row order, below alpha = 2 or when there are at
+    most dim of them, and otherwise the eigh of the whole slab's Gram."""
     n = len(fields)
     rows = patch_map_for(cfg).slab(fields.reshape(n, cfg.n_positions_in, -1), activation)
     dim = rows.shape[1]
     norms = np.linalg.norm(rows, axis=1)
-    weights = sigma_w**2.0 * norms**2.0
-    if np.count_nonzero(weights > 0.0) > dim:
+    weights = sigma_w**alpha * norms**alpha
+    if alpha == 2.0 and np.count_nonzero(weights > 0.0) > dim:
         evals, evecs = np.linalg.eigh(rows.T @ rows)
         rows, norms, weights = evecs.T, np.ones(dim), sigma_w**2 * evals
     keep = weights > 0.0
     directions = rows[keep] / norms[keep, None]
     weights = weights[keep] / (1 if activation is None else n)
     if sigma_b == 0.0:
-        return sc.SpectralMeasure(2.0, weights, directions)
+        return sc.SpectralMeasure(alpha, weights, directions)
     return sc.SpectralMeasure(
-        2.0, np.concatenate([[sigma_b**2.0 * dim], weights]),
+        alpha, np.concatenate([[sigma_b**alpha * dim ** (alpha / 2.0)], weights]),
         np.vstack([np.full((1, dim), 1.0 / np.sqrt(dim)), directions]), bias_index=0,
     )
 
@@ -760,9 +760,12 @@ def _covariance(measure):
 
 
 class TestGaussianBlockedGram:
-    """At alpha = 2 the slice builder goes over row blocks of the fields and
-    sums their Gram; it must give the whole slab's law, and the whole slab's
-    atoms bit for bit when at most dim slices are nonzero."""
+    """The slice builder goes over row blocks of the fields at every alpha,
+    and at alpha = 2 sums their Gram.  Below alpha = 2 it must give the whole
+    slab's atoms bit for bit; at alpha = 2 the whole slab's law, and its atoms
+    bit for bit when at most dim slices are nonzero."""
+
+    ALPHAS = (0.8, 1.5, 2.0)
 
     # (layer, fields, activation, sigma_w, sigma_b): the wide layer's blocks
     # hold 202 fields and the toy layer's 5461, so 1000 and 12001 fields end
@@ -781,9 +784,9 @@ class TestGaussianBlockedGram:
     }
 
     @staticmethod
-    def _measures(cfg, fields, activation, sigma_w, sigma_b):
-        blocked = limits._slice_measure(fields, cfg, 2.0, sigma_w, sigma_b, activation)
-        return blocked, _whole_slab_measure(fields, cfg, sigma_w, sigma_b, activation)
+    def _measures(cfg, fields, alpha, activation, sigma_w, sigma_b):
+        blocked = limits._slice_measure(fields, cfg, alpha, sigma_w, sigma_b, activation)
+        return blocked, _whole_slab_measure(fields, cfg, alpha, sigma_w, sigma_b, activation)
 
     @pytest.mark.parametrize("small_blocks", [False, True])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -793,14 +796,19 @@ class TestGaussianBlockedGram:
             # blocks of one wide field or ten toy fields
             monkeypatch.setattr(limits, "_BLOCK_BYTES", 2000)
         fields = np.random.default_rng(n).standard_normal((n, *cfg.spatial_in, 2))
-        blocked, whole = self._measures(cfg, fields, activation, sigma_w, sigma_b)
-        assert blocked.n_atoms == whole.n_atoms
-        assert blocked.bias_index == whole.bias_index
-        cov, ref = _covariance(blocked), _covariance(whole)
-        assert np.abs(cov - ref).max() <= 1e-13 * np.abs(ref).max()
-        probes = sc.generate_probes(whole, n_probes=20, seed=3).probes
-        assert np.abs(sc.cf_multivariate(blocked, probes)
-                      - sc.cf_multivariate(whole, probes)).max() <= 1e-12
+        for alpha in self.ALPHAS:
+            blocked, whole = self._measures(cfg, fields, alpha, activation, sigma_w, sigma_b)
+            assert blocked.n_atoms == whole.n_atoms
+            assert blocked.bias_index == whole.bias_index
+            if alpha < 2.0:
+                assert np.array_equal(blocked.weights, whole.weights)
+                assert np.array_equal(blocked.directions, whole.directions)
+                continue
+            cov, ref = _covariance(blocked), _covariance(whole)
+            assert np.abs(cov - ref).max() <= 1e-13 * np.abs(ref).max()
+            probes = sc.generate_probes(whole, n_probes=20, seed=3).probes
+            assert np.abs(sc.cf_multivariate(blocked, probes)
+                          - sc.cf_multivariate(whole, probes)).max() <= 1e-12
 
     @pytest.mark.parametrize("small_blocks", [False, True])
     @pytest.mark.parametrize("cfg,n,nonzero", [
@@ -815,26 +823,42 @@ class TestGaussianBlockedGram:
             monkeypatch.setattr(limits, "_BLOCK_BYTES", 2000)
         fields = np.zeros((n, *cfg.spatial_in, 2))
         fields[nonzero] = np.random.default_rng(n).standard_normal((len(nonzero), *cfg.spatial_in, 2))
-        for sigma_w in (1.1, 0.0):
-            blocked, whole = self._measures(cfg, fields, TANH, sigma_w, 0.7)
-            assert whole.n_atoms == (1 + len(nonzero) * cfg.n_offsets if sigma_w else 1)
-            assert np.array_equal(blocked.weights, whole.weights)
-            assert np.array_equal(blocked.directions, whole.directions)
-            assert blocked.bias_index == 0
+        for alpha in self.ALPHAS:
+            for sigma_w in (1.1, 0.0):
+                blocked, whole = self._measures(cfg, fields, alpha, TANH, sigma_w, 0.7)
+                assert whole.n_atoms == (1 + len(nonzero) * cfg.n_offsets if sigma_w else 1)
+                assert np.array_equal(blocked.weights, whole.weights)
+                assert np.array_equal(blocked.directions, whole.directions)
+                assert blocked.bias_index == 0
 
-    def test_wide_layer_peak_stays_far_below_its_slab(self):
-        # M = 5000 wide fields have a 45,000 x 72 float64 slab, 26 MB; the
-        # blocked builder's peak is the fields and one block of their slab
+    @staticmethod
+    def _traced_wide_layer(alpha):
+        """One wide-layer ``gamma_next_mc`` at M = 5000 under tracemalloc:
+        its measure and its traced peak in bytes."""
         x = np.random.default_rng(0).standard_normal((2, *WIDE_LAYER.spatial_in, 2))
-        prev = sc.gamma_first(x, WIDE_LAYER, 2.0, 1.0, 1.0)
+        prev = sc.gamma_first(x, WIDE_LAYER, alpha, 1.0, 1.0)
         tracemalloc.start()
         try:
-            sc.gamma_next_mc(prev, WIDE_LAYER, 2.0, 1.0, 1.0, TANH,
-                             sc.LimitConfig(mc_samples=5000), np.random.default_rng(0))
+            measure = sc.gamma_next_mc(prev, WIDE_LAYER, alpha, 1.0, 1.0, TANH,
+                                       sc.LimitConfig(mc_samples=5000), np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return measure, peak
+
+    def test_wide_layer_peak_stays_far_below_its_slab(self):
+        # M = 5000 wide fields have a 45,000 x 72 float64 slab, 26 MB; the
+        # alpha = 2 builder's peak is the fields and one block of their slab
+        _, peak = self._traced_wide_layer(2.0)
         assert peak < 10e6
+
+    def test_wide_layer_peak_is_its_measure_and_one_block(self):
+        # below alpha = 2 the 45,001 atoms are the 26.3 MB measure; beside it
+        # the builder holds the 2.9 MB fields and one 1 MiB block of their
+        # slab, never the whole slab
+        measure, peak = self._traced_wide_layer(1.5)
+        assert measure.n_atoms == 45_001
+        assert peak < measure.weights.nbytes + measure.directions.nbytes + 8e6
 
 
 class TestLimitPipeline:
