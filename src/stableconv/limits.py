@@ -248,8 +248,10 @@ def _slice_measure(
         if alpha == 2.0:
             gram += blk.T @ blk
         if end + len(keep) <= room:
-            weights[end : end + len(keep)] = w[keep] / n_div
-            np.divide(blk[keep], norms[keep, None], out=directions[end : end + len(keep)])
+            # a block of nonzero slices only, the usual case, is read in place
+            rows = slice(None) if len(keep) == len(w) else keep
+            np.divide(w[rows], n_div, out=weights[end : end + len(keep)])
+            np.divide(blk[rows], norms[rows, None], out=directions[end : end + len(keep)])
         end += len(keep)
     if end > room:
         rows, w = _eigen_atoms(gram, sigma_w**2)

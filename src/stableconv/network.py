@@ -569,13 +569,15 @@ _CACHE_HEADER = struct.Struct("<dqQQQ")  # alpha, seed, n, c, d
 def save_replicas(path, reps: ReplicaSet) -> None:
     """Binary replica cache: magic (``SCREPL2``), alpha, seed, shape, then
     little-endian float64 output and bias blocks in replica-major order, in
-    place of ``path`` once complete (:func:`stableconv.stable._replacing`)."""
+    place of ``path`` once complete (:func:`stableconv.stable._replacing`).
+    Contiguous float64 arrays on a little-endian host are written from
+    their own memory, with no copy."""
     n, c, d = reps.outputs.shape
     with _replacing(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(_CACHE_HEADER.pack(reps.alpha, reps.seed, n, c, d))
-        fh.write(reps.outputs.astype("<f8").tobytes())
-        fh.write(reps.biases.astype("<f8").tobytes())
+        for values in (reps.outputs, reps.biases):
+            fh.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
 def load_replicas(path) -> ReplicaSet:

@@ -21,6 +21,16 @@ is built.  A sweep point's blocks are its replica blocks, reduced inside the
 replica jobs, so the process running the sweep holds no replica outputs; a
 cached point reduces the cache over the same blocks and gets the same rows
 bit for bit.  The values equal a whole-N mean to rounding, not bit for bit.
+
+Every CF evaluation works in bounded blocks, so memory does not grow with
+samples x probes or atoms x probes.  A CF block of :func:`_cf_rows` samples
+is sized by its complex values, 16 bytes per sample and probe, so that they
+fit in ``_BLOCK_BYTES``; :func:`~stableconv.stable.cf_block_sums` holds its
+phases beside them, and for a joint CF one more product, 32 bytes per
+sample and probe in all.  The independence check forms its channel mixture
+one such block at a time.  The theoretical CF
+(:func:`~stableconv.stable.cf_exponent`) takes the probes in blocks of
+rows x atoms within ``_BLOCK_BYTES``, at least one probe per block.
 """
 
 from __future__ import annotations
@@ -104,7 +114,8 @@ def generate_probes(measure: SpectralMeasure, n_probes: int = 20, seed: int = 0)
 
 def _cf_rows(n_probes: int) -> int:
     """Samples per block of the empirical CF sums: a block's rows x probes
-    complex values stay within ``_BLOCK_BYTES``."""
+    complex values stay within ``_BLOCK_BYTES``, its phases (and a joint
+    CF's second product) within as much again."""
     return max(1, _BLOCK_BYTES // (16 * n_probes))
 
 
@@ -337,6 +348,12 @@ def independence_check(
     ``mixture_probes.cf``, which is calibrated on the mixture form of the
     limit law (:func:`stableconv.limits.mixture_measure`).  The defect at
     the pair of zero probes is exactly 0.
+
+    The mixture is formed one CF block of :func:`_cf_rows` replicas at a
+    time, each block reduced to its row of CF sums before the next is
+    formed, so no whole mixture and no (N, 2, d) bias-stripped copy is
+    held; the rows, and so the distances, are those of
+    :func:`empirical_cf` on the whole mixture bit for bit.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     if outputs.ndim != 3 or outputs.shape[1] < 2:
@@ -345,8 +362,12 @@ def independence_check(
     f2 = outputs[:, 1, :]
     defects = cross_factorization_defect(f1, f2, probes_a.probes, probes_b.probes)
     control = cross_factorization_defect(f1, f1, probes_a.probes, probes_b.probes)
-    emp = empirical_cf(channel_mixture(outputs, z, biases), mixture_probes.probes)
-    sup, mean = cf_distance(emp, mixture_probes.cf)
+    n, rows, t = len(outputs), _cf_rows(mixture_probes.n_probes), mixture_probes.probes
+    sums = np.concatenate([
+        cf_block_sums([(channel_mixture(outputs[s : s + rows], z, biases[s : s + rows]), t)], rows)
+        for s in range(0, n, rows)
+    ])
+    sup, mean = cf_distance(sums.sum(axis=0) / n, mixture_probes.cf)
     return IndependenceReport(
         factorization_defects=defects,
         control_defects=control,

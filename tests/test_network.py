@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -463,6 +464,23 @@ class TestReplicaCache:
         assert again.alpha == reps.alpha
         assert again.seed == reps.seed
 
+    def test_bytes_are_the_copied_encoding(self, tmp_path):
+        # written from the arrays' own memory, the file holds the bytes of
+        # their little-endian copies, and reads back as the same arrays; a
+        # strided or big-endian array is copied once
+        sampled = sc.sample_replicas(toy_spec(channels=4), 10, n_channels=2)
+        other = replace(sampled, outputs=sampled.outputs[:, ::-1], biases=sampled.biases.astype(">f8"))
+        for reps in (sampled, other):
+            path = tmp_path / "replicas.bin"
+            sc.save_replicas(path, reps)
+            n, c, d = reps.outputs.shape
+            head = b"SCREPL2\x00" + struct.pack("<dqQQQ", reps.alpha, reps.seed, n, c, d)
+            copied = reps.outputs.astype("<f8").tobytes() + reps.biases.astype("<f8").tobytes()
+            assert path.read_bytes() == head + copied
+            again = sc.load_replicas(path)
+            assert np.array_equal(again.outputs, reps.outputs)
+            assert np.array_equal(again.biases, reps.biases)
+
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         # the bias block fails after the header and outputs are written: the
         # previous file, or none, stays at the path, with nothing beside it
@@ -472,8 +490,11 @@ class TestReplicaCache:
         before = old.read_bytes()
 
         class Unwritable:
-            def astype(self, dtype):
+            # fails however the writer converts it
+            def __array__(self, dtype=None, copy=None):
                 raise OSError("disk full")
+
+            astype = __array__
 
         broken = SimpleNamespace(outputs=reps.outputs, biases=Unwritable(),
                                  alpha=reps.alpha, seed=reps.seed)

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -61,8 +62,56 @@ class TestCFExponent:
         expected = np.abs(probes @ m.directions.T) ** alpha @ m.weights
         assert sc.stable.cf_exponent(m, probes).tobytes() == expected.tobytes()
 
+    def test_many_atoms_go_in_probe_blocks(self, rng):
+        # 300k atoms: one probe per block of 2.4 MB, where the whole
+        # 21 x 300k product is 50 MB
+        m = make_measure(rng, dim=5, n_atoms=300_000, alpha=1.5)
+        probes = rng.standard_normal((21, 5))
+        expected = np.abs(probes @ m.directions.T) ** 1.5 @ m.weights
+        tracemalloc.start()
+        try:
+            got = sc.stable.cf_exponent(m, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(got, expected, rtol=1e-14, atol=0)
+        assert peak < 3 * 8 * m.n_atoms + sc.stable._BLOCK_BYTES
+
+
+def _whole_block_sums(terms, rows):
+    """cf_block_sums as one expression per block, with a temporary for each
+    term, the phases, their product with 1j and the exponentials."""
+    n = len(terms[0][0])
+    sums = np.empty((-(-n // rows), len(terms[0][1])), dtype=complex)
+    for i, start in enumerate(range(0, n, rows)):
+        phases = sum(np.ascontiguousarray(x[start : start + rows]) @ t.T for x, t in terms)
+        sums[i] = np.exp(1j * phases).sum(axis=0)
+    return sums
+
 
 class TestCFBlockSums:
+    def test_buffers_give_the_expression_bit_for_bit(self, rng):
+        # random sizes with -0.0 values, an infinite sample now and then, one
+        # and two terms, strided channel-0 views and short last blocks
+        for _ in range(200):
+            n, d, p = (int(v) for v in rng.integers(1, [400, 12, 25]))
+            rows = int(rng.integers(1, n + 3))
+            terms = []
+            for _ in range(int(rng.integers(1, 3))):
+                pairs = rng.standard_normal((n, 2, d)) * rng.choice([0.1, 1.0, 100.0])
+                x = pairs[:, 0] if rng.random() < 0.5 else pairs[:, 0].copy()
+                x[rng.random(x.shape) < 0.2] = -0.0
+                if rng.random() < 0.2:
+                    x[rng.integers(n), rng.integers(d)] = rng.choice([np.inf, -np.inf])
+                t = rng.standard_normal((p, d))
+                t[0] = 0.0
+                t[rng.random(t.shape) < 0.1] = -0.0
+                terms.append((x, t))
+            with np.errstate(invalid="ignore"):
+                got = sc.stable.cf_block_sums(terms, rows)
+                expected = _whole_block_sums(terms, rows)
+            assert got.tobytes() == expected.tobytes()
+
     def test_blocks_equal_one_whole_sum(self, rng):
         # 7000 samples in blocks of 3000: the rows add up, to rounding, to
         # the whole sum, and the joint pair of terms to the summed phases

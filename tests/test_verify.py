@@ -327,6 +327,46 @@ class TestIndependence:
         direct = reps.outputs[:, 0, :] - reps.biases[:, 0, None]
         assert np.array_equal(mix, direct)
 
+    @staticmethod
+    def _random_case(rng, n, d=8, p=21):
+        outputs = rng.standard_normal((n, 2, d))
+        outputs[rng.random(outputs.shape) < 0.05] = -0.0
+        biases = rng.standard_normal((n, 2))
+
+        def probe_set():
+            probes = rng.standard_normal((p, d)) * 0.3
+            probes[0] = 0.0
+            return sc.ProbeSet(probes, rng.uniform(0.1, 1.0, p))
+
+        return outputs, biases, probe_set(), probe_set(), probe_set()
+
+    def test_blocked_mixture_is_the_whole_mixture_bit_for_bit(self, rng):
+        # two CF blocks and a one-replica last block: the distances are
+        # those of the whole mixture's empirical CF
+        n = 2 * sc.verify._cf_rows(21) + 1
+        outputs, biases, pa, pb, mix = self._random_case(rng, n)
+        for z in ([1.0, 1.0], [0.7, -1.3]):
+            report = sc.independence_check(outputs, biases, z, pa, pb, mix)
+            f1, f2 = outputs[:, 0], outputs[:, 1]
+            emp = sc.empirical_cf(sc.channel_mixture(outputs, z, biases), mix.probes)
+            assert (report.mixture_sup, report.mixture_mean) == sc.cf_distance(emp, mix.cf)
+            defects = sc.cross_factorization_defect(f1, f2, pa.probes, pb.probes)
+            control = sc.cross_factorization_defect(f1, f1, pa.probes, pb.probes)
+            assert report.factorization_defects.tobytes() == defects.tobytes()
+            assert report.control_defects.tobytes() == control.tobytes()
+
+    def test_peak_stays_below_a_copy_of_the_outputs(self, rng):
+        # 50k replicas of two 8-value channels, 6.4 MB: the bias-stripped
+        # (N, 2, d) copy the mixture was once formed from is as large
+        outputs, biases, pa, pb, mix = self._random_case(rng, 50_000)
+        tracemalloc.start()
+        try:
+            sc.independence_check(outputs, biases, [1.0, 1.0], pa, pb, mix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < outputs.nbytes
+
     def test_unpaired_samples_rejected(self, rng):
         with pytest.raises(ValueError):
             sc.cross_factorization_defect(
