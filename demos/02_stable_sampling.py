@@ -5,7 +5,9 @@ function, which is known in closed form: exp(-sum_j w_j |<t,s_j>|^alpha) for
 a discrete spectral measure.  A univariate law of scale sigma is the 1-D
 measure with one atom of weight sigma^alpha, whose CF is
 exp(-sigma^alpha |t|^alpha).  Densities are unavailable, CFs are exact;
-every comparison in this package goes through them.
+every comparison in this package goes through them.  CFs are evaluated on
+a batch of probes, an (n, d) array, and draws always come as arrays of an
+explicit size.
 """
 
 import numpy as np
@@ -15,15 +17,17 @@ import stableconv as sc
 rng = np.random.default_rng(42)
 N = 50_000
 SIGMA = 1.5
+T = np.array([0.5, 1.0])
 
 print("univariate sampler (sigma = %g) vs exact CF (N = %d)" % (SIGMA, N))
 print(f"{'alpha':>6} {'t':>5} {'empirical':>10} {'exact':>8}")
 for alpha in [0.5, 1.0, 1.5, 2.0]:
     law = sc.SpectralMeasure(alpha, [SIGMA**alpha], [[1.0]])
     draws = SIGMA * sc.sample_standard(alpha, N, rng)
-    for t in [0.5, 1.0]:
+    # the points t as an (n, 1) batch of 1-D probes
+    for t, exact in zip(T, sc.cf_multivariate(law, T[:, None])):
         emp = np.exp(1j * t * draws).mean().real
-        print(f"{alpha:>6} {t:>5} {emp:>10.4f} {sc.cf_multivariate(law, [t]):>8.4f}")
+        print(f"{alpha:>6} {t:>5} {emp:>10.4f} {exact:>8.4f}")
 
 # --- a multivariate law from three atom pairs ---------------------------------
 dirs = rng.standard_normal((3, 4))
@@ -40,14 +44,16 @@ for e, th in zip(emp, theo):
 
 # --- one-dimensional projections ----------------------------------------------
 # <u, X> is symmetric stable again, with scale sigma(u) given by
-# sigma(u)^alpha = sum_j w_j |<u, s_j>|^alpha, and its CF at t is X's at t * u
+# sigma(u)^alpha = sum_j w_j |<u, s_j>|^alpha, and its CF at t is X's at t * u:
+# at the points t (n,), cf_multivariate(measure, np.outer(t, u))
 u = rng.standard_normal(4)
 alpha = measure.alpha
 sigma_u = np.sum(measure.weights * np.abs(measure.directions @ u) ** alpha) ** (1 / alpha)
 print(f"\nprojection <u, X>: alpha={alpha}, sigma(u)={sigma_u:.4f}")
 t = 1.0 / sigma_u
 emp = np.exp(1j * t * (draws @ u)).mean().real
-print(f"projected CF at t=1/sigma: empirical {emp:.4f}, exact {sc.cf_multivariate(measure, t * u):.4f}")
+exact = sc.cf_multivariate(measure, np.outer([t], u))[0]
+print(f"projected CF at t=1/sigma: empirical {emp:.4f}, exact {exact:.4f}")
 
 # --- compression keeps the law ------------------------------------------------
 big_dirs = rng.standard_normal((20_000, 4))

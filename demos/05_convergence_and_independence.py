@@ -31,12 +31,13 @@ reps = sc.sample_replicas(spec.with_channels(256), 10_000, n_channels=2)
 pa = sc.generate_probes(limit, n_probes=20, seed=31)
 pb = sc.generate_probes(limit, n_probes=20, seed=77)
 mix_probes = sc.generate_probes(sc.mixture_measure(limit, [1.0, 1.0]), n_probes=20, seed=13)
+# the check returns the rows of the CLI's independence.csv, metric -> value
 rep = sc.independence_check(reps.outputs, reps.biases, [1.0, 1.0], pa, pb, mix_probes)
-print(f"factorization defect (independent channels): {rep.max_defect:.4f}")
+print(f"factorization defect (independent channels): {rep['max_factorization_defect']:.4f}")
 print(f"factorization defect (channel paired with itself): "
-      f"{rep.max_control_defect:.4f}   <- dependence is visible")
+      f"{rep['max_control_defect']:.4f}   <- dependence is visible")
 print(f"mixture statistic vs rescaled weight-only measure: "
-      f"sup {rep.mixture_sup:.4f}")
+      f"sup {rep['mixture_sup_dist']:.4f}")
 
 # --- readout: averaging positions of the limit law ----------------------------
 # the readout's law is the exact image of the limit measure; nothing is drawn

@@ -43,8 +43,6 @@ from .limits import (
 )
 from .verify import (
     ConvergenceReport,
-    GaussianOracleReport,
-    IndependenceReport,
     NonFiniteReplicas,
     ProbeSet,
     SweepRow,

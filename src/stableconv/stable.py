@@ -15,8 +15,8 @@ row-major convention (see :mod:`stableconv.tensors`).
 A univariate law is the one-dimensional case: scale sigma is
 ``SpectralMeasure(alpha, [sigma**alpha], [[1.0]])``, its draws are
 ``sigma * sample_standard(alpha, n, rng)``, and for X with spectral measure
-``measure`` the characteristic function of <u, X> at t is
-``cf_multivariate(measure, t * u)``.
+``measure`` the characteristic function of <u, X> at the points ``t`` (n,)
+is ``cf_multivariate(measure, np.outer(t, u))``.
 
 Standard draws use the Chambers-Mallows-Stuck transform (Chambers,
 Mallows & Stuck 1976; Weron 1996), with the Gaussian and Cauchy endpoints
@@ -149,8 +149,9 @@ def sample_standard(
     out: np.ndarray | None = None,
     scratch: _CmsScratch | None = None,
 ) -> np.ndarray:
-    """Draws with characteristic function exp(-|t|^alpha), i.e. symmetric
-    stable with unit scale.
+    """An array of shape ``size`` (a count or a tuple of counts) of draws
+    with characteristic function exp(-|t|^alpha), i.e. symmetric stable with
+    unit scale.
 
     Gaussian (alpha = 2) and Cauchy (alpha = 1) use their closed forms; other
     indices use the Chambers-Mallows-Stuck transform of uniform and then
@@ -166,13 +167,12 @@ def sample_standard(
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    if size is None:
-        # numpy's scalar power is libm's pow, which its array loop need not
-        # match bit for bit: one transform keeps size None equal to size 1
-        return sample_standard(alpha, 1, rng)[0]
+    shape = tuple(size) if np.iterable(size) else (size,)
+    if not all(isinstance(n, (int, np.integer)) for n in shape):
+        raise ValueError(f"size must be a count or a tuple of counts, got {size!r}")
     if out is None:
-        out = np.empty(size)
-    elif out.shape != (tuple(size) if np.iterable(size) else (size,)):
+        out = np.empty(shape)
+    elif out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, not the size {size}")
     if alpha == 2.0:
         rng.standard_normal(out=out)
@@ -260,25 +260,21 @@ def empty_measure(alpha: float, dimension: int) -> SpectralMeasure:
     )
 
 
-def cf_multivariate(measure: SpectralMeasure, t):
+def cf_multivariate(measure: SpectralMeasure, probes) -> np.ndarray:
     """Characteristic function of the stable law with the given spectral
-    measure, evaluated at one probe (d,) or a batch of probes (n, d).
+    measure at each probe t of ``probes``, an (n, d) batch; any other shape
+    raises ``ValueError``.
 
-    Returns exp(-sum_j w_j |<t, s_j>|^alpha); real because the measure is
-    symmetric.
+    Returns exp(-sum_j w_j |<t, s_j>|^alpha), shape (n,); real because the
+    measure is symmetric.
     """
-    arr = np.asarray(t, dtype=np.float64)
-    single = arr.ndim == 1
-    probes = np.atleast_2d(arr)
-    if probes.shape[1] != measure.dimension:
-        raise ValueError(
-            f"probe dimension {probes.shape[1]} != measure dimension {measure.dimension}"
-        )
+    probes = np.asarray(probes, dtype=np.float64)
+    if probes.ndim != 2 or probes.shape[1] != measure.dimension:
+        raise ValueError(f"probes must be an (n, {measure.dimension}) array, got shape "
+                         f"{probes.shape}")
     if measure.n_atoms == 0:
-        out = np.ones(probes.shape[0])
-    else:
-        out = np.exp(-cf_exponent(measure, probes))
-    return float(out[0]) if single else out
+        return np.ones(len(probes))
+    return np.exp(-cf_exponent(measure, probes))
 
 
 def cf_exponent(measure: SpectralMeasure, probes: np.ndarray) -> np.ndarray:
@@ -369,11 +365,12 @@ def _coefficient_rows(n_atoms: int) -> int:
 def sample_multivariate(
     measure: SpectralMeasure,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
     out: np.ndarray | None = None,
     scratch: _CoefficientScratch | None = None,
 ) -> np.ndarray:
-    """Exact draws from the stable law of a discrete spectral measure.
+    """``size`` exact draws from the stable law of a discrete spectral
+    measure, always a (size, dimension) array.
 
     Each atom pair contributes an independent symmetric stable coefficient
     scaled by weight^(1/alpha) along its direction; the characteristic
@@ -393,24 +390,25 @@ def sample_multivariate(
     depends only on the atom count, so equal seeds still give equal draws,
     and a request that fits in one block equals a single whole draw.
     """
-    n = 1 if size is None else int(size)
+    if not isinstance(size, (int, np.integer)):
+        raise ValueError(f"size must be a count, got {size!r}")
     if out is None:
-        out = np.empty((n, measure.dimension))
+        out = np.empty((size, measure.dimension))
     if measure.n_atoms == 0:
         warnings.warn("sampling an empty spectral measure: draws are all zero")
         out[...] = 0.0
-        return out[0] if size is None else out
+        return out
     scales = measure.weights ** (1.0 / measure.alpha)
     rows = _coefficient_rows(measure.n_atoms)
     if scratch is None:
-        scratch = _CoefficientScratch(measure.alpha, measure.n_atoms, min(rows, n))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+        scratch = _CoefficientScratch(measure.alpha, measure.n_atoms, min(rows, size))
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
         z = sample_standard(measure.alpha, (stop - start, measure.n_atoms), rng,
                             out=scratch.block[: stop - start], scratch=scratch.cms)
         z *= scales
         np.matmul(z, measure.directions, out=out[start:stop])
-    return out[0] if size is None else out
+    return out
 
 
 def _compressed_size(measure: SpectralMeasure, target: int) -> int:

@@ -10,7 +10,8 @@ alpha; a probe set is regenerated until it contains at least one clearly
 small (< 0.2) and one clearly large (> 0.8) theoretical CF value, so the
 comparison has power.  The zero probe is always included (both CFs are
 exactly 1 there).  A :class:`ProbeSet` carries the theoretical CF at each
-of its probes.
+of its probes.  The independence and Gaussian oracle checks return the
+``metric -> value`` rows the CLI writes to their CSV files.
 
 The estimator mean_n exp(i <t, X_n>) has standard error about 1/sqrt(N) per
 probe, which sets the tolerances used by the acceptance suite.  It is
@@ -120,9 +121,10 @@ def _cf_rows(n_probes: int) -> int:
 
 
 def empirical_cf(samples: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Empirical characteristic function of flat samples at each probe.
+    """Empirical characteristic function of flat samples (N, d) at each
+    probe of an (n, d) batch ``probes``.
 
-    Returns mean_n exp(i <t, X_n>) as a complex array: the sum of the
+    Returns mean_n exp(i <t, X_n>) as a complex array (n,): the sum of the
     :func:`~stableconv.stable.cf_block_sums` of blocks of samples, divided
     by N, so no N x P array is built.  The standard error of each entry is
     about 1/sqrt(len(samples)).
@@ -130,13 +132,10 @@ def empirical_cf(samples: np.ndarray, probes: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] == 0:
         raise ValueError("samples must be a non-empty (N, d) array")
-    arr = np.asarray(probes, dtype=np.float64)
-    single = arr.ndim == 1
-    t = np.atleast_2d(arr)
-    if t.shape[1] != samples.shape[1]:
-        raise ValueError("probe dimension does not match the samples")
-    out = cf_block_sums([(samples, t)], _cf_rows(len(t))).sum(axis=0) / len(samples)
-    return complex(out[0]) if single else out
+    t = np.asarray(probes, dtype=np.float64)
+    if t.ndim != 2 or t.shape[1] != samples.shape[1]:
+        raise ValueError(f"probes must be an (n, {samples.shape[1]}) array, got shape {t.shape}")
+    return cf_block_sums([(samples, t)], _cf_rows(len(t))).sum(axis=0) / len(samples)
 
 
 def cf_standard_error(n_samples: int) -> float:
@@ -314,22 +313,6 @@ def cross_factorization_defect(
     return np.abs(cf(pair_a, pair_b) - cf(pair_a) * cf(pair_b))
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    factorization_defects: np.ndarray
-    control_defects: np.ndarray
-    mixture_sup: float
-    mixture_mean: float
-
-    @property
-    def max_defect(self) -> float:
-        return float(self.factorization_defects.max())
-
-    @property
-    def max_control_defect(self) -> float:
-        return float(self.control_defects.max())
-
-
 def independence_check(
     outputs: np.ndarray,
     biases: np.ndarray,
@@ -337,17 +320,18 @@ def independence_check(
     probes_a: ProbeSet,
     probes_b: ProbeSet,
     mixture_probes: ProbeSet,
-) -> IndependenceReport:
+) -> dict[str, float]:
     """Two-channel independence diagnostics against the joint limit law.
 
     ``outputs`` is a replica batch (N, 2, d) of the same network; the check
-    reports (i) the cross-factorization defect of the two channels over the
-    probe pairs of ``probes_a`` and ``probes_b``, with the dependent pairing
-    (channel 1 against itself) as a negative control, and (ii) the CF
-    distance between the bias-stripped channel mixture with weights z and
-    ``mixture_probes.cf``, which is calibrated on the mixture form of the
-    limit law (:func:`stableconv.limits.mixture_measure`).  The defect at
-    the pair of zero probes is exactly 0.
+    returns the rows of ``independence.csv`` as metric -> value: (i) the
+    largest cross-factorization defect of the two channels over the probe
+    pairs of ``probes_a`` and ``probes_b``, and of the dependent pairing
+    (channel 1 against itself) as a negative control, and (ii) the sup and
+    mean CF distance between the bias-stripped channel mixture with weights
+    z and ``mixture_probes.cf``, which is calibrated on the mixture form of
+    the limit law (:func:`stableconv.limits.mixture_measure`).  The defect
+    at the pair of zero probes is exactly 0.
 
     The mixture is formed one CF block of :func:`_cf_rows` replicas at a
     time, each block reduced to its row of CF sums before the next is
@@ -368,12 +352,9 @@ def independence_check(
         for s in range(0, n, rows)
     ])
     sup, mean = cf_distance(sums.sum(axis=0) / n, mixture_probes.cf)
-    return IndependenceReport(
-        factorization_defects=defects,
-        control_defects=control,
-        mixture_sup=sup,
-        mixture_mean=mean,
-    )
+    return dict(max_factorization_defect=float(defects.max()),
+                max_control_defect=float(control.max()),
+                mixture_sup_dist=sup, mixture_mean_dist=mean)
 
 
 def implied_covariance(measure: SpectralMeasure) -> np.ndarray:
@@ -429,18 +410,12 @@ def gaussian_kernel_recursion(
     return cov
 
 
-@dataclass(frozen=True)
-class GaussianOracleReport:
-    implied: np.ndarray
-    direct: np.ndarray
-    max_diag_rel_err: float
-    max_offdiag_abs_err: float
-
-
-def gaussian_oracle_check(spec: NetworkSpec, limit_cfg: LimitConfig) -> GaussianOracleReport:
-    """Compare the covariance implied by the alpha = 2 limit measure with an
-    independent Gaussian Monte Carlo covariance recursion, which draws from
-    its own fixed seed ``_ORACLE_SEED``, apart from every configured stream."""
+def gaussian_oracle_check(spec: NetworkSpec, limit_cfg: LimitConfig) -> dict[str, float]:
+    """The rows of ``oracle.csv`` as metric -> value: the largest relative
+    error on the diagonal and absolute error off it of the covariance
+    implied by the alpha = 2 limit measure, against an independent Gaussian
+    Monte Carlo covariance recursion, which draws from its own fixed seed
+    ``_ORACLE_SEED``, apart from every configured stream."""
     if spec.alpha != 2.0:
         raise ValueError("the Gaussian oracle applies only at alpha = 2")
     implied = implied_covariance(limit_measures(spec, limit_cfg)[-1])
@@ -456,9 +431,4 @@ def gaussian_oracle_check(spec: NetworkSpec, limit_cfg: LimitConfig) -> Gaussian
     rel = np.abs(diag_i - diag_d) / np.maximum(np.abs(diag_d), floor)
     off = ~np.eye(implied.shape[0], dtype=bool)
     off_err = np.abs(implied - direct)[off].max() if off.any() else 0.0
-    return GaussianOracleReport(
-        implied=implied,
-        direct=direct,
-        max_diag_rel_err=float(rel.max()),
-        max_offdiag_abs_err=float(off_err),
-    )
+    return dict(max_diag_rel_err=float(rel.max()), max_offdiag_abs_err=float(off_err))

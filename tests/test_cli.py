@@ -471,6 +471,31 @@ class TestCommands:
             values["max_factorization_defect"]
         )
 
+    def test_check_dicts_are_the_metric_files(self, tmp_path, monkeypatch):
+        # the checks return the rows independence.csv and oracle.csv hold,
+        # keys in their order, so each metric has one name
+        import stableconv.cli as cli
+
+        returned = {}
+        for name in ("independence_check", "gaussian_oracle_check"):
+            def recording(*args, _check=getattr(cli, name), _name=name):
+                returned[_name] = _check(*args)
+                return returned[_name]
+
+            monkeypatch.setattr(cli, name, recording)
+        gauss = tmp_path / "gauss.ini"
+        gauss.write_text(TINY_CONFIG.replace("alpha = 1.5", "alpha = 2"))
+        out = tmp_path / "runs"
+        assert main(["simulate", "-c", str(gauss), "-o", str(out), "--channels", "32"]) == 0
+        for command in ("verify", "oracle"):
+            assert main([command, "-c", str(gauss), "-o", str(out)]) == 0
+        run = run_dir_of(gauss, out)
+        for name, csv in [("independence_check", "independence.csv"),
+                          ("gaussian_oracle_check", "oracle.csv")]:
+            rows = [ln.split(",") for ln in (run / csv).read_text().splitlines()[1:]]
+            assert [metric for metric, _ in rows] == list(returned[name])
+            assert [value for _, value in rows] == [f"{v:.12g}" for v in returned[name].values()]
+
     @pytest.mark.parametrize("replicas, source", [
         (3000, r"source=cache"),
         (2999, r"block=\d+"),

@@ -29,7 +29,7 @@ class TestGammaFirst:
         assert measure.total_mass == pytest.approx(sb**alpha + sw**alpha * abs(x0) ** alpha)
         for t in [0.5, 1.0, 2.0]:
             expected = np.exp(-(sb**alpha + sw**alpha * abs(x0) ** alpha) * t**alpha)
-            assert sc.cf_multivariate(measure, np.array([t])) == pytest.approx(expected)
+            assert sc.cf_multivariate(measure, np.array([[t]]))[0] == pytest.approx(expected)
 
     def test_zero_input_keeps_only_bias(self):
         cfg = toy_layer()
@@ -398,7 +398,7 @@ class TestFieldGroups:
             resamples.append((measure, target, out))
             return out
 
-        def sample(measure, rng, size=None, out=None, scratch=None):
+        def sample(measure, rng, size, out=None, scratch=None):
             draws.append((measure, size))
             return sc.sample_multivariate(measure, rng, size=size, out=out, scratch=scratch)
 
@@ -424,7 +424,7 @@ class TestFieldGroups:
         # one coefficient block and CMS scratch and write into the fields
         calls, sample = [], limits.sample_multivariate
 
-        def recording(measure, rng, size=None, out=None, scratch=None):
+        def recording(measure, rng, size, out=None, scratch=None):
             calls.append((out, scratch))
             return sample(measure, rng, size=size, out=out, scratch=scratch)
 
@@ -570,8 +570,8 @@ class TestReadoutMeasure:
                 v = rng2.standard_normal(2)
                 embedded = np.zeros((4, 2))
                 embedded[p] = v
-                a = sc.cf_multivariate(readout, v)
-                b = sc.cf_multivariate(full, embedded.reshape(-1))
+                a = sc.cf_multivariate(readout, [v])[0]
+                b = sc.cf_multivariate(full, embedded.reshape(1, -1))[0]
                 assert a == pytest.approx(b, abs=1e-12)
 
     @settings(max_examples=150, deadline=None)

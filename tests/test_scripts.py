@@ -139,3 +139,25 @@ def test_bench_pairs_rejects_a_workload_without_pairs():
     for bad in ("deep-limit", "deep-limit=0", "deep-limit=x"):
         with pytest.raises(SystemExit):
             parse(["--parent", "HEAD", "--tag", "t", "--workload", bad])
+
+
+def test_bench_pairs_exports_the_working_tree(tmp_path):
+    export = load_script("bench_pairs").export_worktree
+    repo, dest = tmp_path / "repo", tmp_path / "change"
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    files = {".gitignore": "__pycache__/\n.pytest_cache/\n", "kept.py": "x = 1\n",
+             "sub/edited.py": "y = 1\n", "deleted.py": "z = 1\n",
+             "__pycache__/kept.pyc": "", ".pytest_cache/v": ""}
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    # after staging: an edit, a deletion and a new untracked file
+    (repo / "sub/edited.py").write_text("y = 2\n")
+    (repo / "deleted.py").unlink()
+    (repo / "new.py").write_text("w = 1\n")
+    export(repo, dest)
+    exported = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert exported == [".gitignore", "kept.py", "new.py", "sub/edited.py"]
+    assert (dest / "sub/edited.py").read_text() == "y = 2\n"
+    assert not any((dest / name).exists() for name in (".git", "__pycache__", ".pytest_cache"))

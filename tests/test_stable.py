@@ -31,19 +31,19 @@ def law_1d(alpha, sigma):
 
 class TestUnivariateCF:
     def test_symmetric_unit(self):
-        assert sc.cf_multivariate(law_1d(1.5, 1.0), [1.0]) == pytest.approx(np.exp(-1.0))
+        assert sc.cf_multivariate(law_1d(1.5, 1.0), [[1.0]])[0] == pytest.approx(np.exp(-1.0))
 
     @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.7])
     def test_cf_at_zero_is_one(self, alpha):
-        assert sc.cf_multivariate(law_1d(alpha, 2.0), [0.0]) == 1.0
+        assert sc.cf_multivariate(law_1d(alpha, 2.0), [[0.0]])[0] == 1.0
 
     def test_scale_identity(self):
         # scale sigma at probe t equals unit scale at probe sigma*t
         p2 = law_1d(1.5, 2.0)
         p1 = law_1d(1.5, 1.0)
         for t in [0.25, 1.0, 3.0]:
-            assert sc.cf_multivariate(p2, [t]) == pytest.approx(
-                sc.cf_multivariate(p1, [2.0 * t]), rel=1e-14
+            assert sc.cf_multivariate(p2, [[t]])[0] == pytest.approx(
+                sc.cf_multivariate(p1, [[2.0 * t]])[0], rel=1e-14
             )
 
     def test_alpha_one_branch(self):
@@ -154,29 +154,37 @@ class TestUnivariateSampler:
 class TestMultivariateCF:
     def test_single_atom(self):
         m = sc.SpectralMeasure(1.5, np.array([1.0]), np.array([[1.0, 0.0]]))
-        assert sc.cf_multivariate(m, np.array([1.0, 0.0])) == pytest.approx(np.exp(-1))
+        assert sc.cf_multivariate(m, np.array([[1.0, 0.0]]))[0] == pytest.approx(np.exp(-1))
 
     def test_orthogonal_probe(self):
         m = sc.SpectralMeasure(1.5, np.array([1.0]), np.array([[1.0, 0.0]]))
-        assert sc.cf_multivariate(m, np.array([0.0, 5.0])) == 1.0
+        assert sc.cf_multivariate(m, np.array([[0.0, 5.0]]))[0] == 1.0
 
     def test_two_atoms_cauchy(self):
         m = sc.SpectralMeasure(
             1.0, np.array([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 1.0]])
         )
-        assert sc.cf_multivariate(m, np.array([1.0, 1.0])) == pytest.approx(np.exp(-3))
+        assert sc.cf_multivariate(m, np.array([[1.0, 1.0]]))[0] == pytest.approx(np.exp(-3))
 
     def test_dimension_mismatch(self):
         m = sc.SpectralMeasure(1.5, np.array([1.0]), np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError):
-            sc.cf_multivariate(m, np.array([1.0, 0.0, 0.0]))
+            sc.cf_multivariate(m, np.array([[1.0, 0.0, 0.0]]))
+
+    def test_single_probe_is_refused(self):
+        # probes come as an (n, d) batch: a 1-D probe, or any other shape,
+        # raises, naming the batch shape
+        m = sc.SpectralMeasure(1.5, np.array([1.0]), np.array([[1.0, 0.0]]))
+        for probes in (np.array([1.0, 0.0]), np.zeros((1, 1, 2)), 1.0):
+            with pytest.raises(ValueError, match=r"\(n, 2\)"):
+                sc.cf_multivariate(m, probes)
 
     def test_range_and_symmetry(self, rng):
         m = make_measure(rng)
         probes = rng.standard_normal((50, m.dimension))
         vals = sc.cf_multivariate(m, probes)
         assert np.all(vals > 0.0) and np.all(vals <= 1.0)
-        assert sc.cf_multivariate(m, np.zeros(m.dimension)) == 1.0
+        assert sc.cf_multivariate(m, np.zeros((1, m.dimension)))[0] == 1.0
         assert np.allclose(vals, sc.cf_multivariate(m, -probes), rtol=0, atol=0)
 
     def test_weight_scaling_identity(self, rng):
@@ -297,10 +305,10 @@ class TestBlockedSampler:
         assert not np.allclose(draws, _one_shot(m, n, np.random.default_rng(7)))
 
     def test_size_none_and_zero(self, rng):
+        # every draw names its size: None is refused, not read as one draw
         m = make_measure(rng, dim=3, n_atoms=self.N_ATOMS)
-        one = sc.sample_multivariate(m, np.random.default_rng(3))
-        assert one.shape == (3,)
-        assert np.array_equal(one, sc.sample_multivariate(m, np.random.default_rng(3), size=1)[0])
+        with pytest.raises(ValueError, match="size"):
+            sc.sample_multivariate(m, rng, size=None)
         assert sc.sample_multivariate(m, rng, size=0).shape == (0, 3)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
@@ -327,7 +335,7 @@ class TestBlockedSampler:
 # sizes around 2 x 4096 variates, a 2-D draw of 5 x 4099, and around one and
 # two transform blocks
 _BLOCK = stable_module._CMS_BLOCK
-_DRAW_SIZES = [None, 0, 1, 8191, 8193, (5, 4099), _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1]
+_DRAW_SIZES = [1, 0, 1, 8191, 8193, (5, 4099), _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1]
 # SHA-256 of _draw_digest's stream, recorded when the transform came to take
 # half-angle tangents: any change to the draws shows here.  The bits depend
 # on numpy's SIMD dispatch (see the report header of the test run), so these
@@ -379,15 +387,6 @@ class TestThreadedTransform:
         names = [t.name for t in threading.enumerate()]
         assert not any(name.startswith("stableconv-cms") for name in names), names
 
-    @pytest.mark.parametrize("alpha", [0.7, 1.5, 1.9])
-    def test_scalar_draw_is_first_of_one(self, alpha):
-        # a single variate takes the array transform, so size None and
-        # size 1 give the same bits for the same generator state
-        for seed in range(200):
-            one = sc.sample_standard(alpha, None, np.random.default_rng(seed))
-            first = sc.sample_standard(alpha, 1, np.random.default_rng(seed))[0]
-            assert one == first, seed
-
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
     def test_draws_into_given_arrays_equal_fresh_draws(self, alpha):
         # one scratch for draws of two sizes, out filled with NaN so a slot
@@ -402,8 +401,9 @@ class TestThreadedTransform:
             sc.sample_standard(alpha, 6, given, out=np.empty(7))
 
     def test_scalar_and_empty_draws(self, rng):
-        one = sc.sample_standard(1.5, None, rng)
-        assert type(one) is np.float64
+        # a scalar draw is one of size 1: size None is refused
+        with pytest.raises(ValueError, match="size"):
+            sc.sample_standard(1.5, None, rng)
         none = sc.sample_standard(1.5, 0, rng)
         assert isinstance(none, np.ndarray) and none.shape == (0,)
 
@@ -505,7 +505,7 @@ class TestProject1d:
         m = sc.SpectralMeasure(1.5, np.array([1.0]), np.array([[1.0, 0.0]]))
         u = np.array([1.0, 0.0])
         for t in [0.5, 1.0, 3.0]:
-            assert sc.cf_multivariate(m, t * u) == pytest.approx(np.exp(-(t**1.5)), abs=1e-14)
+            assert sc.cf_multivariate(m, [t * u])[0] == pytest.approx(np.exp(-(t**1.5)), abs=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
     def test_degenerate_projection(self, alpha):
@@ -517,12 +517,12 @@ class TestProject1d:
             u = np.array(u)
             assert scale_alpha(measure, u) == 0.0
             assert np.array_equal(sc.cf_multivariate(measure, t[:, None] * u), np.ones(4))
-            assert sc.cf_multivariate(measure, 7.0 * u) == 1.0
+            assert sc.cf_multivariate(measure, [7.0 * u])[0] == 1.0
 
     def test_dimension_mismatch(self, rng):
         m = make_measure(rng)
         with pytest.raises(ValueError):
-            sc.cf_multivariate(m, 2.0 * np.ones(m.dimension + 1))
+            sc.cf_multivariate(m, 2.0 * np.ones((1, m.dimension + 1)))
 
     def test_coordinate_projection_of_conditional_measure(self, rng):
         # sigma(u)^alpha at a coordinate direction must reproduce the
@@ -558,7 +558,7 @@ class TestProject1d:
         draws = sc.sample_multivariate(m, rng, size=60_000) @ u
         for t in [0.5 / sigma, 1.0 / sigma]:
             emp = np.exp(1j * t * draws).mean()
-            assert abs(emp - sc.cf_multivariate(m, t * u)) < 0.02
+            assert abs(emp - sc.cf_multivariate(m, [t * u])[0]) < 0.02
 
 
 class TestCompressMeasure:
