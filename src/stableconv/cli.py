@@ -99,6 +99,24 @@ def _replica_path(run: Path, channels: int) -> Path:
     return run / f"replicas_C{channels}.bin"
 
 
+def _heavy_tailed_target(alpha: float, n_layers: int, beta: float) -> str | None:
+    """Why no Monte Carlo limit target can be trusted for a net of
+    ``n_layers`` layers at ``alpha`` whose activation has envelope exponent
+    ``beta``, or None when one can.
+
+    Below alpha = 2 every layer after the first averages terms
+    h(Y) ~ |Y|^(beta * alpha) over fields Y with P(|Y| > y) ~ y^(-alpha), so
+    h has tail index 1/beta.  From beta = 1/2 on its variance is infinite,
+    and the mean of M terms errs like M^(-(1 - beta)) (generalized CLT;
+    Samorodnitsky & Taqqu 1994): the limit seed, not the network, then
+    decides a check."""
+    if alpha < 2.0 and n_layers >= 2 and beta >= 0.5:
+        return (f"activation envelope exponent beta = {beta:g} >= 1/2 at alpha = {alpha:g} < 2: "
+                f"the Monte Carlo layers average terms of tail index 1/beta = {1 / beta:.3g} "
+                "<= 2, whose variance is infinite")
+    return None
+
+
 def _usage_error(exc: Exception) -> int:
     """Report a bad input in one line on stderr, with no traceback; exit 2."""
     print(f"error: {exc}", file=sys.stderr)
@@ -346,6 +364,9 @@ def main(argv=None) -> int:
         # directory exists
         cfg = load_config(args.config)
         spec = cfg.build_spec(getattr(args, "channels", None))
+        reason = _heavy_tailed_target(spec.alpha, spec.n_layers, spec.activation.beta)
+        if reason is not None:
+            raise ValueError(reason)
         if getattr(args, "replicas", None) is not None and args.replicas < 1:
             raise ValueError(f"--replicas must be >= 1, got {args.replicas}")
         limit_cfg = cfg.limit_config(cfg.oracle_mc_samples if args.command == "oracle" else None)

@@ -4,16 +4,24 @@ simulated jointly over several inputs.
 Weights and biases are drawn iid symmetric stable with scales sigma_w and
 sigma_b.  The first layer applies the convolution as-is; deeper layers divide
 the weight term by C^(1/alpha), where C is the channel count shared by all
-hidden layers.  The activation is applied to each hidden field, whose patches
-are then gathered with phi(0) in the padding slots (``PatchMap.slab``):
-the patches equal the activated zero-padded patches, so padding feeds phi(0)
-into the next contraction.
+hidden layers.  The activation is applied to each hidden field, and the
+next layer reads it zero-padded through the activation, so its padding
+feeds phi(0) into the contraction.  A hidden layer gathers the patches of
+the activated field below it with phi(0) in the padding slots
+(``PatchMap.slab``) and multiplies them by its C rows of weights.  The last
+layer multiplies one row at a time, so it contracts over channels first,
+u = W^T A with A the activated field plus one position per channel that
+holds phi(0), and then sums over the filter offsets the entries of u that
+the window reads (``PatchMap.padded_indices``: an out-of-bounds slot reads
+the phi(0) position).  Those are the terms of the patch product, summed in
+another order, and no (C * n_offsets, positions * K) patch slab of the last
+layer is written.  A one-layer net multiplies the slab of its fixed inputs.
 
 Replicas are simulated in blocks: one block pushes B network realizations
 through the stack together, with one weight draw, one bias draw and one
-batched matmul per hidden layer.  The last layer repeats those three steps
-once per output channel, one channel wide, so its channels are drawn one
-after another.  Each block draws from its own generator, keyed by (seed,
+batched matmul per hidden layer.  The last layer takes its two draws and
+its product once per output channel, one channel wide, so its channels are
+drawn one after another.  Each block draws from its own generator, keyed by (seed,
 block index).  B is derived from the spec alone (see
 :func:`replica_block_size`), and every block draws all B replicas even when
 only part of the last one is kept.  Channel j of a replica therefore depends
@@ -25,12 +33,14 @@ written by ``simulate`` is exactly what a one-channel sweep would sample.
 
 A job of consecutive blocks allocates its block-sized arrays once, sized
 from the spec and B (:class:`_BlockArrays`): each layer's own weights,
-biases, fields and patch slab, shared with no other layer, and the CMS
-inputs and scratch.  So a job holds the sum over its layers, not the
-largest layer: 0.11 to 0.16 MiB more on the toy geometry, 0.015 to 0.04
-MiB on the wide one, 1.6 MiB on a 4-layer C = 256 net.  Every block draws,
-multiplies and gathers into them with ``out=``, in the same operations and
-order as into fresh arrays, so the values do not change.  Freeing about
+biases, fields and what its product reads (a patch slab, or at the last
+layer the padded activations and the arrays it contracts and gathers
+into), shared with no other layer, and the CMS inputs and scratch.  So a
+job holds the sum over its layers, not the largest layer: 0.11 to 0.16
+MiB more on the toy geometry, 0.015 to 0.04 MiB on the wide one, 1.6 MiB
+on a 4-layer C = 256 net, when every layer still held a slab.  Every
+block draws, multiplies and gathers into them with ``out=``, in the same
+operations and order as into fresh arrays, so the values do not change.  Freeing about
 1.8 MB of arrays after each block let the allocator hand their pages back
 to the system and fault them in again for the next block: a fresh
 10k-replica, two-channel sample at the toy geometry's C = 256 took 248k
@@ -257,38 +267,78 @@ def _layer_dims(spec: NetworkSpec):
 class _BlockArrays:
     """The arrays one replica job computes its blocks in, ``size``
     realizations each, allocated once per job.  ``layers`` holds each
-    layer's own weights (size, m, f), biases (size, m), fields (size, m, n)
-    and the slab it multiplies, with (m, f, n) from :func:`_layer_dims`: the
-    first layer's slab is the patch rows of the fixed inputs, the same for
-    every replica, and every other layer's is (size, f, n).  ``cms`` holds
-    the CMS inputs and scratch of the largest draw.  Every block draws and
-    computes into them, so a block allocates and frees no block-sized
-    array."""
+    layer's own weights (size, m, f), biases (size, m) and fields
+    (size, m, n), with (m, f, n) from :func:`_layer_dims`, and what its
+    product reads.  The first layer reads the patch slab of the fixed
+    inputs, the same for every replica, and a hidden layer the (size, f, n)
+    patch slab of the activated field below it.  The last layer of a net of
+    two or more layers reads that field activated and padded, (size, C,
+    (n_in + 1) * K): one extra input position per channel holds phi(0).  It
+    contracts it into ``u`` (size, n_offsets, (n_in + 1) * K) and gathers
+    from that into ``gathered`` (size, n_offsets, n) by the table ``rows``
+    (:func:`_contract_then_gather`).  ``cms`` holds the CMS inputs and
+    scratch of the largest draw.  Every block draws and computes into them,
+    so a block allocates and frees no block-sized array."""
 
     def __init__(self, spec: NetworkSpec, size: int):
-        inputs = spec.inputs.reshape(spec.in_channels, -1, spec.n_inputs)
-        self.layers = [
-            (np.empty((size, m, f)), np.empty((size, m)), np.empty((size, m, n)),
-             patch_map_for(spec.layers[0]).slab(inputs) if l == 0 else np.empty((size, f, n)))
-            for l, (m, f, n) in enumerate(_layer_dims(spec))
-        ]
+        last = spec.layers[-1]
+        width = (last.n_positions_in + 1) * spec.n_inputs
+        self.layers = []
+        for l, (m, f, n) in enumerate(_layer_dims(spec)):
+            if l == 0:
+                inputs = spec.inputs.reshape(spec.in_channels, -1, spec.n_inputs)
+                reads = patch_map_for(spec.layers[0]).slab(inputs)
+            elif l < spec.n_layers - 1:
+                reads = np.empty((size, f, n))
+            else:
+                reads = np.empty((size, spec.channels, width))
+                # phi(0) once per job: no block writes the pad position
+                reads[..., width - spec.n_inputs :] = spec.activation(np.zeros(1))[0]
+            self.layers.append((np.empty((size, m, f)), np.empty((size, m)),
+                                np.empty((size, m, n)), reads))
+        if spec.n_layers > 1:
+            self.u = np.empty((size, last.n_offsets, width))
+            self.gathered = np.empty((size, last.n_offsets, last.n_positions_out * spec.n_inputs))
+            # offset g of output position p reads row g * (n_in + 1) + its
+            # input position (n_in at an out-of-bounds slot) of u
+            row_starts = (last.n_positions_in + 1) * np.arange(last.n_offsets)[:, None]
+            self.rows = (patch_map_for(last).padded_indices.T + row_starts).ravel()
         self.cms = _CmsScratch(max(w.size for w, *_ in self.layers))
 
 
-def _affine(spec: NetworkSpec, w, biases, field, slab, scaled: bool, rng, cms) -> None:
+def _draw(spec: NetworkSpec, w, biases, rng, cms) -> None:
     """One weight draw into ``w`` (batch, m_out, fan_in), then one bias draw
-    into ``biases`` (batch, m_out), then the batched product of the weights
-    with ``slab`` (..., fan_in, n) into ``field`` (batch, m_out, n), times
-    C^(-1/alpha) if ``scaled``, plus the biases.  ``cms`` is the draws'
-    :class:`~stableconv.stable._CmsScratch`."""
+    into ``biases`` (batch, m_out), each times its scale.  ``cms`` is the
+    draws' :class:`~stableconv.stable._CmsScratch`."""
     sample_standard(spec.alpha, w.shape, rng, out=w, scratch=cms)
     w *= spec.sigma_w
     sample_standard(spec.alpha, biases.shape, rng, out=biases, scratch=cms)
     biases *= spec.sigma_b
-    np.matmul(w, slab, out=field)
+
+
+def _scale_and_shift(spec: NetworkSpec, field, biases, scaled: bool) -> None:
+    """``field`` (batch, m_out, n), the product of a layer's weights with
+    its input, times C^(-1/alpha) if ``scaled``, plus the ``biases``."""
     if scaled:
         field *= spec.channels ** (-1.0 / spec.alpha)
     field += biases[..., None]
+
+
+def _contract_then_gather(spec: NetworkSpec, arrays: _BlockArrays, w, padded, field) -> None:
+    """The last layer's product of ``w`` (batch, 1, C * n_offsets) with the
+    patch rows of ``padded`` (batch, C, (n_in + 1) * K), the activated field
+    below it with phi(0) at position n_in, into ``field`` (batch, 1, n), without
+    forming those rows: contract the channels first, u = W^T A with W the
+    (C, n_offsets) view of the weights, then sum over the offsets g the
+    entries of u[g] at the positions the window at offset g reads, the pad
+    position at an out-of-bounds slot.  The terms are those of the patch
+    rows' product, summed in another order."""
+    size, n_off, width = arrays.u.shape
+    k = spec.n_inputs
+    np.matmul(w.reshape(size, -1, n_off).transpose(0, 2, 1), padded, out=arrays.u)
+    np.take(arrays.u.reshape(size, n_off * width // k, k), arrays.rows, axis=1,
+            out=arrays.gathered.reshape(size, -1, k), mode="clip")
+    np.add.reduce(arrays.gathered, axis=1, keepdims=True, out=field)
 
 
 def _forward_block(
@@ -304,22 +354,35 @@ def _forward_block(
     (the last layer's biases, (n, n_channels_out)).
 
     Each hidden layer takes one weight draw of shape (batch, C, c_in * n_off),
-    then one bias draw of shape (batch, C), then one batched matmul.  The
-    last layer draws one output channel at a time, in the same three steps
-    with one row, so channel j's values do not depend on how many channels
-    are drawn.  The inputs are fixed, so the first layer multiplies the
-    input slab that ``arrays`` holds.
+    then one bias draw of shape (batch, C), then one batched matmul with its
+    patch slab.  The last layer draws one output channel at a time, in the
+    same two draws with one row, so channel j's values do not depend on how
+    many channels are drawn.  Below it the field is activated once, into
+    the padded array the last layer reads, and each output channel
+    contracts that before it gathers (:func:`_contract_then_gather`).  The
+    inputs are fixed, so the first layer, the last of a one-layer net,
+    multiplies the input slab that ``arrays`` holds.
     """
     layers = arrays.layers
     for l, cfg in enumerate(spec.layers[:-1]):
         w, biases, field, slab = layers[l]
-        _affine(spec, w, biases, field, slab, l > 0, rng, arrays.cms)
-        values = field.reshape(len(field), spec.channels, cfg.n_positions_out, spec.n_inputs)
-        patch_map_for(spec.layers[l + 1]).slab(values, spec.activation, out=layers[l + 1][3])
-    w, biases, field, slab = layers[-1]
+        _draw(spec, w, biases, rng, arrays.cms)
+        np.matmul(w, slab, out=field)
+        _scale_and_shift(spec, field, biases, l > 0)
+        if l + 2 < spec.n_layers:
+            values = field.reshape(len(field), spec.channels, cfg.n_positions_out, spec.n_inputs)
+            patch_map_for(spec.layers[l + 1]).slab(values, spec.activation, out=layers[l + 1][3])
+        else:
+            layers[-1][3][..., : field.shape[-1]] = spec.activation(field)
+    w, biases, field, reads = layers[-1]
     keep = len(out)
     for j in range(out.shape[1]):
-        _affine(spec, w, biases, field, slab, spec.n_layers > 1, rng, arrays.cms)
+        _draw(spec, w, biases, rng, arrays.cms)
+        if spec.n_layers > 1:
+            _contract_then_gather(spec, arrays, w, reads, field)
+        else:
+            np.matmul(w, reads, out=field)
+        _scale_and_shift(spec, field, biases, spec.n_layers > 1)
         out[:, j] = field[:keep, 0]
         bias[:, j] = biases[:keep, 0]
 
@@ -348,11 +411,13 @@ def replica_block_size(spec: NetworkSpec) -> int:
     """Replicas per block in :func:`sample_replicas`.
 
     A fixed byte budget divided by the largest per-replica working set over
-    the layers (patches, weights and output field), capped at a fixed
+    the layers (patch slab, weights and output field), capped at a fixed
     maximum.  The last layer counts at one output channel, the width it
-    draws at a time.  The size depends on nothing but the spec's geometry,
-    so the block partition, and with it every draw, is the same for any
-    worker count and any number of output channels.
+    draws at a time, and with the patch slab it multiplied before it came
+    to contract its channels first: B fixes the block partition, and with
+    it every replica draw, so this formula stays as it was.  The size
+    depends on nothing but the spec's geometry, so the partition is the
+    same for any worker count and any number of output channels.
     """
     worst = max(f * n + m * f + m * n for m, f, n in _layer_dims(spec))
     return max(1, min(_MAX_BLOCK, _BLOCK_BYTES // (8 * worst)))

@@ -14,8 +14,11 @@ gather that writes a fill value into the out-of-bounds slots: zero for data
 (zero padding), and phi(0) for a hidden layer's activated field, since the
 next convolution sees that layer's zero-padded positions through the
 activation.  :meth:`PatchMap.slab` makes that choice once, for the finite
-network and the limit recursion alike, and lays the patches out as the rows
-of a convolution's one matmul against the flattened filters.
+network's first and hidden layers and the limit recursion alike, and lays
+the patches out as the rows of a convolution's one matmul against the
+flattened filters.  :attr:`PatchMap.padded_indices` points the
+out-of-bounds slots at one extra pad position instead, for the finite
+network's last layer, which gathers from values that carry phi(0) there.
 """
 
 from __future__ import annotations
@@ -118,6 +121,16 @@ class PatchMap:
 
     config: ConvLayerConfig
     indices: np.ndarray
+
+    @cached_property
+    def padded_indices(self) -> np.ndarray:
+        """``indices`` with every out-of-bounds slot pointing at position
+        ``n_positions_in``: the table into values padded with one extra
+        position that holds the fill, so a gather from them needs no fill
+        step."""
+        padded = np.where(self.indices == OUT_OF_BOUNDS, self.config.n_positions_in, self.indices)
+        padded.setflags(write=False)
+        return padded
 
     @cached_property
     def _order(self) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stableconv as sc
-from stableconv.cli import main
+from stableconv.cli import _heavy_tailed_target, main
 from stableconv.config import load_config
 from stableconv.verify import CSV_HEADER
 
@@ -230,6 +230,7 @@ class TestConfig:
         ("limit", ("[layer.1]\nfilter = 3", "[layer.1]\nfilter = 9")),
         ("limit", ("activation = tanh", "activation = nope")),
         ("limit", ("activation = tanh", "activation = relu")),
+        ("limit", ("activation = tanh", "activation = signed_power")),
         ("limit", ("alpha = 1.5", "alpha = 2.5")),
         ("limit", ("mc_samples = 2000\nseed = 3", "mc_samples = 0\nseed = 3")),
         ("limit", ("kind = gaussian", "kind = bogus")),
@@ -247,8 +248,8 @@ class TestConfig:
         ("simulate --replicas 0", None),
         ("simulate --replicas -3", None),
         ("simulate --channels 0", None),
-    ], ids=["filter", "activation", "relu", "alpha", "mc_samples", "kind", "atom_cap",
-            "limit_seed_negative", "sigma_w_nan", "sigma_b_inf", "max_sup_dist_nan",
+    ], ids=["filter", "activation", "relu", "signed_power", "alpha", "mc_samples", "kind",
+            "atom_cap", "limit_seed_negative", "sigma_w_nan", "sigma_b_inf", "max_sup_dist_nan",
             "n_replicas", "n_probes", "n_probes_2", "channel_counts", "workers_0",
             "workers_negative",
             "replicas_flag_0", "replicas_flag_negative", "channels_flag_0"])
@@ -261,6 +262,29 @@ class TestConfig:
             path.write_text(TINY_CONFIG.replace(*edit))
         out = tmp_path / "runs"
         assert main([*command.split(), "-c", str(path), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    # beta >= 1/2 leaves a Monte Carlo target of infinite variance below
+    # alpha = 2, from the second layer on; the boundary is 1/2, not the
+    # theory's admissible beta < 1
+    @pytest.mark.parametrize("beta, refused", [(0.49, False), (0.5, True), (0.9, True)])
+    def test_heavy_tailed_target_gate(self, beta, refused):
+        assert (_heavy_tailed_target(1.5, 2, beta) is not None) == refused
+        assert (_heavy_tailed_target(0.7, 3, beta) is not None) == refused
+        assert _heavy_tailed_target(2.0, 2, beta) is None
+        assert _heavy_tailed_target(1.5, 1, beta) is None
+
+    def test_heavy_tailed_target_exits_before_writing(self, tmp_path, capsys):
+        # signed_power (beta = 0.9) at alpha = 1.5: one line naming beta and
+        # the tail index 1/beta
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace("activation = tanh", "activation = signed_power"))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        assert main(["verify", "-c", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "beta = 0.9 " in err[0] and "1/beta = 1.11 " in err[0]
         assert not out.exists()
 
     # two layer sections numbered other than 1, 2; the error names ``named``

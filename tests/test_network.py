@@ -83,13 +83,20 @@ class TestNetworkSpec:
 # TestForwardFinite's pins; the shifted-tanh case has phi(0) = 0.5 in the
 # padding slots
 _OUTPUT_PINS = [
-    ("toy", 2, 0, "2b276a3ddb054cc827c432a91d9f244d7a70995459e26cf94fb6e05a264822f9"),
-    ("three_layers", 3, 1, "5d5d3e1b3b3f78d521552c97ac47c1742361f5079ee03e1269b421eb2e753fc6"),
-    ("three_layers_cauchy", 1, 2, "bcdb92290dca78b8d662b46ed955db459f4d4b00cd1ed135db1f7f010098268b"),
-    ("three_layers_gauss", 2, 3, "9568a64329fdfc9a16ead4a5ac4452e9a8eb43854584b3e43540db6bf7bc71df"),
-    ("strided_2d", 2, 4, "7f4961c6ae62b78ec47e9f798689a236e1903c36d506306955ff64b86df387ff"),
-    ("shifted_tanh", 2, 5, "5e13766ecf5fa8501cdeb86cab052504447b6181ce33b0f45f6bc7266cf42333"),
+    ("toy", 2, 0, "a22995a75fd83861c6c41b967c60c9aa41e489886cc69e3ea0cf09ce9f246c19"),
+    ("three_layers", 3, 1, "416977b4753f64d9f4f9581adb920d6076bbf0ef5decf4f8ea8ccd01b4937484"),
+    ("three_layers_cauchy", 1, 2, "17f254ac7f70f598835be3d1b17f01d2807b3e822727b2b084a551bf09ed131a"),
+    ("three_layers_gauss", 2, 3, "02aa14f14e582f849070696467571b773e6bb7dd2596541ba8436cf0e6debebb"),
+    ("strided_2d", 2, 4, "e5f1c9c5557aec6059ff0da603114800ea7e05e6485e15a0982d8f769afc4fed"),
+    ("shifted_tanh", 2, 5, "2748d038f503bb734a93603b69a7c52f4231c8f38dfa23603996ea7c91342b40"),
 ]
+
+
+def _pin_id(pin):
+    """The test id of a digest pin: its case without the digest, so that
+    recording the digest again does not rename the test."""
+    return "-".join(map(str, pin[:-1]))
+
 
 # Value pins: for each pinned case, _value_pin of its outputs, recorded
 # before the last layer came to contract its channels before gathering its
@@ -152,12 +159,13 @@ class TestForwardFinite:
             sc.forward_finite(toy_spec(), 0, np.random.default_rng(0))
 
     # SHA-256 of fields then last_biases: any change to the draws or the
-    # arithmetic of forward_finite must be deliberate.  The cases with two or
-    # more output channels were recorded when the last layer came to draw
-    # its channels one at a time, and the CMS ones among them hold on one
-    # numpy SIMD dispatch (see the report header of the test run); the
-    # one-channel Cauchy case predates the block kernel.
-    @pytest.mark.parametrize("case, n_out, seed, digest", _OUTPUT_PINS)
+    # arithmetic of forward_finite must be deliberate.  They were recorded
+    # when the last layer came to contract its channels before gathering
+    # its patches, which summed its terms in another order and left every
+    # draw as it was (the value pins held), and the CMS ones hold on one
+    # numpy SIMD dispatch (see the report header of the test run).
+    @pytest.mark.parametrize("case, n_out, seed, digest", _OUTPUT_PINS,
+                             ids=[_pin_id(pin) for pin in _OUTPUT_PINS])
     def test_outputs_pinned(self, case, n_out, seed, digest):
         out = sc.forward_finite(_pinned_spec(case), n_out, np.random.default_rng(seed))
         h = hashlib.sha256()
@@ -166,8 +174,9 @@ class TestForwardFinite:
         assert h.hexdigest() == digest
 
     # the values beside each digest, at a tolerance (_assert_values_pinned)
-    @pytest.mark.parametrize("case, n_out, seed", [pin[:3] for pin in _OUTPUT_PINS])
-    def test_output_values_pinned(self, case, n_out, seed):
+    @pytest.mark.parametrize("pin", _OUTPUT_PINS, ids=[_pin_id(pin) for pin in _OUTPUT_PINS])
+    def test_output_values_pinned(self, pin):
+        case, n_out, seed, _ = pin
         out = sc.forward_finite(_pinned_spec(case), n_out, np.random.default_rng(seed))
         _assert_values_pinned(out.fields.reshape(1, n_out, -1), f"outputs/{case}")
 
@@ -176,23 +185,24 @@ class TestForwardFinite:
     # last one.  The kernel sums the last layer in another order than the
     # reference, so the outputs agree at the value pins' tolerance and the
     # biases, drawn alike, bit for bit.
-    @pytest.mark.parametrize("geometry", ["toy", "three_layers", "strided_2d"])
-    def test_padding_reads_activation_at_zero(self, geometry):
-        spec = _shifted_tanh_spec(geometry)
-        out = sc.forward_finite(spec, 2, np.random.default_rng(0))
-        fields, biases = _gather_then_activate(spec, 2, 1, np.random.default_rng(0))
-        assert _close_at_scale(out.fields.reshape(2, -1), fields[0], np.abs(fields).max())
-        assert np.array_equal(out.last_biases, biases[0])
+    def test_padding_reads_activation_at_zero(self):
+        for geometry in ("toy", "three_layers", "strided_2d"):
+            spec = _shifted_tanh_spec(geometry)
+            out = sc.forward_finite(spec, 2, np.random.default_rng(0))
+            fields, biases = _gather_then_activate(spec, 2, 1, np.random.default_rng(0))
+            assert _close_at_scale(out.fields.reshape(2, -1), fields[0], np.abs(fields).max()), \
+                geometry
+            assert np.array_equal(out.last_biases, biases[0]), geometry
 
-    @pytest.mark.parametrize("geometry", ["toy", "three_layers", "strided_2d"])
-    def test_padding_reads_activation_at_zero_in_blocks(self, geometry):
-        spec = _shifted_tanh_spec(geometry)
-        size = sc.replica_block_size(spec)
-        reps = sc.sample_replicas(spec, 5, n_channels=2)
-        rng = sc.network.replica_rng(spec.seed, 0)
-        fields, biases = _gather_then_activate(spec, 2, size, rng)
-        assert _close_at_scale(reps.outputs, fields[:5], np.abs(fields[:5]).max())
-        assert np.array_equal(reps.biases, biases[:5])
+    def test_padding_reads_activation_at_zero_in_blocks(self):
+        for geometry in ("toy", "three_layers", "strided_2d"):
+            spec = _shifted_tanh_spec(geometry)
+            size = sc.replica_block_size(spec)
+            reps = sc.sample_replicas(spec, 5, n_channels=2)
+            rng = sc.network.replica_rng(spec.seed, 0)
+            fields, biases = _gather_then_activate(spec, 2, size, rng)
+            assert _close_at_scale(reps.outputs, fields[:5], np.abs(fields[:5]).max()), geometry
+            assert np.array_equal(reps.biases, biases[:5]), geometry
 
 
 def _pinned_spec(case):
@@ -295,34 +305,30 @@ def _pinned_replicas(geometry, alpha, activation, channels, n_channels, workers)
 # of outputs then biases) of the test_replicas_pinned cases
 _REPLICA_PINS = [
     ("toy", 0.7, "tanh", 16, 2, 1,
-     "a4a471b4ba968a25b7dc24e19466e63337f9a23919264b6b23c022080bae0b3a"),
+     "f844c5747bd041c137d9acdc732a3bfa62b1a2eb6c6add8a396c50afb962dc95"),
     ("toy", 1.0, "hard_clip", 64, 1, 2,
-     "96e7cea06713afbe26a9a4c10bf99c712f997c8297ed9b26c420ef00edbfe8d1"),
+     "736725adeb9ff3e683076aa4ea09322381889ee1d59dfa0e9b5e0f09cfc66f9f"),
     ("toy", 1.5, "tanh", 256, 2, 2,
-     "43a7b7a19444a1b54aaab1a8e27af336f78a4acf7e5a830b24ae1241f90c27a7"),
+     "cb1a00c6650ecf8a3a858dbc4ab2fea6f2e5ea2f128208702a489526a0a8a22d"),
     ("toy", 1.5, "signed_power", 256, 1, 1,
-     "fd7491b02c397f7a9a71c2f6ea7b1d8819a6db82279b393c38a06e47cc5b353f"),
+     "6bb9f978b002ed5f3e18b56549ff8e1519ad794d9b2e400d18ea97076eace031"),
     ("toy", 2.0, "relu", 4, 2, 1,
-     "fac2912d71f18708bedc5ebf30b303ca6d3cd48d626cff4068e6a09e9afee71c"),
+     "5c3cdd627eeeb4a0b2ff1fff924e0ed2022af72808c41f62acf2a762ac9e1df6"),
     ("toy_3_layers", 1.5, "tanh", 8, 2, 2,
-     "b8ee856bd744567435dc09fe4115184043362e6e59dfd83f6bcfd646fe44a259"),
+     "07d3df7c3ef53145bd3b14d8b1e19b3db7586c51af987f65c7e8a715154db98a"),
     ("wide", 0.7, "signed_power", 4, 1, 2,
-     "ead983096dcc74b07ca670e483cd8de7b3c65abbd46443d002f08b0d80b1cec7"),
+     "bfa1b656723160fbc444ff4b30eb95cfdb77224ed305e9fcf9fb5a8a1150815c"),
     ("wide", 1.0, "tanh", 16, 2, 1,
-     "dce02d052e1309e6124714bfb5a9e24b5d8da4e3f7795024f6e649f2fd2fcf8a"),
+     "5d66407d5955ec9a0566f211f343f074ea82e34455a69a36a1e1119ba6b0a73a"),
     ("wide", 1.5, "hard_clip", 64, 2, 2,
-     "b5efa33de19fea176354c3492888487bd22c65ddbbe563b384c7c2c8c0f57b9a"),
+     "937c8cf42f272312324648b0140478189fef78572929b8b7e2d26d1e184bbd06"),
     ("wide", 2.0, "tanh", 64, 1, 1,
-     "ad219e74acf9fc59cd32ca0ff9e14b3cf9e999dce501d0bb6915d81ac39b0192"),
+     "f39e35c76bfc4d1ab2bd172664bd1bdc303f8bd7dab60967e9171a75782f0cc4"),
     ("wide", 2.0, "relu", 16, 2, 2,
-     "688ad07c8141012768f0eb0bef40206e1faafcd9d62c5c6f08199c69772d7415"),
+     "1abbc8086f4f65d3c38855b2ef917a3779db968938adc39b8939b145e70066c6"),
     ("toy_1_layer", 1.5, "tanh", 64, 2, 2,
      "186c8a4f6ebb6f0ecdd7843fef124dd6ab51964125e4e575ed1eaad511916d45"),
 ]
-
-
-def _replica_pin_key(geometry, alpha, activation, channels, n_channels, workers):
-    return f"replicas/{geometry}-{alpha}-{activation}-{channels}-{n_channels}-{workers}"
 
 
 class TestSampleReplicas:
@@ -394,20 +400,26 @@ class TestSampleReplicas:
         # each layer draws and computes into its own arrays, so no layer
         # can read what a later one overwrote
         spec = toy_spec(channels=8, n_layers=3)
-        layers = sc.network._BlockArrays(spec, sc.replica_block_size(spec)).layers
+        arrays = sc.network._BlockArrays(spec, sc.replica_block_size(spec))
+        layers = [*arrays.layers[:-1], (*arrays.layers[-1], arrays.u, arrays.gathered)]
         for (l, mine), (k, theirs) in combinations(enumerate(layers), 2):
             for a, b in product(mine, theirs):
                 assert not np.shares_memory(a, b), (l, k)
+        # nor do the last layer's own: it reads its padded field through u
+        # and gathered
+        for a, b in combinations(layers[-1], 2):
+            assert not np.shares_memory(a, b)
 
-    # SHA-256 of outputs then biases of 2.5 blocks of replicas, recorded
-    # before the replica jobs drew into buffers they allocate once: those
-    # buffers must change no draw and no arithmetic.  Like the other pins
-    # they hold on one numpy SIMD dispatch (PIN_KERNELS in conftest.py; see
-    # the report header of the test run).  The one-layer case was recorded
-    # before the last layer of deeper nets came to contract its channels
-    # before gathering its patches, which left one-layer nets as they were.
+    # SHA-256 of outputs then biases of 2.5 blocks of replicas.  Like the
+    # other digests they hold on one numpy SIMD dispatch (PIN_KERNELS in
+    # conftest.py; see the report header of the test run).  The cases of
+    # two or more layers were recorded again when the last layer came to
+    # contract its channels before gathering its patches, with their value
+    # pins and biases unchanged; the one-layer case was recorded before
+    # that change, which left one-layer nets as they were.
     @pytest.mark.parametrize(
-        "geometry, alpha, activation, channels, n_channels, workers, digest", _REPLICA_PINS)
+        "geometry, alpha, activation, channels, n_channels, workers, digest", _REPLICA_PINS,
+        ids=[_pin_id(pin) for pin in _REPLICA_PINS])
     def test_replicas_pinned(self, geometry, alpha, activation, channels, n_channels,
                              workers, digest):
         reps = _pinned_replicas(geometry, alpha, activation, channels, n_channels, workers)
@@ -417,13 +429,9 @@ class TestSampleReplicas:
         assert h.hexdigest() == digest
 
     # the values beside each digest, at a tolerance (_assert_values_pinned)
-    @pytest.mark.parametrize(
-        "geometry, alpha, activation, channels, n_channels, workers",
-        [pin[:-1] for pin in _REPLICA_PINS])
-    def test_replica_values_pinned(self, geometry, alpha, activation, channels, n_channels,
-                                   workers):
-        params = (geometry, alpha, activation, channels, n_channels, workers)
-        _assert_values_pinned(_pinned_replicas(*params).outputs, _replica_pin_key(*params))
+    @pytest.mark.parametrize("pin", _REPLICA_PINS, ids=[_pin_id(pin) for pin in _REPLICA_PINS])
+    def test_replica_values_pinned(self, pin):
+        _assert_values_pinned(_pinned_replicas(*pin[:-1]).outputs, f"replicas/{_pin_id(pin)}")
 
     def test_blocks_reuse_their_arrays(self):
         # a replica job allocates its block arrays once: 2000 two-channel

@@ -103,6 +103,19 @@ class TestExtractPatches:
             assert np.all(filled[:, oob, :] == -0.5)
             assert np.array_equal(filled[:, ~oob, :], out[:, ~oob, :])
 
+    def test_padded_indices_read_the_fill_position(self, rng):
+        # values with one extra position holding the fill, taken at the
+        # padded table, are the gather with that fill
+        for _ in range(5):
+            cfg, x = random_conv_case(rng, two_d=bool(rng.integers(2)))
+            pm = sc.patch_map_for(cfg)
+            c0, k = x.shape[0], x.shape[-1]
+            values = x.reshape(c0, cfg.n_positions_in, k)
+            padded = np.concatenate([values, np.full((c0, 1, k), -0.5)], axis=1)
+            taken = padded[:, pm.padded_indices.T, :]
+            assert np.array_equal(taken, pm.gather(values, axis=1, fill=-0.5))
+            assert not pm.padded_indices.flags.writeable
+
     def test_slab_rows_are_activated_padded_patches(self, rng):
         # phi(0) != 0, so the padding slots show whether phi saw them
         def phi(v):
