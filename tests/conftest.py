@@ -1,7 +1,42 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import stableconv as sc
+
+# Value pins: the values beside each digest pin, recorded at a tolerance.
+# Unlike the digests, they hold when only the rounding moves: on another
+# numpy SIMD dispatch, or under another order of summation.  Each entry is
+# compared with its own pinned value, within VALUE_RTOL of it, or within
+# the absolute floor VALUE_ATOL for entries at or near 0 (a zero component
+# of a unit direction).  The drift measured across SIMD dispatches is at
+# most 3.3e-14 relative per entry.
+VALUE_PINS = {
+    key: value
+    for name in ("value_pins.json", "draw_and_measure_value_pins.json")
+    for key, value in json.loads(Path(__file__).with_name(name).read_text()).items()
+}
+VALUE_RTOL = 1e-11
+VALUE_ATOL = 1e-13
+
+
+def values_match(got, pin) -> bool:
+    """Whether each entry of ``got`` lies within VALUE_RTOL of its entry of
+    ``pin``, or within VALUE_ATOL of it."""
+    got, pin = np.asarray(got, dtype=np.float64), np.asarray(pin, dtype=np.float64)
+    return got.shape == pin.shape and bool(
+        np.all(np.abs(got - pin) <= VALUE_RTOL * np.abs(pin) + VALUE_ATOL))
+
+
+def spread_pin(values):
+    """The fingerprint of a draw stream, or of a measure's weights or
+    directions: 16 entries spread evenly over the flat ``values``, then
+    their largest |value|."""
+    flat = np.ravel(values)
+    i = np.arange(16)
+    return np.append(flat[i * (len(flat) - 1) // 15], np.abs(flat).max())
 
 
 def toy_layer():

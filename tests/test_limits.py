@@ -11,7 +11,8 @@ import stableconv as sc
 from stableconv import limits
 from stableconv.tensors import patch_map_for
 
-from conftest import decimal_measure_text, toy_inputs, toy_layer, toy_spec
+from conftest import (VALUE_PINS, decimal_measure_text, spread_pin, toy_inputs, toy_layer,
+                      toy_spec, values_match)
 
 TANH = sc.get_activation("tanh")
 
@@ -1009,6 +1010,33 @@ def _pinned_case(case):
     raise AssertionError(case)
 
 
+# (case, SHA-256) of TestMeasurePins' digests
+_MEASURE_PINS = [
+    ("first",
+     "97af5cb9aa41ecbe6d0555b2967abe6b8bdc4b975b8f8358ed10cec51d2f24be"),
+    ("first_no_bias",
+     "3b3c5613ad5221d82bbb6011a92a04a10a15680435e786a051fee594403c2275"),
+    ("conditional",
+     "2180cf03675aea4b18ae885ece066ecaf92904b23e179ed299a8f9665de3f3aa"),
+    ("next_mc",
+     "ae6e2ca9bd22cabdf33fdc11f2304e8fcd77c1bf1fb4f7f271d37bfb596e4b57"),
+    ("next_mc_cap",
+     "cd934248b8f87d37689c628c0266ad45e016808341b17330cdeccbb2333ff9fd"),
+    ("readout",
+     "e892c2474df1728160aa331943b0956b9cbd6811b5283bc0581a814f53e29864"),
+    ("readout_cap",
+     "ebd568667599b3ab0f580cbe9520a1288001a6dd8f964740da41e146f61e7be4"),
+    ("readout_limit_1",
+     "884fed248cfbc94926db2b08125c856998caed88992276d9b3053c419055c4a9"),
+    ("readout_limit_3",
+     "33ddbe23fd0ebb30baba2c95bec0cfc1e5c44f12846b0e738aee0379febcb463"),
+    ("stack_4",
+     "277eed7a00e8b85a4266634aacdc8a866facd10b2d7ba7b3566085c1c20fc133"),
+    ("sigma_w_zero",
+     "995eab0ac0c594eb471644bc11fa5c9d84a6b1ebc3d17e4149f1116f567b2048"),
+]
+
+
 class TestMeasurePins:
     # SHA-256 of the 17-digit decimal text (decimal_measure_text, the
     # measure files' format when these were recorded) of every measure a
@@ -1024,30 +1052,19 @@ class TestMeasurePins:
     # The two cases with a layer 3 (readout_limit_3, stack_4) were recorded
     # again when layers drawing from more than M/10 non-bias atoms came to
     # draw their fields in ten groups, each from its own resample.
-    @pytest.mark.parametrize("case, digest", [
-        ("first",
-         "97af5cb9aa41ecbe6d0555b2967abe6b8bdc4b975b8f8358ed10cec51d2f24be"),
-        ("first_no_bias",
-         "3b3c5613ad5221d82bbb6011a92a04a10a15680435e786a051fee594403c2275"),
-        ("conditional",
-         "2180cf03675aea4b18ae885ece066ecaf92904b23e179ed299a8f9665de3f3aa"),
-        ("next_mc",
-         "ae6e2ca9bd22cabdf33fdc11f2304e8fcd77c1bf1fb4f7f271d37bfb596e4b57"),
-        ("next_mc_cap",
-         "cd934248b8f87d37689c628c0266ad45e016808341b17330cdeccbb2333ff9fd"),
-        ("readout",
-         "e892c2474df1728160aa331943b0956b9cbd6811b5283bc0581a814f53e29864"),
-        ("readout_cap",
-         "ebd568667599b3ab0f580cbe9520a1288001a6dd8f964740da41e146f61e7be4"),
-        ("readout_limit_1",
-         "884fed248cfbc94926db2b08125c856998caed88992276d9b3053c419055c4a9"),
-        ("readout_limit_3",
-         "33ddbe23fd0ebb30baba2c95bec0cfc1e5c44f12846b0e738aee0379febcb463"),
-        ("stack_4",
-         "277eed7a00e8b85a4266634aacdc8a866facd10b2d7ba7b3566085c1c20fc133"),
-        ("sigma_w_zero",
-         "995eab0ac0c594eb471644bc11fa5c9d84a6b1ebc3d17e4149f1116f567b2048"),
-    ])
+    @pytest.mark.parametrize("case, digest", _MEASURE_PINS)
     def test_dump_pinned(self, case, digest):
         text = "".join(decimal_measure_text(m) for m in _pinned_case(case))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    # the values beside each digest (conftest.VALUE_PINS), recorded with the
+    # digests' measures: per measure its atom count and bias index exactly,
+    # then its weights and directions entry by entry
+    @pytest.mark.parametrize("case", [c for c, _ in _MEASURE_PINS])
+    def test_values_pinned(self, case):
+        measures, pins = _pinned_case(case), VALUE_PINS[f"measures/{case}"]
+        assert len(measures) == len(pins)
+        for m, pin in zip(measures, pins):
+            assert (m.n_atoms, m.bias_index) == (pin["atoms"], pin["bias_index"])
+            assert values_match(spread_pin(m.weights), pin["weights"])
+            assert values_match(spread_pin(m.directions), pin["directions"])

@@ -14,7 +14,8 @@ import pytest
 import stableconv as sc
 import stableconv.stable as stable_module
 
-from conftest import decimal_measure_text, toy_inputs, toy_layer
+from conftest import (VALUE_PINS, decimal_measure_text, spread_pin, toy_inputs, toy_layer,
+                      values_match)
 
 
 def make_measure(rng, dim=4, n_atoms=6, alpha=1.5, bias=False):
@@ -347,15 +348,19 @@ _DRAW_PINS = {
 }
 
 
-def _draw_digest(alpha):
+def _draw_stream(alpha):
+    """The draws of _DRAW_SIZES, then of a multivariate measure, from one
+    generator, as one flat array."""
     rng = np.random.default_rng(2024)
-    h = hashlib.sha256()
-    for size in _DRAW_SIZES:
-        h.update(np.asarray(sc.sample_standard(alpha, size, rng)).tobytes())
+    parts = [np.ravel(sc.sample_standard(alpha, size, rng)) for size in _DRAW_SIZES]
     # 1000 atoms: three row blocks of 131 x 1000 variates each
     m = make_measure(np.random.default_rng(5), dim=3, n_atoms=1000, alpha=alpha)
-    h.update(sc.sample_multivariate(m, rng, size=2 * 131 + 5).tobytes())
-    return h.hexdigest()
+    parts.append(np.ravel(sc.sample_multivariate(m, rng, size=2 * 131 + 5)))
+    return np.concatenate(parts)
+
+
+def _draw_digest(alpha):
+    return hashlib.sha256(_draw_stream(alpha).tobytes()).hexdigest()
 
 
 def _on_threads(fn, threads):
@@ -381,6 +386,13 @@ class TestThreadedTransform:
     @pytest.mark.parametrize("alpha", sorted(_DRAW_PINS))
     def test_draws_pinned_for_any_thread_count(self, alpha, threads):
         assert _on_threads(lambda: _draw_digest(alpha), threads) == [_DRAW_PINS[alpha]] * threads
+
+    # the values beside each digest (conftest.VALUE_PINS), recorded with
+    # the digests' draws and compared entry by entry
+    @pytest.mark.parametrize("alpha", sorted(_DRAW_PINS))
+    def test_draw_values_pinned(self, alpha):
+        got, pin = spread_pin(_draw_stream(alpha)), VALUE_PINS[f"draws/{alpha}"]
+        assert values_match(got, pin), np.abs(got / pin - 1).max()
 
     def test_transform_runs_on_the_calling_thread(self):
         sc.sample_standard(1.5, 1 << 20, np.random.default_rng(0))
