@@ -49,7 +49,6 @@ from .verify import (
     cf_distance,
     cf_standard_error,
     convergence_sweep,
-    cross_factorization_defect,
     empirical_cf,
     gaussian_kernel_recursion,
     gaussian_oracle_check,

@@ -269,14 +269,18 @@ def _independence_from_cache(cfg: RunConfig, run: Path, reps: ReplicaSet, target
                     reps.n_replicas, reps.outputs.shape[1], n)
         return []
     z = [1.0, 1.0]
+    laws = {"a": target, "b": target, "mixture": mixture_measure(target, z)}
+    probes = []
+    # each probe set's theoretical CF over its law's atoms has its own line
+    for offset, (key, law) in enumerate(laws.items(), start=1):
+        with stage("probes", set=key, atoms=law.n_atoms) as fields:
+            if law.n_atoms:
+                probes.append(generate_probes(law, n_probes=cfg.n_probes, seed=cfg.seed + offset))
+            else:  # a null mixture law (sigma_w = 0) has CF 1 everywhere
+                probes.append(ProbeSet(probes[0].probes, np.ones_like(probes[0].cf)))
+            fields["probes"] = probes[-1].n_probes
     with stage("independence", C=max(cfg.channel_counts), replicas=n) as fields:
-        pa = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed + 1)
-        pb = generate_probes(target, n_probes=cfg.n_probes, seed=cfg.seed + 2)
-        mixture = mixture_measure(target, z)
-        # a null mixture law (sigma_w = 0) has CF 1 everywhere
-        mix_probes = (generate_probes(mixture, n_probes=cfg.n_probes, seed=cfg.seed + 3)
-                      if mixture.n_atoms else ProbeSet(pa.probes, np.ones(pa.n_probes)))
-        metrics = independence_check(reps.outputs[:n], reps.biases[:n], z, pa, pb, mix_probes)
+        metrics = independence_check(reps.outputs[:n], reps.biases[:n], z, *probes)
         fields.update(metrics)
     _write_metrics(run / "independence.csv", metrics)
     failures = []

@@ -36,16 +36,13 @@ from the spec and B (:class:`_BlockArrays`): each layer's own weights,
 biases, fields and what its product reads (a patch slab, or at the last
 layer the padded activations and the arrays it contracts and gathers
 into), shared with no other layer, and the CMS inputs and scratch.  So a
-job holds the sum over its layers, not the largest layer: 0.11 to 0.16
-MiB more on the toy geometry, 0.015 to 0.04 MiB on the wide one, 1.6 MiB
-on a 4-layer C = 256 net, when every layer still held a slab.  Every
-block draws, multiplies and gathers into them with ``out=``, in the same
-operations and order as into fresh arrays, so the values do not change.  Freeing about
-1.8 MB of arrays after each block let the allocator hand their pages back
-to the system and fault them in again for the next block: a fresh
-10k-replica, two-channel sample at the toy geometry's C = 256 took 248k
-minor faults, and takes about 1k.  Only the activation still returns a new
-array of one field's size, which the allocator reuses from block to block.
+job holds the sum over its layers, not the largest layer.  Every block
+draws, multiplies and gathers into them with ``out=``, in the same
+operations and order as into fresh arrays, so the values do not change,
+and their pages stay with the process from block to block instead of
+going back to the system and faulting in again.  Only the activation
+returns a new array of one field's size, which the allocator reuses from
+block to block.
 
 A sweep point needs only the empirical characteristic function of channel 0
 of its replicas, so its jobs (:func:`replica_cf_sums`) keep one block of
@@ -492,7 +489,7 @@ def _replica_blocks(args):
             # a block with a non-finite replica sums to NaN, which its count
             # reports to the caller
             with np.errstate(invalid="ignore"):
-                sums.append(cf_block_sums([(channel0, probes)], keep)[0])
+                sums.append(cf_block_sums(channel0, probes, keep)[0])
             bad += non_finite_rows(channel0)
     return (out, bias) if probes is None else (np.array(sums), bad)
 
@@ -598,7 +595,7 @@ def replica_cf_sums(
     and an (n_blocks, P) array here.  The block partition depends on the
     spec alone, and a row on its block's replicas alone, so the rows do not
     depend on the pool or its worker count, and
-    ``cf_block_sums([(x, probes)], replica_block_size(spec))`` of channel 0
+    ``cf_block_sums(x, probes, replica_block_size(spec))`` of channel 0
     x of the replicas themselves gives them bit for bit."""
     jobs = _replica_jobs(spec, n_replicas, 1, pool, probes)
     parts = [_replica_blocks(jobs[0])] if len(jobs) == 1 else pool.map(_replica_blocks, jobs)

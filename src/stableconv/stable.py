@@ -303,42 +303,37 @@ def cf_exponent(measure: SpectralMeasure, probes: np.ndarray) -> np.ndarray:
     return out
 
 
-def cf_block_sums(terms, rows: int) -> np.ndarray:
-    """sum_n exp(i phase_n) over each block of ``rows`` consecutive samples,
-    one complex row per block, in block order: (n_blocks, n_probes).
+def _wave_sum(phases: np.ndarray, waves: np.ndarray, out: np.ndarray) -> None:
+    """``np.exp(1j * phases).sum(axis=0)`` into ``out`` bit for bit, through
+    ``waves``, a complex buffer of the phases' shape: the reduction of every
+    empirical CF block."""
+    np.multiply(1j, phases, out=waves)
+    np.exp(waves, out=waves)
+    waves.sum(axis=0, out=out)
 
-    ``terms`` is a list of (samples (N, d_k), probes (n_probes, d_k)) pairs
-    over the same N samples, and phase_n at a probe is the sum over the
-    terms of <t, x_n>: one pair gives the empirical CF sums of one sample
-    set, two give the joint CF of paired samples at paired probes.  Each
-    block's samples are made contiguous before their product with the
+
+def cf_block_sums(samples: np.ndarray, probes: np.ndarray, rows: int) -> np.ndarray:
+    """sum_n exp(i <t, x_n>) over each block of ``rows`` consecutive
+    ``samples`` (N, d) at each probe t of ``probes`` (P, d), one complex row
+    per block, in block order: (n_blocks, P).
+
+    Each block's samples are made contiguous before their product with the
     probes, so a strided view (channel 0 of a many-channel replica set)
     gives bit for bit the rows of a contiguous copy, and a block's row
     depends only on that block's samples, not on the others: rows computed
-    in separate jobs over the same partition equal those of one call.
-
-    A block's phases, a second term's product and the complex exponentials
-    go into three buffers allocated once per call, 8, 8 and 16 bytes per
-    sample and probe (no second one for a single term); the operations
-    are those of ``np.exp(1j * sum(products)).sum(axis=0)``, so the rows
-    are those bit for bit.
+    in separate jobs over the same partition equal those of one call.  A
+    block's phases and complex exponentials (:func:`_wave_sum`) go into two
+    buffers allocated once per call, 8 and 16 bytes per sample and probe.
     """
-    n, n_probes = len(terms[0][0]), len(terms[0][1])
+    n, n_probes = len(samples), len(probes)
     sums = np.empty((-(-n // rows), n_probes), dtype=complex)
     size = min(rows, n)
     phases, waves = np.empty((size, n_probes)), np.empty((size, n_probes), dtype=complex)
-    product = np.empty((size, n_probes)) if len(terms) > 1 else None
     for i, start in enumerate(range(0, n, rows)):
         stop = min(start + rows, n)
-        ph, wv = phases[: stop - start], waves[: stop - start]
-        for k, (x, t) in enumerate(terms):
-            out = product[: stop - start] if k else ph
-            np.matmul(np.ascontiguousarray(x[start:stop]), t.T, out=out)
-            if k:
-                ph += out
-        np.multiply(1j, ph, out=wv)
-        np.exp(wv, out=wv)
-        wv.sum(axis=0, out=sums[i])
+        ph = phases[: stop - start]
+        np.matmul(np.ascontiguousarray(samples[start:stop]), probes.T, out=ph)
+        _wave_sum(ph, waves[: stop - start], sums[i])
     return sums
 
 

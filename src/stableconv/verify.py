@@ -10,8 +10,9 @@ alpha; a probe set is regenerated until it contains at least one clearly
 small (< 0.2) and one clearly large (> 0.8) theoretical CF value, so the
 comparison has power.  The zero probe is always included (both CFs are
 exactly 1 there).  A :class:`ProbeSet` carries the theoretical CF at each
-of its probes.  The independence and Gaussian oracle checks return the
-``metric -> value`` rows the CLI writes to their CSV files.
+of its probes, from the same atoms x probes pass that set their radii.
+The independence and Gaussian oracle checks return the ``metric -> value``
+rows the CLI writes to their CSV files.
 
 The estimator mean_n exp(i <t, X_n>) has standard error about 1/sqrt(N) per
 probe, which sets the tolerances used by the acceptance suite.  It is
@@ -27,9 +28,8 @@ Every CF evaluation works in bounded blocks, so memory does not grow with
 samples x probes or atoms x probes.  A CF block of :func:`_cf_rows` samples
 is sized by its complex values, 16 bytes per sample and probe, so that they
 fit in ``_BLOCK_BYTES``; :func:`~stableconv.stable.cf_block_sums` holds its
-phases beside them, and for a joint CF one more product, 32 bytes per
-sample and probe in all.  The independence check forms its channel mixture
-one such block at a time.  The theoretical CF
+phases beside them, and the independence check one more product, 32 bytes
+per sample and probe in all, in one pass over such blocks.  The theoretical CF
 (:func:`~stableconv.stable.cf_exponent`) takes the probes in blocks of
 rows x atoms within ``_BLOCK_BYTES``, at least one probe per block.
 """
@@ -52,7 +52,7 @@ from .network import (
     replica_cf_sums,
     rng_stream,
 )
-from .stable import _BLOCK_BYTES, SpectralMeasure, cf_block_sums, cf_exponent, cf_multivariate
+from .stable import _BLOCK_BYTES, SpectralMeasure, _wave_sum, cf_block_sums, cf_exponent
 from .tensors import patch_map_for
 
 RADIUS_FACTORS = (0.25, 0.5, 1.0, 2.0)
@@ -92,7 +92,11 @@ def generate_probes(measure: SpectralMeasure, n_probes: int = 20, seed: int = 0)
     The base radius solves CF = 1/2 at the median random direction; the
     ``RADIUS_FACTORS``, raised to max(alpha, 1.5) / alpha, then spread
     probes across the informative range of the CF.  Up to
-    ``_MAX_PROBE_ATTEMPTS`` probe sets are drawn.
+    ``_MAX_PROBE_ATTEMPTS`` probe sets are drawn.  The exponent Psi is
+    positively homogeneous, Psi(r u) = r^alpha Psi(u) (Samorodnitsky &
+    Taqqu 1994, ch. 2), so Psi at the unit directions u, which sets the
+    radii, gives the CF exp(-r^alpha Psi(u)) at each probe r u, 1 at the
+    zero probe: :func:`~stableconv.stable.cf_multivariate` to rounding.
     """
     if measure.n_atoms == 0:
         raise ValueError("cannot calibrate probes against an empty measure")
@@ -106,7 +110,7 @@ def generate_probes(measure: SpectralMeasure, n_probes: int = 20, seed: int = 0)
         base = (np.log(2.0) / np.median(unit_expo)) ** (1.0 / alpha)
         radii = base * factors[np.arange(n_probes) % len(factors)]
         probes = np.vstack([np.zeros(d), dirs * radii[:, None]])
-        cf = cf_multivariate(measure, probes)
+        cf = np.concatenate([[1.0], np.exp(-radii**alpha * unit_expo)])
         if (cf[1:].min() < 0.2 and cf[1:].max() > 0.8
                 and len(np.unique(probes, axis=0)) == probes.shape[0]):
             return ProbeSet(probes, cf)
@@ -115,8 +119,8 @@ def generate_probes(measure: SpectralMeasure, n_probes: int = 20, seed: int = 0)
 
 def _cf_rows(n_probes: int) -> int:
     """Samples per block of the empirical CF sums: a block's rows x probes
-    complex values stay within ``_BLOCK_BYTES``, its phases (and a joint
-    CF's second product) within as much again."""
+    complex values stay within ``_BLOCK_BYTES``, its phases (and the
+    independence check's second product) within as much again."""
     return max(1, _BLOCK_BYTES // (16 * n_probes))
 
 
@@ -135,7 +139,7 @@ def empirical_cf(samples: np.ndarray, probes: np.ndarray) -> np.ndarray:
     t = np.asarray(probes, dtype=np.float64)
     if t.ndim != 2 or t.shape[1] != samples.shape[1]:
         raise ValueError(f"probes must be an (n, {samples.shape[1]}) array, got shape {t.shape}")
-    return cf_block_sums([(samples, t)], _cf_rows(len(t))).sum(axis=0) / len(samples)
+    return cf_block_sums(samples, t, _cf_rows(len(t))).sum(axis=0) / len(samples)
 
 
 def cf_standard_error(n_samples: int) -> float:
@@ -273,7 +277,7 @@ def convergence_sweep(
                 channel0 = caches[c].outputs[:n_replicas, 0]
                 require_finite(non_finite_rows(channel0), n_replicas, c, spec.alpha)
                 # over the replica jobs' blocks, so the rows are theirs
-                sums = cf_block_sums([(channel0, probes.probes)], size)
+                sums = cf_block_sums(channel0, probes.probes, size)
             emp = sums.sum(axis=0) / n_replicas
             fields["sup"], fields["mean"] = cf_distance(emp, probes.cf)
         rows.append(
@@ -289,30 +293,6 @@ def convergence_sweep(
     return ConvergenceReport(rows=rows)
 
 
-def cross_factorization_defect(
-    samples_a: np.ndarray,
-    samples_b: np.ndarray,
-    probes_a: np.ndarray,
-    probes_b: np.ndarray,
-) -> np.ndarray:
-    """|joint CF - product of marginal CFs| at each probe pair.
-
-    Vanishing defects (up to estimator noise) are what independence of the
-    two sample streams looks like through characteristic functions.
-    """
-    if samples_a.shape != samples_b.shape:
-        raise ValueError("paired samples required")
-    if probes_a.shape != probes_b.shape:
-        raise ValueError("probe pairs are misaligned")
-    rows, n = _cf_rows(len(probes_a)), len(samples_a)
-
-    def cf(*terms):
-        return cf_block_sums(list(terms), rows).sum(axis=0) / n
-
-    pair_a, pair_b = (samples_a, probes_a), (samples_b, probes_b)
-    return np.abs(cf(pair_a, pair_b) - cf(pair_a) * cf(pair_b))
-
-
 def independence_check(
     outputs: np.ndarray,
     biases: np.ndarray,
@@ -325,35 +305,54 @@ def independence_check(
 
     ``outputs`` is a replica batch (N, 2, d) of the same network; the check
     returns the rows of ``independence.csv`` as metric -> value: (i) the
-    largest cross-factorization defect of the two channels over the probe
-    pairs of ``probes_a`` and ``probes_b``, and of the dependent pairing
-    (channel 1 against itself) as a negative control, and (ii) the sup and
-    mean CF distance between the bias-stripped channel mixture with weights
-    z and ``mixture_probes.cf``, which is calibrated on the mixture form of
-    the limit law (:func:`stableconv.limits.mixture_measure`).  The defect
-    at the pair of zero probes is exactly 0.
+    largest cross-factorization defect |joint CF - product of marginal CFs|
+    of the two channels f1, f2 over the probe pairs (t, s) of ``probes_a``
+    and ``probes_b``, and of the dependent pairing (f1 against itself) as a
+    negative control, and (ii) the sup and mean CF distance between the
+    bias-stripped channel mixture with weights z and ``mixture_probes.cf``,
+    which is calibrated on the mixture form of the limit law
+    (:func:`stableconv.limits.mixture_measure`).  The defect at the pair of
+    zero probes is exactly 0.  The three probe sets must have one probe
+    count; any other raises ``ValueError``.
 
-    The mixture is formed one CF block of :func:`_cf_rows` replicas at a
-    time, each block reduced to its row of CF sums before the next is
-    formed, so no whole mixture and no (N, 2, d) bias-stripped copy is
-    held; the rows, and so the distances, are those of
-    :func:`empirical_cf` on the whole mixture bit for bit.
+    One pass over blocks of :func:`_cf_rows` replicas evaluates each CF term
+    once: per block, A = f1 t^T once, then f2 s^T and f1 s^T in one buffer X
+    whose wave sum is a marginal row, and after X += A a joint row, then the
+    mixture's phases.  So A, X and the complex waves, 32 bytes per replica
+    and probe, bound memory, and every value is that of
+    :func:`empirical_cf` for its term bit for bit.
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     if outputs.ndim != 3 or outputs.shape[1] < 2:
         raise ValueError("need paired channel outputs (N, 2, d)")
-    f1 = outputs[:, 0, :]
-    f2 = outputs[:, 1, :]
-    defects = cross_factorization_defect(f1, f2, probes_a.probes, probes_b.probes)
-    control = cross_factorization_defect(f1, f1, probes_a.probes, probes_b.probes)
-    n, rows, t = len(outputs), _cf_rows(mixture_probes.n_probes), mixture_probes.probes
-    sums = np.concatenate([
-        cf_block_sums([(channel_mixture(outputs[s : s + rows], z, biases[s : s + rows]), t)], rows)
-        for s in range(0, n, rows)
-    ])
-    sup, mean = cf_distance(sums.sum(axis=0) / n, mixture_probes.cf)
-    return dict(max_factorization_defect=float(defects.max()),
-                max_control_defect=float(control.max()),
+    p = probes_a.n_probes
+    if (probes_b.n_probes, mixture_probes.n_probes) != (p, p):
+        raise ValueError(f"the probe sets must have one probe count, got {p}, "
+                         f"{probes_b.n_probes} and {mixture_probes.n_probes}")
+    t, s, u = probes_a.probes, probes_b.probes, mixture_probes.probes
+    n, rows = len(outputs), _cf_rows(p)
+    size = min(rows, n)
+    x, waves = np.empty((size, p)), np.empty((size, p), dtype=complex)
+    # per block, the rows of f1 at t; f2 at s and the joint; f1 at s and the
+    # control's joint; the mixture at u
+    sums = np.empty((6, -(-n // rows), p), dtype=complex)
+    for i, start in enumerate(range(0, n, rows)):
+        stop = min(start + rows, n)
+        block, xb, wb = outputs[start:stop], x[: stop - start], waves[: stop - start]
+        a = np.ascontiguousarray(block[:, 0]) @ t.T
+        _wave_sum(a, wb, sums[0, i])
+        for k, channel in ((1, 1), (3, 0)):
+            np.matmul(np.ascontiguousarray(block[:, channel]), s.T, out=xb)
+            _wave_sum(xb, wb, sums[k, i])
+            xb += a
+            _wave_sum(xb, wb, sums[k + 1, i])
+        del a  # freed before the mixture's temporaries, which then fit where A was
+        np.matmul(np.ascontiguousarray(channel_mixture(block, z, biases[start:stop])), u.T, out=xb)
+        _wave_sum(xb, wb, sums[5, i])
+    cf_a, cf_b, joint, cf_b1, joint1, cf_mix = (rows_k.sum(axis=0) / n for rows_k in sums)
+    sup, mean = cf_distance(cf_mix, mixture_probes.cf)
+    return dict(max_factorization_defect=float(np.abs(joint - cf_a * cf_b).max()),
+                max_control_defect=float(np.abs(joint1 - cf_a * cf_b1).max()),
                 mixture_sup_dist=sup, mixture_mean_dist=mean)
 
 

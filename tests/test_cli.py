@@ -401,12 +401,18 @@ class TestCommands:
                     assert match, line
                     stages.append(match.group(1))
         # two layers each for `limit` and `oracle`; the sweep's probe set
-        # and three points; `verify` and `report` each read the C = 32 cache
+        # and three points; `verify` and `report` each read the C = 32 cache;
+        # the independence check's three probe sets
         assert sorted(stages) == sorted(
             ["layer"] * 4 + ["save_measure"] * 2 + ["sample_replicas", "save_replicas"]
-            + ["load_replicas"] * 2 + ["read_measure", "probes"] + ["sweep"] * 3
+            + ["load_replicas"] * 2 + ["read_measure"] + ["probes"] * 4 + ["sweep"] * 3
             + ["independence", "oracle"]
         )
+        log = (run_dir_of(config_file, out) / "run.log").read_text()
+        # each set's line precedes the check's, which times the CF sums alone
+        sets = re.findall(r"stage=probes set=(\w+) atoms=\d+ probes=(\d+) seconds=", log)
+        assert sets == [("a", "21"), ("b", "21"), ("mixture", "21")]
+        assert log.index("stage=probes set=mixture") < log.index("stage=independence")
 
     def test_limit_writes_loadable_measures(self, config_file, tmp_path):
         out = tmp_path / "runs"

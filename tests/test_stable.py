@@ -79,59 +79,51 @@ class TestCFExponent:
         assert peak < 3 * 8 * m.n_atoms + sc.stable._BLOCK_BYTES
 
 
-def _whole_block_sums(terms, rows):
-    """cf_block_sums as one expression per block, with a temporary for each
-    term, the phases, their product with 1j and the exponentials."""
-    n = len(terms[0][0])
-    sums = np.empty((-(-n // rows), len(terms[0][1])), dtype=complex)
-    for i, start in enumerate(range(0, n, rows)):
-        phases = sum(np.ascontiguousarray(x[start : start + rows]) @ t.T for x, t in terms)
+def _whole_block_sums(x, t, rows):
+    """cf_block_sums as one expression per block, with a temporary for the
+    phases, their product with 1j and the exponentials."""
+    sums = np.empty((-(-len(x) // rows), len(t)), dtype=complex)
+    for i, start in enumerate(range(0, len(x), rows)):
+        phases = np.ascontiguousarray(x[start : start + rows]) @ t.T
         sums[i] = np.exp(1j * phases).sum(axis=0)
     return sums
 
 
 class TestCFBlockSums:
     def test_buffers_give_the_expression_bit_for_bit(self, rng):
-        # random sizes with -0.0 values, an infinite sample now and then, one
-        # and two terms, strided channel-0 views and short last blocks
+        # random sizes with -0.0 values, an infinite sample now and then,
+        # strided channel-0 views and short last blocks
         for _ in range(200):
             n, d, p = (int(v) for v in rng.integers(1, [400, 12, 25]))
             rows = int(rng.integers(1, n + 3))
-            terms = []
-            for _ in range(int(rng.integers(1, 3))):
-                pairs = rng.standard_normal((n, 2, d)) * rng.choice([0.1, 1.0, 100.0])
-                x = pairs[:, 0] if rng.random() < 0.5 else pairs[:, 0].copy()
-                x[rng.random(x.shape) < 0.2] = -0.0
-                if rng.random() < 0.2:
-                    x[rng.integers(n), rng.integers(d)] = rng.choice([np.inf, -np.inf])
-                t = rng.standard_normal((p, d))
-                t[0] = 0.0
-                t[rng.random(t.shape) < 0.1] = -0.0
-                terms.append((x, t))
+            pairs = rng.standard_normal((n, 2, d)) * rng.choice([0.1, 1.0, 100.0])
+            x = pairs[:, 0] if rng.random() < 0.5 else pairs[:, 0].copy()
+            x[rng.random(x.shape) < 0.2] = -0.0
+            if rng.random() < 0.2:
+                x[rng.integers(n), rng.integers(d)] = rng.choice([np.inf, -np.inf])
+            t = rng.standard_normal((p, d))
+            t[0] = 0.0
+            t[rng.random(t.shape) < 0.1] = -0.0
             with np.errstate(invalid="ignore"):
-                got = sc.stable.cf_block_sums(terms, rows)
-                expected = _whole_block_sums(terms, rows)
+                got = sc.stable.cf_block_sums(x, t, rows)
+                expected = _whole_block_sums(x, t, rows)
             assert got.tobytes() == expected.tobytes()
 
     def test_blocks_equal_one_whole_sum(self, rng):
         # 7000 samples in blocks of 3000: the rows add up, to rounding, to
-        # the whole sum, and the joint pair of terms to the summed phases
-        x, y = rng.standard_normal((7000, 3)), rng.standard_normal((7000, 2))
-        t, u = rng.standard_normal((21, 3)), rng.standard_normal((21, 2))
-        rows = sc.stable.cf_block_sums([(x, t)], 3000)
+        # the whole sum
+        x, t = rng.standard_normal((7000, 3)), rng.standard_normal((21, 3))
+        rows = sc.stable.cf_block_sums(x, t, 3000)
         assert rows.shape == (3, 21)
         assert np.allclose(rows.sum(axis=0), np.exp(1j * (x @ t.T)).sum(axis=0),
-                           rtol=0, atol=1e-10)
-        joint = sc.stable.cf_block_sums([(x, t), (y, u)], 3000).sum(axis=0)
-        assert np.allclose(joint, np.exp(1j * (x @ t.T + y @ u.T)).sum(axis=0),
                            rtol=0, atol=1e-10)
 
     def test_strided_samples_give_the_contiguous_rows(self, rng):
         pairs = rng.standard_normal((50, 2, 72))
         t = rng.standard_normal((21, 72)) * 0.1
         for rows in (1, 3, 7, 50):
-            strided = sc.stable.cf_block_sums([(pairs[:, 0], t)], rows)
-            copied = sc.stable.cf_block_sums([(pairs[:, 0].copy(), t)], rows)
+            strided = sc.stable.cf_block_sums(pairs[:, 0], t, rows)
+            copied = sc.stable.cf_block_sums(pairs[:, 0].copy(), t, rows)
             assert strided.tobytes() == copied.tobytes()
 
 

@@ -37,9 +37,13 @@ class TestProbeSet:
         assert len(np.unique(probes, axis=0)) == probes.shape[0]
 
     def test_cf_is_the_calibration_laws_cf(self, toy_limit):
+        # the CF comes from the exponent at the unit directions, scaled by
+        # r^alpha: it equals the CF at the probes to rounding, the zero
+        # probe's exactly
         _, measure = toy_limit
         probes = sc.generate_probes(measure, n_probes=20, seed=1)
-        assert np.array_equal(probes.cf, sc.cf_multivariate(measure, probes.probes))
+        direct = sc.cf_multivariate(measure, probes.probes)
+        assert np.abs(probes.cf / direct - 1).max() <= 1e-14
         assert probes.cf[0] == 1.0
         with pytest.raises(ValueError):
             probes.cf[1] = 0.5
@@ -109,12 +113,16 @@ class TestEmpiricalCF:
         # expressions to rounding
         a, b = rng.standard_normal((7000, 3)), rng.standard_normal((7000, 3))
         ta, tb = rng.standard_normal((21, 3)), rng.standard_normal((21, 3))
+        ta[0] = tb[0] = 0.0
         whole = np.exp(1j * (a @ ta.T)).mean(axis=0)
         assert np.abs(sc.empirical_cf(a, ta) - whole).max() < 1e-13
         pa, pb = a @ ta.T, b @ tb.T
         defect = np.abs(np.exp(1j * (pa + pb)).mean(axis=0)
                         - np.exp(1j * pa).mean(axis=0) * np.exp(1j * pb).mean(axis=0))
-        assert np.abs(sc.cross_factorization_defect(a, b, ta, tb) - defect).max() < 1e-13
+        probe_sets = [sc.ProbeSet(t, np.ones(21)) for t in (ta, tb, ta)]
+        report = sc.independence_check(np.stack([a, b], axis=1), np.zeros((7000, 2)), [1.0, 1.0],
+                                       *probe_sets)
+        assert abs(report["max_factorization_defect"] - defect.max()) < 1e-13
 
 
 class TestCFDistance:
@@ -275,7 +283,7 @@ class TestSweepReduction:
         probes = random_probes(spec)
         cache = sc.sample_replicas(spec, n + 7, n_channels=2)
         assert not cache.outputs[:, 0].flags.c_contiguous
-        served = sc.stable.cf_block_sums([(cache.outputs[:n, 0], probes.probes)], size)
+        served = sc.stable.cf_block_sums(cache.outputs[:n, 0], probes.probes, size)
         with sc.replica_pool(2) as pool:
             sampled, _ = sc.network.replica_cf_sums(spec, n, probes.probes, pool=pool)
             swept = sc.convergence_sweep(spec, [spec.channels], n, sc.LimitConfig(mc_samples=10),
@@ -348,21 +356,42 @@ class TestIndependence:
 
         return outputs, biases, probe_set(), probe_set(), probe_set()
 
+    @staticmethod
+    def _two_call_defects(f1, f2, ta, tb):
+        """The factorization and control defects as the check once computed
+        them, in two calls of three block-sum passes each: a joint pass
+        adds the second product into the phases of the first."""
+        rows, n = sc.verify._cf_rows(len(ta)), len(f1)
+
+        def cf(*terms):
+            sums = []
+            for start in range(0, n, rows):
+                (x, t), *rest = terms
+                phases = np.ascontiguousarray(x[start : start + rows]) @ t.T
+                for x, t in rest:
+                    phases += np.ascontiguousarray(x[start : start + rows]) @ t.T
+                sums.append(np.exp(1j * phases).sum(axis=0))
+            return np.array(sums).sum(axis=0) / n
+
+        def defect(a, b):
+            return np.abs(cf((a, ta), (b, tb)) - cf((a, ta)) * cf((b, tb)))
+
+        return defect(f1, f2).max(), defect(f1, f1).max()
+
     def test_blocked_mixture_is_the_whole_mixture_bit_for_bit(self, rng):
-        # two CF blocks and a one-replica last block: the distances are
-        # those of the whole mixture's empirical CF
+        # two CF blocks and a one-replica last block: the defects are those
+        # of the separate passes, and the distances those of the whole
+        # mixture's empirical CF
         n = 2 * sc.verify._cf_rows(21) + 1
         outputs, biases, pa, pb, mix = self._random_case(rng, n)
+        f1, f2 = outputs[:, 0], outputs[:, 1]
+        defects = self._two_call_defects(f1, f2, pa.probes, pb.probes)
         for z in ([1.0, 1.0], [0.7, -1.3]):
             report = sc.independence_check(outputs, biases, z, pa, pb, mix)
-            f1, f2 = outputs[:, 0], outputs[:, 1]
             emp = sc.empirical_cf(sc.channel_mixture(outputs, z, biases), mix.probes)
             assert (report["mixture_sup_dist"], report["mixture_mean_dist"]) == sc.cf_distance(
                 emp, mix.cf)
-            defects = sc.cross_factorization_defect(f1, f2, pa.probes, pb.probes)
-            control = sc.cross_factorization_defect(f1, f1, pa.probes, pb.probes)
-            assert report["max_factorization_defect"] == defects.max()
-            assert report["max_control_defect"] == control.max()
+            assert (report["max_factorization_defect"], report["max_control_defect"]) == defects
 
     def test_peak_stays_below_a_copy_of_the_outputs(self, rng):
         # 50k replicas of two 8-value channels, 6.4 MB: the bias-stripped
@@ -376,14 +405,12 @@ class TestIndependence:
             tracemalloc.stop()
         assert peak < outputs.nbytes
 
-    def test_unpaired_samples_rejected(self, rng):
-        with pytest.raises(ValueError):
-            sc.cross_factorization_defect(
-                rng.standard_normal((10, 3)),
-                rng.standard_normal((9, 3)),
-                np.ones((2, 3)),
-                np.ones((2, 3)),
-            )
+    def test_probe_sets_of_another_count_rejected(self, rng):
+        outputs, biases, pa, pb, mix = self._random_case(rng, 10)
+        short = sc.ProbeSet(pb.probes[:-1], pb.cf[:-1])
+        for sets in ((pa, short, mix), (pa, pb, short), (short, pb, mix)):
+            with pytest.raises(ValueError, match="one probe count"):
+                sc.independence_check(outputs, biases, [1.0, 1.0], *sets)
 
 
 class TestGaussianOracle:
